@@ -1,14 +1,17 @@
 """famkit command line: parse problem files, dispatch, emit JSON reports.
 
 Exit codes: 0 success/feasible, 3 infeasible/not-integrable/not-jordan,
-4 undecided, 2 input error.  Reports go to stdout, diagnostics to stderr;
-output is deterministic for fixed input and flags.
+4 undecided, 2 input error, 1 stdout closed by its reader.  Reports go to
+stdout, diagnostics to stderr; output is deterministic for fixed input and
+flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .approx import approx_uniform, approx_uniform_small
@@ -59,6 +62,7 @@ from .jsonio import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
 EXIT_UNDECIDED = 4
@@ -374,7 +378,13 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing only reads it, and argparse looks up the output streams and the
+    terminal width when it prints, so one instance serves every ``main`` call.
+    """
     parser = argparse.ArgumentParser(
         prog="famkit",
         description="finitely additive measures: extension solvers, Darboux integration, Jordan measure",
@@ -397,6 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``famkit ... | head``): send what is still
+        # buffered to devnull, since Python flushes stdout again at exit, and
+        # leave without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not args.command:

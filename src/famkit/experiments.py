@@ -34,20 +34,18 @@ def search_uniformly_supported_amalgamation(
     if conflict is not None:
         return AmalgamationSearch(0, 0, 0, None)
     algebra, system = _assignment_system(merged)
-    found = 0
+    objectives = []
+    for _ in range(trials):
+        objective = [Fraction(rng.randint(-6, 6)) for _ in range(algebra.atom_count)]
+        maximize = rng.random() < 0.5
+        objectives.append([-c for c in objective] if maximize else objective)
+    optima = optimize(system, objectives) or []
     supported = 0
     example = None
-    attempted = 0
-    for _ in range(trials):
-        attempted += 1
-        objective = [Fraction(rng.randint(-6, 6)) for _ in range(algebra.atom_count)]
-        outcome = optimize(system, objective, maximize=rng.random() < 0.5)
-        if outcome is None:
-            continue
-        witness = Fam(algebra, outcome[1])
-        found += 1
+    for _, solution in optima:
+        witness = Fam(algebra, solution)
         if witness.total > 0 and uniformly_supported(witness) is not None:
             supported += 1
             if example is None:
                 example = witness
-    return AmalgamationSearch(attempted, found, supported, example)
+    return AmalgamationSearch(trials, len(optima), supported, example)

@@ -232,16 +232,16 @@ def extension_bounds(fam: Fam, b: SetElem) -> tuple[Fraction, Fraction]:
 def value_range(assignment: PartialAssignment, b: SetElem) -> tuple[Fraction, Fraction] | None:
     """Exact feasible range of the value of ``b`` under the assignment, or None.
 
-    Two exact LP solves over the algebra generated by the assignment's
-    domain together with ``b``.
+    Minimizes and maximizes over the algebra generated by the assignment's
+    domain together with ``b``, from one shared phase 1.
     """
     algebra, system = _assignment_system(assignment, extra_sets=[b])
-    objective = [Fraction(1) if a.bits & b.bits else Fraction(0) for a in algebra.atoms]
-    low = optimize(system, objective, maximize=False)
-    if low is None:
+    inside = [Fraction(1) if a.bits & b.bits else Fraction(0) for a in algebra.atoms]
+    optima = optimize(system, [inside, [-c for c in inside]])
+    if optima is None:
         return None
-    high = optimize(system, objective, maximize=True)
-    return low[0], high[0]
+    (low, _), (negated_high, _) = optima
+    return low, -negated_high
 
 
 def extend_one(fam: Fam, b: SetElem, z: RationalLike) -> Fam:

@@ -140,7 +140,9 @@ class HalfPlaneRegion:
 
     def _classify_exact(self, box: Box) -> int:
         # raw integer cross-multiplication; this is the hot tie-breaking
-        # path for cells whose corners sit exactly on the boundary
+        # path for cells whose corners sit exactly on the boundary.  Bounds
+        # may be Fractions or floats (box integrals); as_integer_ratio is
+        # exact for both
         low_n, low_d = 0, 1
         high_n, high_d = 0, 1
         for c, (lo, hi) in zip(self.normal, box):
@@ -148,12 +150,14 @@ class HalfPlaneRegion:
                 lo_t, hi_t = lo, hi
             else:
                 lo_t, hi_t = hi, lo
-            tn = c.numerator * lo_t.numerator
-            td = c.denominator * lo_t.denominator
+            lo_n, lo_d = lo_t.as_integer_ratio()
+            hi_n, hi_d = hi_t.as_integer_ratio()
+            tn = c.numerator * lo_n
+            td = c.denominator * lo_d
             low_n = low_n * td + tn * low_d
             low_d *= td
-            tn = c.numerator * hi_t.numerator
-            td = c.denominator * hi_t.denominator
+            tn = c.numerator * hi_n
+            td = c.denominator * hi_d
             high_n = high_n * td + tn * high_d
             high_d *= td
         off_n, off_d = self.offset.numerator, self.offset.denominator

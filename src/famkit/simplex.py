@@ -8,6 +8,7 @@ pivoting code with this module.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -189,6 +190,14 @@ class _Tableau:
         self._run(obj, self.art0)
         return -obj[-1]
 
+    def fork(self) -> _Tableau:
+        """An independent copy; ``_pivot`` replaces rows and never mutates
+        one, so the two may share row lists."""
+        twin = copy.copy(self)
+        twin.rows = list(self.rows)
+        twin.basis = list(self.basis)
+        return twin
+
     def solution(self) -> tuple[Fraction, ...]:
         x = [Fraction(0)] * self.n
         for i, j in enumerate(self.basis):
@@ -206,19 +215,24 @@ def solve_feasibility(system: FeasibilitySystem) -> SimplexOutcome:
     return SimplexOutcome(feasible=True, solution=tab.solution())
 
 
-def optimize(system: FeasibilitySystem, objective: Sequence[Fraction], maximize: bool = False) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """Exact optimum of ``objective . w`` over the system, or None if infeasible.
+def optimize(
+    system: FeasibilitySystem, objectives: Sequence[Sequence[Fraction]]
+) -> list[tuple[Fraction, tuple[Fraction, ...]]] | None:
+    """Exact minimum of each ``objective . w`` over the system, with a
+    minimizing solution, or None if the system is infeasible.
 
-    The feasible regions built by famkit always include a total-mass row, so
-    they are bounded and the optimum is attained.
+    Phase 1 runs once; each objective's phase 2 starts from a copy of the
+    feasible basis it found.  A maximum is the negated minimum of the
+    negated objective.  The feasible regions built by famkit always include
+    a total-mass row, so they are bounded and the optimum is attained.
     """
     tab = _Tableau(system)
     if tab.phase1() != 0:
         return None
     tab.drive_out_artificials()
-    coeffs = [Fraction(-c) for c in objective] if maximize else [Fraction(c) for c in objective]
-    coeffs += [Fraction(0)] * tab.n_slacks
-    value = tab.phase2(coeffs)
-    if maximize:
-        value = -value
-    return value, tab.solution()
+    results = []
+    for objective in objectives:
+        run = tab.fork()
+        value = run.phase2(objective)
+        results.append((value, run.solution()))
+    return results

@@ -1,14 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from famkit.cli import main
+from famkit.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def famkit_process(args, **kwargs):
+    """Run ``python <args>`` in a fresh interpreter that imports famkit from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
 
 def write_json(tmp_path, name, payload):
@@ -156,6 +169,20 @@ class TestIntegrateCLI:
         assert code == 0
         assert json.loads(out)["value"] == "5/2"
 
+    def test_triangle_indicator_on_float_cells(self, capsys):
+        # the box backend hands float cells to the half-plane's exact
+        # tie-break on the diagonal
+        code, out, _ = run(
+            capsys,
+            ["integrate", "--fn", '{"indicator": "triangle-xy"}', "--box", "[[0, 1], [0, 1]]",
+             "--eps", "1e-3"],
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["status"] == "integrable"
+        assert report["lower"] <= 0.5 <= report["upper"]
+        assert report["upper"] - report["lower"] <= 1e-3
+
     def test_dirichlet_exit_code(self, capsys):
         code, out, _ = run(
             capsys,
@@ -235,3 +262,62 @@ class TestErrorPaths:
         code, out, _ = run(capsys, ["classify", "--in", path, "--format", "table"])
         assert code == 0
         assert "probability: true" in out
+
+
+class TestParserReuse:
+    # main() builds its parser once per process; no call may see another's flags
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys,
+            ["jordan", "--region", '"triangle-xy"', "--box", "[[0, 1], [0, 1]]",
+             "--eps", "1/4", "--format", "table"],
+        )
+        assert code == 0 and "jordan: true" in out
+        path = write_json(tmp_path, "m.json", {"box": [[0, 1], [0, 1]], "region": "triangle-xy"})
+        code, out, _ = run(capsys, ["measure", "--in", path])
+        assert code == 0
+        assert json.loads(out)["inner"] == "2047/4096"  # the default 1/1024, not 1/4
+        fresh = famkit_process(["-m", "famkit", "measure", "--in", path], capture_output=True, text=True)
+        assert fresh.returncode == 0
+        assert out == fresh.stdout
+        assert build_parser() is build_parser()
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+        path = write_json(tmp_path, "fam.json", UNIFORM4)
+        code, out, _ = run(capsys, ["classify", "--in", path])
+        assert code == 0
+        assert json.loads(out)["d"] == 4
+
+
+class TestBrokenPipe:
+    # the console script runs sys.exit(famkit.cli.main()), as the -c form does;
+    # a buffered stdout fails at the final flush, an unbuffered one at print,
+    # and argparse's own help output only ever reaches the final flush
+    @pytest.mark.parametrize(
+        "entry",
+        [["-m", "famkit"], ["-c", "import sys; from famkit.cli import main; sys.exit(main())"]],
+        ids=["module", "script"],
+    )
+    @pytest.mark.parametrize(
+        "command, unbuffered",
+        [("extend", "1"), ("extend", None), ("--help", None)],
+        ids=["report-unbuffered", "report-buffered", "help-buffered"],
+    )
+    def test_closed_stdout_exits_quietly(self, tmp_path, monkeypatch, entry, command, unbuffered):
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        path = write_json(tmp_path, "ext.json", {"ground": {"n": 2}, "pairs": [[[0, 1], "1"]]})
+        argv = ["extend", "--in", path] if command == "extend" else [command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before famkit writes anything
+        try:
+            proc = famkit_process([*entry, *argv], stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1

@@ -19,11 +19,11 @@ from famkit.boolalg import (
     meet_partitions,
 )
 from famkit.cantor import CantorClopen, clopen_measure, iota2_image
-from famkit.extend import PartialAssignment, extend_assignment, extend_one
+from famkit.extend import PartialAssignment, extend_assignment, extend_one, value_range
 from famkit.fam import Fam, has_uap, uniformly_supported
 from famkit.integrate import infsum, integrate, supsum
 from famkit.oracle import exhaustive_integral_bounds, fm_feasible, set_partitions
-from famkit.simplex import FeasibilitySystem, solve_feasibility
+from famkit.simplex import FeasibilitySystem, optimize, solve_feasibility
 
 from genutil import random_fam, random_rational, random_table
 
@@ -193,6 +193,79 @@ class TestExtendProperties:
                 ivs.append((coeffs, lo, lo + random_rational(rng, 3, 3)))
             system = FeasibilitySystem(n_vars=n, equalities=tuple(eqs), intervals=tuple(ivs))
             assert solve_feasibility(system).feasible == fm_feasible(system)
+
+    def test_shared_phase1_matches_cold_solves(self):
+        # optimize() starts every objective's phase 2 from a copy of one
+        # phase-1 tableau; each optimum must equal a solve of its own and
+        # come with a feasible solution that attains it
+        def dot(c, x):
+            return sum((a * w for a, w in zip(c, x)), F(0))
+
+        rng = Random(43)
+        solved = 0
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            eqs = [(tuple(F(1) for _ in range(n)), F(rng.randint(1, 4)))]
+            for _ in range(rng.randint(0, 2)):
+                coeffs = tuple(F(rng.randint(0, 3)) for _ in range(n))
+                eqs.append((coeffs, random_rational(rng, 3, 6)))
+            ivs = []
+            for _ in range(rng.randint(0, 2)):
+                coeffs = tuple(F(rng.randint(-1, 2)) for _ in range(n))
+                lo = random_rational(rng, 3, 3)
+                ivs.append((coeffs, lo, lo + F(rng.randint(0, 3), 2)))
+            system = FeasibilitySystem(n_vars=n, equalities=tuple(eqs), intervals=tuple(ivs))
+            objectives = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(3)]
+            together = optimize(system, objectives)
+            if together is None:
+                assert not solve_feasibility(system).feasible
+                continue
+            solved += 1
+            for objective, (value, x) in zip(objectives, together):
+                assert optimize(system, [objective])[0][0] == value
+                assert all(w >= 0 for w in x) and dot(objective, x) == value
+                assert all(dot(c, x) == rhs for c, rhs in eqs)
+                assert all(lo <= dot(c, x) <= hi for c, lo, hi in ivs)
+        assert solved >= 15
+
+    def test_value_range_matches_fm(self):
+        # both ends of the range are attained and nothing beyond them is:
+        # Fourier-Motzkin over one weight per point (at most 6 <= FM_VAR_CAP)
+        # decides each pinned or pushed-out target row on its own
+        rng = Random(57)
+        feasible = 0
+        for trial in range(40):
+            n = rng.randint(1, 6)
+            g = GroundSet.of_size(n)
+            weights = [random_rational(rng, 4) for _ in range(n)]
+            masks = {g.full_mask} | {rng.getrandbits(n) for _ in range(rng.randint(0, 3))}
+            pairs = []
+            for m in sorted(masks):
+                value = sum((w for i, w in enumerate(weights) if m >> i & 1), F(0))
+                if m != g.full_mask and rng.random() < 0.5:
+                    value += F(1, rng.randint(1, 4))
+                pairs.append((SetElem(g, m), value))
+            b = SetElem(g, rng.getrandbits(n))
+
+            def row(mask):
+                return tuple(F(mask >> i & 1) for i in range(n))
+
+            def system(lo=None, hi=None):
+                eqs = tuple((row(s.bits), v) for s, v in pairs)
+                ivs = ((row(b.bits), lo, hi),) if (lo, hi) != (None, None) else ()
+                return FeasibilitySystem(n_vars=n, equalities=eqs, intervals=ivs)
+
+            bounds = value_range(PartialAssignment(g, pairs), b)
+            if bounds is None:
+                assert not fm_feasible(system()), trial
+                continue
+            feasible += 1
+            lo, hi = bounds
+            assert lo <= hi
+            assert fm_feasible(system(lo, lo)) and fm_feasible(system(hi, hi)), trial
+            assert not fm_feasible(system(hi=lo - F(1, 1000))), trial
+            assert not fm_feasible(system(lo=hi + F(1, 1000))), trial
+        assert 10 <= feasible < 40
 
 
 class TestThreeWayCrossCheck:
