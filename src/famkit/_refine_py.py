@@ -1,8 +1,10 @@
-"""Pure-Python refinement kernel for box-backend Darboux sums.
+"""Scalar refinement for box-backend Darboux sums.
 
-Mirrors famkit._kernel operation for operation so both backends follow the
-identical refinement path: split the cell with the largest oscillation
-contribution, bisecting its widest axis (lowest axis index on ties).
+``refine_generic`` drives any range oracle with a heap: split the cell with
+the largest oscillation contribution, bisecting its widest axis (lowest axis
+index on ties).  It serves the scalar oracles (indicators, restrictions,
+piecewise-constant and Lipschitz functions) and is the reference that the
+batched polynomial engine in ``famkit._refine`` is tested against.
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ import heapq
 import math
 from typing import Callable, Sequence
 
-BACKEND = "python"
-
 
 def _ipow(x: float, e: int) -> float:
-    # repeated multiplication keeps results identical to the compiled kernel
+    # repeated multiplication, mirrored by the batched _refine.poly_range_batch
     r = 1.0
     for _ in range(e):
         r *= x
@@ -140,16 +140,3 @@ def refine_generic(
     upper = math.fsum(c[3] * c[4] for c in cells.values())
     trace.append((len(cells), certified_gap()))
     return lower, upper, len(cells), converged, trace
-
-
-def refine_poly(
-    exps: Sequence[Sequence[int]],
-    coeffs: Sequence[float],
-    lo0: Sequence[float],
-    hi0: Sequence[float],
-    eps: float,
-    max_cells: int,
-) -> tuple[float, float, int, bool, list[tuple[int, float]]]:
-    return refine_generic(
-        lambda lo, hi: poly_range(exps, coeffs, lo, hi), lo0, hi0, eps, max_cells
-    )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import _refine
+from ._refine_py import poly_range
 from .boxes import IN, OUT, STRADDLE, Box, BoxElem, box_intersect, box_volume
 from .errors import InputError
 
@@ -68,7 +68,7 @@ class PolynomialFn:
 
     def range_on(self, box) -> tuple[float, float]:
         fb = _to_float_box(box)
-        return _refine.poly_range(
+        return poly_range(
             self.exps, self.coeffs, [b[0] for b in fb], [b[1] for b in fb]
         )
 

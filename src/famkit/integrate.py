@@ -6,9 +6,9 @@ the atom partition realizes the sharpest Darboux sums, so values and
 integrability are decided exactly.
 
 Box backend: functions carry certified range oracles over half-open boxes;
-the adaptive refinement loop (compiled kernel when available) certifies the
-Darboux gap below a requested tolerance, and the Jordan machinery runs on
-exact rational cell coordinates.
+the adaptive refinement loop (batched over numpy arrays for polynomials)
+certifies the Darboux gap below a requested tolerance, and the Jordan
+machinery runs on exact rational cell coordinates.
 """
 
 from __future__ import annotations
@@ -271,12 +271,9 @@ def _refine_grid(range_fn, lo0, hi0, eps, max_cells):
     cells = [(list(lo0), list(hi0))]
     trace = []
     while True:
-        lower = math.fsum(
-            range_fn(lo, hi)[0] * math.prod(h - l for l, h in zip(lo, hi)) for lo, hi in cells
-        )
-        upper = math.fsum(
-            range_fn(lo, hi)[1] * math.prod(h - l for l, h in zip(lo, hi)) for lo, hi in cells
-        )
+        terms = [(range_fn(lo, hi), math.prod(h - l for l, h in zip(lo, hi))) for lo, hi in cells]
+        lower = math.fsum(r[0] * v for r, v in terms)
+        upper = math.fsum(r[1] * v for r, v in terms)
         gap = upper - lower
         trace.append((len(cells), gap))
         if gap < eps:
@@ -296,6 +293,17 @@ def _refine_grid(range_fn, lo0, hi0, eps, max_cells):
         cells = split
 
 
+def _scaled_outward(x: float, total: Fraction, toward: float) -> float:
+    """``x * total`` in floats, stepped toward ``toward`` (plus or minus
+    infinity) until it is on that side of the exact product or equal to it."""
+    value = x * float(total)
+    if math.isfinite(value):
+        exact = Fraction(x) * total
+        while Fraction(value) < exact if toward > 0 else Fraction(value) > exact:
+            value = math.nextafter(value, toward)
+    return value
+
+
 def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> IntegralReport:
     _require_oracle(fn)
     eps = _float_eps(epsilon)
@@ -308,8 +316,8 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
         rlo, rhi = fn.range_on(fam.bounding)
         return IntegralReport(
             status=NOT_INTEGRABLE,
-            lower=rlo * total,
-            upper=rhi * total,
+            lower=_scaled_outward(rlo, fam.total, -math.inf),
+            upper=_scaled_outward(rhi, fam.total, math.inf),
             epsilon=eps,
             trace=((1, (rhi - rlo) * total),),
             backend="box",

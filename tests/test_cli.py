@@ -321,3 +321,24 @@ class TestBrokenPipe:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == 1
+
+
+class TestLazyNumpy:
+    # numpy costs about 0.1 s and 12 MB at import; only polynomial integrals use it
+    def test_numpy_loads_only_for_polynomial_integrals(self, tmp_path):
+        indicator = write_json(tmp_path, "ind.json", {
+            "fn": {"indicator": "triangle-xy"}, "box": [[0, 1], [0, 1]], "epsilon": "1e-2"})
+        poly = write_json(tmp_path, "poly.json", {"fn": {"poly": [0, 0, 1]}, "box": [[0, 1]], "epsilon": "1e-3"})
+        script = (
+            "import contextlib, io, sys\n"
+            "import famkit.cli\n"
+            "seen = ['numpy' in sys.modules]\n"
+            "for path in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert famkit.cli.main(['integrate', '--in', path]) == 0\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "print(seen)\n"
+        )
+        proc = famkit_process(["-c", script, indicator, poly], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[False, False, True]"

@@ -275,10 +275,31 @@ class TestBoxIntegrate:
         assert report.upper == pytest.approx(1.0)
         assert report.gap >= 1 - 1e-9
 
+    @pytest.mark.parametrize("b", [F(1, 3), F(2, 3)])
+    def test_dirichlet_bracket_rounds_outward(self, b):
+        # the volume b is no float, so the float product must step outward
+        report = integrate(IndicatorFn(DenseCodenseRegion()), VolumeFam([[0, b]]), epsilon=1e-3)
+        assert report.status == "not_integrable"
+        assert F(report.upper) >= b
+        assert F(report.lower) <= 0
+
     def test_grid_strategy(self):
         report = integrate(PolynomialFn([0, 1]), UNIT, epsilon=1e-2, strategy="grid")
         assert report.status == "integrable"
         assert report.value == pytest.approx(0.5, abs=1e-2)
+
+    def test_grid_asks_the_oracle_once_per_cell(self):
+        square = PolynomialFn([0, 0, 1])
+        calls = []
+
+        class Counting:
+            def range_on(self, box):
+                calls.append(box)
+                return square.range_on(box)
+
+        report = integrate(Counting(), UNIT, epsilon=1e-3, strategy="grid")
+        assert report.status == "integrable"
+        assert len(calls) == sum(n for n, _ in report.trace)
 
     def test_lipschitz_oracle(self):
         fn = LipschitzFn(lambda p: abs(p[0] - 0.5), 1.0)

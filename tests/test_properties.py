@@ -2,6 +2,7 @@
 small-scale checks."""
 
 import itertools
+import math
 from fractions import Fraction as F
 from random import Random
 
@@ -397,30 +398,119 @@ class TestCantorProperties:
         assert 0 <= lo <= hi <= 1
 
 
-class TestKernelAgreement:
-    def test_backends_match_on_fixtures(self):
-        from famkit import _refine, _refine_py
+def _heap_refine(exps, coeffs, lo, hi, eps, max_cells):
+    """The scalar reference: the heap of refine_generic on the scalar enclosure."""
+    from famkit._refine_py import poly_range, refine_generic
 
-        fixtures = [
-            ([(0,), (1,), (2,)], [0.5, -1.0, 2.0], [0.0], [1.0]),
-            ([(1, 0), (0, 1), (1, 1)], [1.0, 1.0, -0.5], [0.0, 0.0], [1.0, 1.0]),
-        ]
-        for exps, coeffs, lo, hi in fixtures:
-            fast = _refine.refine_poly(exps, coeffs, lo, hi, 1e-3, 200_000)
-            slow = _refine_py.refine_poly(exps, coeffs, lo, hi, 1e-3, 200_000)
-            assert fast[2] == slow[2]  # identical cell counts
-            assert fast[3] == slow[3]
-            assert fast[0] == pytest.approx(slow[0], rel=1e-12, abs=1e-12)
-            assert fast[1] == pytest.approx(slow[1], rel=1e-12, abs=1e-12)
+    return refine_generic(lambda l, h: poly_range(exps, coeffs, l, h), lo, hi, eps, max_cells)
 
-    def test_range_identical(self):
-        from famkit import _refine, _refine_py
 
-        exps, coeffs = [(0, 2), (3, 1)], [1.25, -0.75]
-        box_lo, box_hi = [-0.5, 0.25], [1.5, 2.0]
-        assert _refine.poly_range(exps, coeffs, box_lo, box_hi) == _refine_py.poly_range(
-            exps, coeffs, box_lo, box_hi
-        )
+def _exact_poly_integral(exps, coeffs, lo, hi):
+    total = F(0)
+    for exp, c in zip(exps, coeffs):
+        term = F(c)
+        for e, a, b in zip(exp, lo, hi):
+            term *= (F(b) ** (e + 1) - F(a) ** (e + 1)) / (e + 1)
+        total += term
+    return total
+
+
+@st.composite
+def dyadic_polynomials(draw):
+    """1-3-D polynomials of degree <= 3 with dyadic coefficients, on a box
+    with dyadic corners, and a tolerance that keeps the cell count small."""
+    dim = draw(st.integers(1, 3))
+    monomials = [e for e in itertools.product(range(4), repeat=dim) if sum(e) <= 3]
+    exps = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+    coeffs = [draw(st.integers(-8, 8)) / 4 for _ in exps]
+    lo, hi = [], []
+    for _ in range(dim):
+        a, b = sorted(draw(st.lists(st.integers(-8, 8), min_size=2, max_size=2, unique=True)))
+        lo.append(a / 4)
+        hi.append(b / 4)
+    tightness = draw(st.integers(1, 3))
+    return exps, coeffs, lo, hi, tightness
+
+
+class TestBatchedRefinement:
+    HEAVY = [
+        ([(1, 0), (0, 1)], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.25e-2),
+        ([(2, 1), (0, 3)], [1.0, -1.0], [0.0, 0.0], [1.0, 1.0], 1.3e-2),
+        ([(1, 1, 1)], [1.0], [0.0] * 3, [1.0] * 3, 2.5e-2),
+        ([(0,), (1,), (2,)], [0.0, 0.0, 1.0], [0.0], [1.0], 1e-4),
+    ]
+
+    def test_enclosure_matches_scalar_bitwise(self):
+        import numpy as np
+
+        from famkit._refine import poly_range_batch
+        from famkit._refine_py import poly_range
+
+        rng = Random(11)
+        for _ in range(40):
+            dim = rng.randint(1, 3)
+            exps = [tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
+            coeffs = [rng.uniform(-3, 3) for _ in exps]
+            lo = np.array([[rng.uniform(-2, 1) for _ in range(dim)] for _ in range(50)])
+            hi = lo + np.array([[rng.choice([0.0, rng.uniform(0, 2)]) for _ in range(dim)] for _ in range(50)])
+            # boxes straddling, touching and avoiding zero, and signed zeros
+            lo[:5] = 0.0
+            hi[5:10] = -0.0
+            rlo, rhi = poly_range_batch(exps, coeffs, lo, hi)
+            for i in range(len(lo)):
+                want = poly_range(exps, coeffs, lo[i].tolist(), hi[i].tolist())
+                assert (float(rlo[i]).hex(), float(rhi[i]).hex()) == (want[0].hex(), want[1].hex())
+
+    def test_heavy_fixtures_match_the_heap(self):
+        from famkit._refine import refine_poly
+
+        for fixture in self.HEAVY:
+            batched = refine_poly(*fixture, 2_000_000)
+            heap = _heap_refine(*fixture, 2_000_000)
+            assert batched[:4] == heap[:4]  # lower, upper, cells, converged
+            assert batched[3]
+
+    @SETTINGS
+    @given(dyadic_polynomials())
+    def test_agrees_with_the_heap(self, case):
+        from famkit._refine import refine_poly
+        from famkit._refine_py import poly_range
+
+        exps, coeffs, lo, hi, tightness = case
+        rlo, rhi = poly_range(exps, coeffs, lo, hi)
+        gap0 = (rhi - rlo) * math.prod(h - l for l, h in zip(lo, hi))
+        eps = gap0 * 10 ** (-tightness / len(lo)) if gap0 > 0 else 1e-3
+        lower, upper, cells, converged, trace = refine_poly(exps, coeffs, lo, hi, eps, 200_000)
+        heap = _heap_refine(exps, coeffs, lo, hi, eps, 200_000)
+        assert converged == heap[3]
+        assert abs(cells - heap[2]) <= 0.01 * heap[2]
+        assert trace[-1][1] < eps
+        assert F(lower) <= _exact_poly_integral(exps, coeffs, lo, hi) <= F(upper)
+
+    def test_ties_pick_the_earliest_cells(self):
+        import numpy as np
+
+        from famkit._refine import _largest_first
+
+        contrib = np.ones(5000)
+        contrib[[7, 4000]] = 3.0
+        for guess in (1, 64, 5000):  # partial and full sorts
+            picked, sums = _largest_first(contrib, 105.5, 10_000, guess)
+            assert picked.tolist() == [7, 4000, *range(7), *range(8, 101)]
+            assert sums[len(picked) - 1] == 106.0
+        picked, _ = _largest_first(contrib, 105.5, 50, 1)
+        assert picked.tolist() == [7, 4000, *range(7), *range(8, 49)]
+
+    def test_budget_stops_at_exactly_max_cells(self):
+        from famkit._refine import refine_poly
+
+        for budget in (1, 2, 777, 1000):
+            lower, upper, cells, converged, trace = refine_poly(
+                [(0,), (2,)], [1.0, 1.0], [0.0], [1.0], 1e-9, budget
+            )
+            assert (cells, converged) == (budget, False)
+            assert trace[-1][0] == budget
+            assert lower <= 4 / 3 <= upper
 
 
 class TestExperimentHarness:
