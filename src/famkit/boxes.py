@@ -1,14 +1,16 @@
 """Half-open boxes in R^n with rational endpoints, and the volume fam.
 
-The Jordan-measure machinery works on exact ``Fraction`` coordinates (only
-dyadic midpoints are ever introduced, so denominators stay small); the
-Darboux refinement loop for integrals converts to floats at entry.
+Jordan brackets return boxes with exact ``Fraction`` coordinates (dyadic
+subboxes of the bounding box, split on the integer lattice of
+``famkit.lattice``, so denominators stay small); the Darboux refinement
+loop for integrals converts to floats at entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -69,8 +71,24 @@ def box_subtract(a: Box, b: Box) -> list[Box]:
 
 
 def _box_key(box: Box):
-    # deterministic canonical order with cheap integer comparisons
-    return tuple((lo.numerator, lo.denominator, hi.numerator, hi.denominator) for lo, hi in box)
+    """Deterministic canonical order with cheap integer comparisons: one flat
+    tuple of (lo numerator, lo denominator, hi numerator, hi denominator)
+    per axis; ``None`` when some axis is empty (lo >= hi)."""
+    key = ()
+    for lo, hi in box:
+        p, q = lo.as_integer_ratio()
+        r, s = hi.as_integer_ratio()
+        if p * s >= r * q:
+            return None
+        key += (p, q, r, s)
+    return key
+
+
+def _sorted_nonempty(boxes: Iterable[Box]) -> tuple[Box, ...]:
+    """The boxes with lo < hi on every axis, in canonical order."""
+    keyed = [(key, b) for b in boxes if (key := _box_key(b)) is not None]
+    keyed.sort(key=itemgetter(0))
+    return tuple(b for _, b in keyed)
 
 
 @dataclass(frozen=True)
@@ -86,19 +104,14 @@ class BoxElem:
             for existing in disjoint:
                 frags = [piece for frag in frags for piece in box_subtract(frag, existing)]
             disjoint.extend(frags)
-        disjoint = [b for b in disjoint if box_volume(b) > 0]
-        object.__setattr__(self, "boxes", tuple(sorted(disjoint, key=_box_key)))
+        object.__setattr__(self, "boxes", _sorted_nonempty(disjoint))
 
     @classmethod
     def from_disjoint(cls, boxes: Iterable[Box]) -> "BoxElem":
         """Trusted constructor for already-disjoint boxes (skips the
         quadratic overlap resolution; refinement grids qualify)."""
         elem = object.__new__(cls)
-        object.__setattr__(
-            elem,
-            "boxes",
-            tuple(sorted((b for b in boxes if box_volume(b) > 0), key=_box_key)),
-        )
+        object.__setattr__(elem, "boxes", _sorted_nonempty(boxes))
         return elem
 
     @property

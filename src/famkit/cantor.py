@@ -98,14 +98,24 @@ def iota2_image(word: str | Cylinder) -> tuple[Fraction, Fraction]:
     return lo, lo + Fraction(1, 2 ** len(w))
 
 
+def _cylinder_images(depth: int):
+    """The interval images of the depth-``depth`` cylinders, left to right,
+    as boxes; the hi end of one is the lo end of the next, so each endpoint
+    ``k/2**depth`` is built once."""
+    count = 2 ** depth
+    lo = Fraction(0)
+    for k in range(1, count + 1):
+        hi = Fraction(k, count)
+        yield ((lo, hi),)
+        lo = hi
+
+
 def _depth_sums(g, depth: int) -> tuple[float, float]:
     scale = 0.5 ** depth
     lower = 0.0
     upper = 0.0
-    width = Fraction(1, 2 ** depth)
-    for k in range(2 ** depth):
-        lo = Fraction(k, 2 ** depth)
-        rlo, rhi = g.range_on(((lo, lo + width),))
+    for box in _cylinder_images(depth):
+        rlo, rhi = g.range_on(box)
         lower += rlo
         upper += rhi
     return lower * scale, upper * scale
@@ -167,10 +177,8 @@ def oscillation_cover(g, threshold, depth: int) -> OscillationCover:
     if thr <= 0:
         raise InputError("threshold must be positive")
     words = []
-    width = Fraction(1, 2 ** depth)
-    for k in range(2 ** depth):
-        lo = Fraction(k, 2 ** depth)
-        rlo, rhi = g.range_on(((lo, lo + width),))
+    for k, box in enumerate(_cylinder_images(depth)):
+        rlo, rhi = g.range_on(box)
         if rhi - rlo >= thr:
             words.append(format(k, f"0{depth}b") if depth else "")
     cover = CantorClopen(words)

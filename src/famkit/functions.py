@@ -8,6 +8,7 @@ inside/outside/straddling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -23,18 +24,41 @@ def _to_float_box(box) -> FloatBox:
     return tuple((float(lo), float(hi)) for lo, hi in box)
 
 
+def exponents(exps) -> tuple[int, ...]:
+    """A term's exponent tuple; each must be a non-negative integer (an
+    integral float counts), since the range oracle encloses nothing else."""
+    out = []
+    for e in exps:
+        if isinstance(e, float) and e.is_integer():
+            e = int(e)
+        if isinstance(e, bool) or not hasattr(e, "__index__") or operator.index(e) < 0:
+            raise InputError(f"exponents must be non-negative integers, got {e!r}")
+        out.append(operator.index(e))
+    return tuple(out)
+
+
+def add_term(terms: dict, exps, coeff) -> None:
+    """Add ``coeff * x**exps`` to ``terms``; a repeated exponent tuple sums."""
+    key = exponents(exps)
+    terms[key] = terms[key] + float(coeff) if key in terms else float(coeff)
+
+
 class PolynomialFn:
     """A multivariate polynomial with an interval-arithmetic range oracle.
 
     ``coeffs`` is either a 1-d coefficient list (ascending powers) or a
-    mapping from exponent tuples to coefficients.
+    mapping from exponent tuples to coefficients.  Exponents are
+    non-negative integers (integral floats count); terms with equal
+    exponents add up.
     """
 
     oscillation_floor = 0.0
 
     def __init__(self, coeffs, dimension: int | None = None):
         if isinstance(coeffs, dict):
-            terms = {tuple(int(e) for e in k): float(v) for k, v in coeffs.items()}
+            terms = {}
+            for k, v in coeffs.items():
+                add_term(terms, k, v)
             if not terms:
                 terms = {(): 0.0}
             dims = {len(k) for k in terms}

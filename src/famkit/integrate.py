@@ -8,23 +8,26 @@ integrability are decided exactly.
 Box backend: functions carry certified range oracles over half-open boxes;
 the adaptive refinement loop (batched over numpy arrays for polynomials)
 certifies the Darboux gap below a requested tolerance, and the Jordan
-machinery runs on exact rational cell coordinates.
+machinery splits cells of the integer dyadic lattice (``famkit.lattice``)
+with exact rational volumes.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from . import _refine, _refine_py
 from .boolalg import Algebra, Partition, SetElem
-from .boxes import IN, OUT, Box, BoxElem, VolumeFam, box_intersect, box_volume
+from .boxes import IN, STRADDLE, Box, BoxElem, VolumeFam, box_intersect, box_volume
 from .errors import InputError
 from .fam import Fam, as_fraction, pushforward
 from .functions import PolynomialFn, RestrictedFn, region_of
+from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -401,7 +404,14 @@ class MeasureBracket:
 
 
 def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) -> MeasureBracket:
-    """Exact rational inner/outer bracket by adaptive straddle splitting."""
+    """Exact rational inner/outer bracket by adaptive straddle splitting.
+
+    Cells live on the integer dyadic lattice of ``fam.bounding``: a cell is
+    one index per axis, and every cell at depth ``S`` has volume
+    ``total/2**S``.  Straddling cells wait in a FIFO queue, which pops them
+    largest first and oldest first among equals (children are always one
+    level deeper than their parent), bisecting each along its widest axis.
+    """
     region = region_of(E)
     eps = as_fraction(str(epsilon)) if isinstance(epsilon, float) else as_fraction(epsilon)
     total = fam.total
@@ -414,54 +424,63 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
             converged=total < eps,
             certified_diverged=total > 0,
         )
-    inner_acc = Fraction(0)
-    out_acc = Fraction(0)
-    inner_cells: list[Box] = []
-    # float keys and widths order the heap (largest straddle cell first,
-    # widest axis first); all measure arithmetic stays exact
-    heap: list[tuple[float, int, Box, Fraction, tuple[float, ...]]] = []
-    seq = 0
+    lattice = DyadicLattice(fam.bounding)
+    verdicts = lattice_classifier(region, lattice)
 
-    gap = total  # straddle volume, maintained incrementally
+    def need(depth):
+        # fewest straddling cells of depth ``depth`` whose volume reaches eps
+        if total == 0:
+            return 0 if eps <= 0 else math.inf
+        return math.ceil(eps * (1 << depth) / total)
 
-    def push(box: Box, vol: Fraction, widths: tuple[float, ...]):
-        nonlocal inner_acc, out_acc, seq, gap
-        c = region.classify(box)
-        if c == IN:
-            inner_acc += vol
-            gap -= vol
-            inner_cells.append(box)
-        elif c == OUT:
-            out_acc += vol
-            gap -= vol
-        else:
-            heapq.heappush(heap, (-float(vol), seq, box, vol, widths))
-            seq += 1
-
-    push(fam.bounding, total, tuple(float(hi - lo) for lo, hi in fam.bounding))
+    root = (0,) * lattice.dimension
+    inner: list[list[tuple[int, ...]]] = [[]]  # inner[S]: IN cells of depth S, in order
+    queue: deque[tuple[int, ...]] = deque()
+    verdict = verdicts(0)(root)
+    if verdict == IN:
+        inner[0].append(root)
+    elif verdict == STRADDLE:
+        queue.append(root)
+    # the queue holds ``remaining`` cells of depth ``depth`` and then cells of
+    # depth + 1, so its volume is (remaining + len(queue)) * total/2**(depth+1)
+    depth = -1
+    remaining = 0
+    threshold = need(0)
     processed = 0
-    while heap and gap >= eps and processed < budget:
-        _, _, box, vol, widths = heapq.heappop(heap)
-        axis = 0
-        width = widths[0]
-        for d in range(1, len(widths)):
-            if widths[d] > width:
-                width = widths[d]
-                axis = d
-        lo, hi = box[axis]
-        mid = (lo + hi) / 2
-        half = vol / 2
-        hw = widths[:axis] + (widths[axis] * 0.5,) + widths[axis + 1:]
-        push(box[:axis] + ((lo, mid),) + box[axis + 1:], half, hw)
-        push(box[:axis] + ((mid, hi),) + box[axis + 1:], half, hw)
+    while queue and remaining + len(queue) >= threshold and processed < budget:
+        if not remaining:
+            depth += 1
+            remaining = len(queue)
+            axis = lattice.axis(depth)
+            classify = verdicts(depth + 1)
+            found = []
+            inner.append(found)
+            threshold = need(depth + 1)
+        cell = queue.popleft()
+        remaining -= 1
+        halves = list(cell)
+        i = halves[axis] = 2 * halves[axis]
+        left = tuple(halves)
+        halves[axis] = i + 1
+        for child in (left, tuple(halves)):
+            verdict = classify(child)
+            if verdict == IN:
+                found.append(child)
+            elif verdict == STRADDLE:
+                queue.append(child)
         processed += 1
-    straddle = tuple(entry[2] for entry in sorted(heap, key=lambda t: t[1]))
-    gap = total - out_acc - inner_acc
+    deepest = len(inner) - 1
+    inner_units = sum(len(cells) << (deepest - s) for s, cells in enumerate(inner))
+    inner_vol = total * Fraction(inner_units, 1 << deepest)
+    gap = total * Fraction(remaining + len(queue), 1 << (depth + 1))
+    boxes = lattice.boxes
+    straddle = boxes(depth, itertools.islice(queue, remaining))
+    straddle += boxes(depth + 1, itertools.islice(queue, remaining, None))
     return MeasureBracket(
-        inner=inner_acc,
-        outer=total - out_acc,
-        inner_cells=tuple(inner_cells),
-        straddle_cells=straddle,
+        inner=inner_vol,
+        outer=inner_vol + gap,
+        inner_cells=tuple(box for s, cells in enumerate(inner) for box in boxes(s, cells)),
+        straddle_cells=tuple(straddle),
         converged=gap < eps,
     )
 

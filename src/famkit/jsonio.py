@@ -25,6 +25,7 @@ from .functions import (
     RegionComplement,
     RegionIntersection,
     RegionUnion,
+    add_term,
     triangle_under_diagonal,
 )
 
@@ -222,7 +223,9 @@ def parse_fn(data, dimension: int):
     if "poly" in data:
         spec = data["poly"]
         if isinstance(spec, dict):
-            terms = {tuple(t["exps"]): float(t["coeff"]) for t in spec["terms"]}
+            terms = {}
+            for t in spec["terms"]:
+                add_term(terms, t["exps"], t["coeff"])
             return PolynomialFn(terms, dimension=dimension)
         return PolynomialFn([float(c) for c in spec], dimension=dimension)
     if "piecewise" in data:

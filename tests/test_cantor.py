@@ -6,6 +6,7 @@ from famkit.boxes import VolumeFam, make_box
 from famkit.cantor import (
     CantorClopen,
     Cylinder,
+    _depth_sums,
     cantor_integrate,
     clopen_measure,
     iota2_image,
@@ -119,6 +120,43 @@ class TestOscillationCover:
         for depth in (2, 4, 6):
             measure = oscillation_cover(step, F(1, 2), depth).measure
             assert measure <= F(2, 2 ** depth)
+
+
+class TestCylinderImages:
+    """Depth sums and covers ask the oracle on each cylinder's image, in word order."""
+
+    FUNCTIONS = [
+        PolynomialFn([0, 0, 1]),
+        PolynomialFn([1, -2, 3]),
+        PiecewiseConstantFn([(make_box([[0, F(1, 3)]]), 1.0), (make_box([[F(1, 3), F(3, 4)]]), -2.0)],
+                            default=0.25),
+    ]
+
+    @staticmethod
+    def words(depth):
+        return [format(k, f"0{depth}b") if depth else "" for k in range(2 ** depth)]
+
+    @pytest.mark.parametrize("g", FUNCTIONS)
+    @pytest.mark.parametrize("depth", [0, 1, 5, 9])
+    def test_depth_sums_match_the_word_images(self, g, depth):
+        lower = upper = 0.0
+        for w in self.words(depth):
+            rlo, rhi = g.range_on((iota2_image(w),))
+            lower += rlo
+            upper += rhi
+        scale = 0.5 ** depth
+        got = _depth_sums(g, depth)
+        assert [x.hex() for x in got] == [(lower * scale).hex(), (upper * scale).hex()]
+
+    @pytest.mark.parametrize("g", FUNCTIONS)
+    @pytest.mark.parametrize("depth", [0, 3, 8])
+    def test_covers_match_the_word_images(self, g, depth):
+        covered = []
+        for w in self.words(depth):
+            rlo, rhi = g.range_on((iota2_image(w),))
+            if rhi - rlo >= 0.25:
+                covered.append(w)
+        assert oscillation_cover(g, F(1, 4), depth).cover == CantorClopen(covered)
 
 
 class TestLebesgueVitali:

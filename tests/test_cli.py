@@ -191,6 +191,23 @@ class TestIntegrateCLI:
         assert code == 3
         assert json.loads(out)["status"] == "not_integrable"
 
+    def test_repeated_terms_sum(self, capsys):
+        # x + 2x on [0, 1]: the integral of 3x is 3/2
+        fn = '{"poly": {"terms": [{"exps": [1], "coeff": 1}, {"exps": [1], "coeff": 2}]}}'
+        code, out, _ = run(capsys, ["integrate", "--fn", fn, "--box", "[[0, 1]]", "--eps", "1e-3"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["lower"] <= 1.5 <= report["upper"]
+
+    @pytest.mark.parametrize("exps", [[-1], [1.5], [1, -2], ["2"], [True]])
+    def test_bad_exponents_rejected(self, capsys, exps):
+        fn = json.dumps({"poly": {"terms": [{"exps": exps, "coeff": 1}]}})
+        box = json.dumps([[1, 2]] * len(exps))
+        code, out, err = run(capsys, ["integrate", "--fn", fn, "--box", box, "--eps", "1e-3"])
+        assert code == 2
+        assert out == ""
+        assert "exponents must be non-negative integers" in err
+
     def test_undecided_exit_code(self, capsys):
         code, out, _ = run(
             capsys,
@@ -342,3 +359,31 @@ class TestLazyNumpy:
         proc = famkit_process(["-c", script, indicator, poly], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[False, False, True]"
+
+    def test_brackets_and_cantor_leave_numpy_unloaded(self, tmp_path):
+        # the regions benchmark runs only these subcommands; numpy would add
+        # about half again to its peak memory
+        square = [[0, 1], [0, 1]]
+        runs = [
+            ("jordan", {"region": "triangle-xy", "box": square, "epsilon": "1/256"}),
+            ("measure", {"region": {"halfplane": {"normal": [1, 2], "offset": "2/3"}},
+                         "box": square, "epsilon": "1/256"}),
+            ("cantor", {"fn": {"poly": [0, 0, 1]}, "op": "integrate", "epsilon": "1e-3"}),
+            ("cantor", {"fn": {"poly": [0, 1]}, "op": "cover", "threshold": "1/4", "depth": 4}),
+        ]
+        argv = []
+        for k, (command, payload) in enumerate(runs):
+            argv += [command, write_json(tmp_path, f"{k}.json", payload)]
+        script = (
+            "import contextlib, io, sys\n"
+            "import famkit.cli\n"
+            "args = sys.argv[1:]\n"
+            "for command, path in zip(args[::2], args[1::2]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert famkit.cli.main([command, '--in', path]) == 0, command\n"
+            "    assert 'numpy' not in sys.modules, command\n"
+            "print('ok')\n"
+        )
+        proc = famkit_process(["-c", script, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"

@@ -17,6 +17,7 @@ from famkit.functions import (
     RegionComplement,
     RegionIntersection,
     RegionUnion,
+    add_term,
     triangle_under_diagonal,
 )
 from famkit.integrate import (
@@ -34,6 +35,7 @@ from famkit.integrate import (
     ultrafilter_integrate,
     xi_star_converges,
 )
+from famkit.jsonio import parse_fn
 
 
 def elem(ground, *indices):
@@ -318,6 +320,27 @@ class TestBoxIntegrate:
         report = integrate_over(PolynomialFn([0, 1]), point, UNIT, epsilon=1e-6)
         assert report.status == "integrable"
         assert report.value == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("exps", [(-1,), (1.5,), (0, -2), ("2",), (True,)])
+    def test_polynomial_exponents_are_non_negative_integers(self, exps):
+        with pytest.raises(InputError, match="non-negative integers"):
+            PolynomialFn({exps: 1.0})
+
+    def test_integral_float_exponents_are_integers(self):
+        fn = PolynomialFn({(2.0,): 1.0, (0,): 1.0})
+        assert fn.exps == ((0,), (2,))
+        assert all(type(e) is int for exps in fn.exps for e in exps)
+
+    def test_repeated_terms_sum(self):
+        fn = parse_fn({"poly": {"terms": [{"exps": [1], "coeff": 1}, {"exps": [0], "coeff": 5},
+                                          {"exps": [1], "coeff": 2}]}}, 1)
+        assert (fn.exps, fn.coeffs) == (((0,), (1,)), (5.0, 3.0))
+        report = integrate(fn, UNIT, epsilon=1e-3)
+        assert report.lower <= 6.5 <= report.upper
+        terms = {}
+        for exps, coeff in (((1, 0), 1), ((1, 0), 0.5), ((0, 1), 2)):
+            add_term(terms, exps, coeff)
+        assert terms == {(1, 0): 1.5, (0, 1): 2.0}
 
     def test_budget_exhaustion_is_undecided(self):
         report = integrate(PolynomialFn([0, 0, 1]), UNIT, epsilon=1e-9, budget=64)

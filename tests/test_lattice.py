@@ -1,0 +1,242 @@
+"""The integer dyadic lattice behind Jordan brackets.
+
+Lattice verdicts must equal ``region.classify`` on the cell's rational box,
+and ``measure_bracket`` must give what the Fraction-box heap it replaced
+gave: the same brackets and the same cells in the same order.
+"""
+
+import heapq
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from famkit.boxes import IN, OUT, STRADDLE, BoxElem, VolumeFam, box_volume, make_box
+from famkit.functions import (
+    DenseCodenseRegion,
+    HalfPlaneRegion,
+    PointRegion,
+    RegionComplement,
+    RegionIntersection,
+    RegionUnion,
+    triangle_under_diagonal,
+)
+from famkit.integrate import MeasureBracket, is_jordan, measure_bracket
+from famkit.lattice import DyadicLattice, lattice_classifier
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+SQUARE = VolumeFam([[0, 1], [0, 1]])
+
+
+def heap_bracket(region, fam, eps, budget):
+    """The Fraction-box heap that ``measure_bracket`` replaced: split the
+    largest straddling cell (oldest first among equals) at its widest axis."""
+    inner = out = F(0)
+    inner_cells, heap = [], []
+    seq = 0
+
+    def push(box, vol, widths):
+        nonlocal inner, out, seq
+        verdict = region.classify(box)
+        if verdict == IN:
+            inner += vol
+            inner_cells.append(box)
+        elif verdict == OUT:
+            out += vol
+        else:
+            heapq.heappush(heap, (-float(vol), seq, box, vol, widths))
+            seq += 1
+
+    total = fam.total
+    push(fam.bounding, total, tuple(float(hi - lo) for lo, hi in fam.bounding))
+    processed = 0
+    while heap and total - inner - out >= eps and processed < budget:
+        _, _, box, vol, widths = heapq.heappop(heap)
+        axis = max(range(len(widths)), key=lambda d: (widths[d], -d))
+        lo, hi = box[axis]
+        mid = (lo + hi) / 2
+        halved = widths[:axis] + (widths[axis] * 0.5,) + widths[axis + 1:]
+        push(box[:axis] + ((lo, mid),) + box[axis + 1:], vol / 2, halved)
+        push(box[:axis] + ((mid, hi),) + box[axis + 1:], vol / 2, halved)
+        processed += 1
+    return MeasureBracket(
+        inner=inner,
+        outer=total - out,
+        inner_cells=tuple(inner_cells),
+        straddle_cells=tuple(entry[2] for entry in sorted(heap, key=lambda t: t[1])),
+        converged=total - inner - out < eps,
+    )
+
+
+# -- random regions on boxes with non-dyadic corners -------------------
+
+def rationals():
+    return st.builds(F, st.integers(-42, 63), st.just(21))
+
+
+@st.composite
+def bounding_boxes(draw):
+    dim = draw(st.integers(1, 3))
+    widths = st.builds(F, st.integers(1, 12), st.sampled_from([3, 5, 7, 1]))
+    # widths a power of two apart tie at some depth: the lower axis splits first
+    base = draw(widths)
+    out = []
+    for _ in range(dim):
+        lo = draw(st.builds(F, st.integers(-6, 6), st.sampled_from([3, 5, 7])))
+        width = draw(st.one_of(st.sampled_from([base, 2 * base, base / 4]), widths))
+        out.append([lo, lo + width])
+    return out
+
+
+def lattice_points(bounds, draw):
+    """A coordinate per axis, often on a dyadic point of the lattice."""
+    point = []
+    for lo, hi in bounds:
+        if draw(st.booleans()):
+            level = draw(st.integers(0, 5))
+            k = draw(st.integers(-1, 2 ** level + 1))
+            point.append(lo + (hi - lo) * F(k, 2 ** level))
+        else:
+            point.append(draw(rationals()))
+    return point
+
+
+@st.composite
+def regions(draw, bounds, depth=2):
+    kinds = ["halfplane", "boxes", "point"] + (["union", "intersection", "complement"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    dim = len(bounds)
+    if kind == "halfplane":
+        normal = [draw(st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))) for _ in range(dim)]
+        # an offset through a lattice point puts cell corners on the boundary
+        point = lattice_points(bounds, draw)
+        offset = sum((c * x for c, x in zip(normal, point)), F(0))
+        return HalfPlaneRegion(normal, offset + draw(st.sampled_from([0, 0, F(1, 5)])))
+    if kind == "boxes":
+        boxes = []
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = lattice_points(bounds, draw), lattice_points(bounds, draw)
+            boxes.append(make_box([sorted(pair) for pair in zip(a, b)]))
+        return BoxElem(boxes)
+    if kind == "point":
+        return PointRegion(lattice_points(bounds, draw))
+    if kind == "complement":
+        return RegionComplement(draw(regions(bounds, depth - 1)))
+    parts = [draw(regions(bounds, depth - 1)) for _ in range(draw(st.integers(0, 3)))]
+    return (RegionUnion if kind == "union" else RegionIntersection)(*parts)
+
+
+@st.composite
+def problems(draw):
+    bounds = draw(bounding_boxes())
+    return bounds, draw(regions(bounds))
+
+
+class TestLatticeVerdicts:
+    @SETTINGS
+    @given(problems(), st.data())
+    def test_verdict_equals_classify_on_the_box(self, problem, data):
+        bounds, region = problem
+        fam = VolumeFam(bounds)
+        lattice = DyadicLattice(fam.bounding)
+        verdicts = lattice_classifier(region, lattice)
+        for depth in range(0, 9, 2):
+            lattice.axis(depth)
+            levels = lattice.levels[depth]
+            classify = verdicts(depth)
+            for _ in range(6):
+                cell = tuple(data.draw(st.integers(0, 2 ** level - 1)) for level in levels)
+                [box] = lattice.boxes(depth, [cell])
+                expected = tuple(
+                    (lo + (hi - lo) * F(i, 2 ** level), lo + (hi - lo) * F(i + 1, 2 ** level))
+                    for (lo, hi), level, i in zip(fam.bounding, levels, cell)
+                )
+                assert box == expected
+                assert classify(cell) == region.classify(box)
+
+    @SETTINGS
+    @given(problems(), st.sampled_from([F(1, 8), F(1, 40)]), st.integers(0, 60))
+    def test_bracket_equals_the_heap(self, problem, eps, budget):
+        bounds, region = problem
+        fam = VolumeFam(bounds)
+        scaled = eps * fam.total
+        bracket = measure_bracket(region, fam, scaled, budget)
+        assert bracket == heap_bracket(region, fam, scaled, budget)
+
+    @SETTINGS
+    @given(problems())
+    def test_cells_tile_the_outer_bracket(self, problem):
+        bounds, region = problem
+        fam = VolumeFam(bounds)
+        bracket = measure_bracket(region, fam, fam.total / 32, 200)
+        cells = bracket.inner_cells + bracket.straddle_cells
+        assert sum(map(box_volume, bracket.inner_cells), F(0)) == bracket.inner
+        assert sum(map(box_volume, cells), F(0)) == bracket.outer
+        # pairwise disjoint: resolving overlaps loses no volume
+        assert BoxElem(cells).volume == bracket.outer
+        assert all(region.classify(b) == IN for b in bracket.inner_cells)
+        assert all(region.classify(b) == STRADDLE for b in bracket.straddle_cells)
+
+    def test_foreign_regions_go_through_classify(self):
+        class Disc:
+            def classify(self, box):
+                # the unit disc: in the positive quadrant the corners decide
+                corners = [(x, y) for x in box[0] for y in box[1]]
+                inside = [x * x + y * y <= 1 for x, y in corners]
+                return IN if all(inside) else STRADDLE if any(inside) else OUT
+
+        region = Disc()
+        fam = VolumeFam([[0, F(4, 3)], [0, F(4, 3)]])
+        assert measure_bracket(region, fam, F(1, 50)) == heap_bracket(region, fam, F(1, 50), 10**6)
+
+    def test_flat_box_has_no_volume(self):
+        fam = VolumeFam([[0, 1], [F(1, 3), F(1, 3)]])
+        for region in (BoxElem([make_box([[0, 1], [0, 1]])]), PointRegion([F(1, 2), F(1, 3)]),
+                       DenseCodenseRegion(), HalfPlaneRegion((0, 1), F(1, 2))):
+            verdicts = lattice_classifier(region, DyadicLattice(fam.bounding))
+            assert verdicts(0)((0, 0)) == region.classify(fam.bounding)
+
+
+# -- exact results pinned before the lattice replaced the Fraction-box heap --
+
+FIXTURES = {
+    "triangle-xy": (triangle_under_diagonal(), SQUARE, F(1, 1000)),
+    "halfspace-3d": (HalfPlaneRegion((1, 2, -1), F(2, 3)), VolumeFam([[0, 1]] * 3), F(1, 34)),
+    "halfplane-fine": (HalfPlaneRegion((1, 2), F(2, 3)), SQUARE, F(1, 3000)),
+    "triangle-1e-4": (triangle_under_diagonal(), SQUARE, F(1, 10000)),
+}
+
+PINNED = {
+    # inner, outer, inner cells, straddle cells
+    "triangle-xy": (F(1048039, 2097152), F(131267, 262144), 1997, 4045),
+    "halfspace-3d": (F(84041, 262144), F(91751, 262144), 2685, 7807),
+    "halfplane-fine": (F(1861115, 16777216), F(1866707, 16777216), 2426, 3721),
+    "triangle-1e-4": (F(16383, 32768), F(268472759, 536870912), 16383, 44614),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_brackets(name):
+    region, fam, eps = FIXTURES[name]
+    bracket = measure_bracket(region, fam, eps)
+    inner, outer, n_inner, n_straddle = PINNED[name]
+    assert (bracket.inner, bracket.outer) == (inner, outer)
+    assert (len(bracket.inner_cells), len(bracket.straddle_cells)) == (n_inner, n_straddle)
+    assert bracket.converged
+    if fam.dimension == 2:
+        report = is_jordan(region, fam, eps)
+        assert report.jordan
+        assert report.measure == (inner + outer) / 2
+        A, B = report.witness
+        assert (len(A.boxes), len(B.boxes)) == (n_inner, n_inner + n_straddle)
+        assert (A.volume, B.volume) == (inner, outer)
+
+
+def test_witness_boxes_drop_empty_ones_and_sort():
+    a = make_box([[0, F(1, 2)], [0, 1]])
+    b = make_box([[F(1, 2), 1], [0, F(1, 3)]])
+    flat = make_box([[F(1, 3), F(1, 3)], [0, 1]])
+    elem = BoxElem.from_disjoint([b, flat, a])
+    assert elem.boxes == (a, b)
+    assert elem == BoxElem([flat, b, a])
