@@ -23,9 +23,7 @@ from typing import Callable
 
 from .boxes import IN, OUT, STRADDLE, Box, BoxElem
 from .functions import (
-    DenseCodenseRegion,
     HalfPlaneRegion,
-    PointRegion,
     RegionComplement,
     RegionIntersection,
     RegionUnion,
@@ -100,7 +98,7 @@ class DyadicLattice:
 def lattice_classifier(region, lattice: DyadicLattice) -> Verdicts:
     """``depth -> (cell -> IN / OUT / STRADDLE)`` for ``region`` on ``lattice``.
 
-    Half-planes, box unions and points are scaled to integers once; unions,
+    Half-planes and box unions are scaled to integers once; unions,
     intersections and complements combine the verdicts of their parts.  Any
     other region (or one whose dimension differs from the lattice's) is
     asked through its ``classify`` on the cell's rational box.
@@ -110,11 +108,6 @@ def lattice_classifier(region, lattice: DyadicLattice) -> Verdicts:
         return _halfplane(region, lattice)
     if kind is BoxElem and all(len(b) == lattice.dimension for b in region.boxes):
         return _boxes(region, lattice)
-    if kind is PointRegion and len(region.point) == lattice.dimension:
-        return _point(region, lattice)
-    if kind is DenseCodenseRegion:
-        verdict = OUT if lattice.flat else STRADDLE
-        return lambda depth: lambda cell: verdict
     if kind is RegionComplement:
         return _complement(lattice_classifier(region.inner, lattice))
     if kind is RegionUnion:
@@ -209,26 +202,6 @@ def _boxes(region: BoxElem, lattice: DyadicLattice) -> Verdicts:
             return STRADDLE
 
         return verdict
-
-    return at
-
-
-def _point(region: PointRegion, lattice: DyadicLattice) -> Verdicts:
-    if lattice.flat:
-        return lambda depth: lambda cell: OUT
-    scaled = []  # the point's coordinate per axis, as p/q cell widths of level 0
-    for x, lo, w in zip(region.point, lattice.lo, lattice.width):
-        [p], q = _axis_scaled([x], lo, w)
-        scaled.append((p, q))
-    if any(p < 0 for p, _ in scaled):
-        # the point lies below the box: no cell holds it
-        return lambda depth: lambda cell: OUT
-
-    def at(depth):
-        # the only cell that can hold the point has index floor(p * 2**l / q)
-        # per axis (past the last cell when the point lies beyond the box)
-        target = tuple((p << level) // q for (p, q), level in zip(scaled, lattice.levels[depth]))
-        return lambda cell: STRADDLE if cell == target else OUT
 
     return at
 
