@@ -10,14 +10,28 @@ so range oracles from the box backend drive the Darboux sums here too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .errors import InputError
+from ._refine_py import poly_range
+from .boxes import IN, OUT, STRADDLE, BoxElem
+from .errors import CapExceededError, InputError
+from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn
 from .integrate import INTEGRABLE, NOT_INTEGRABLE, UNDECIDED, IntegralReport
+from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_DEPTH_BUDGET = 20
+
+#: The deepest cylinder sweep: 2**20 cylinders.  Deepening to it evaluates
+#: 2**21 - 1 cylinders, about the box integrator's default budget of 2M
+#: cells; sweeps run in floats, whose endpoints k/2**depth stay exact up to
+#: depth 53.
+MAX_DEPTH = 20
+
+#: The unit interval, the image of the whole Cantor space.
+UNIT = ((Fraction(0), Fraction(1)),)
 
 
 def _check_word(s: str) -> str:
@@ -110,12 +124,66 @@ def _cylinder_images(depth: int):
         lo = hi
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise InputError(f"cylinder depth must be non-negative, got {depth}")
+    if depth > MAX_DEPTH:
+        raise CapExceededError(f"cylinder depth {depth} is above the cap of {MAX_DEPTH}")
+
+
+def _unit_verdicts(region, depth: int):
+    """``cell -> IN / OUT / STRADDLE`` for ``region`` on the depth-``depth``
+    cells of [0, 1], the cylinder images."""
+    lattice = DyadicLattice(UNIT)
+    lattice.axis(depth)
+    return lattice_classifier(region, lattice)(depth)
+
+
+def _cylinder_ranges(g, depth: int) -> Iterator[tuple[float, float]]:
+    """``g``'s range on each depth-``depth`` cylinder image, left to right:
+    exactly ``g.range_on`` of the image, without building its box.
+
+    Polynomials get float endpoints ``k * 2**-depth``, which equal the
+    images' rational endpoints exactly.  Indicators and 1-D step functions
+    read verdicts on the integer lattice of [0, 1], whose depth-``depth``
+    cells are the images.  Any other oracle is asked on each image's box.
+    """
+    count = 1 << depth
+    kind = type(g)
+    if kind is PolynomialFn:
+        exps, coeffs, step = g.exps, g.coeffs, 0.5 ** depth
+        lo = 0.0
+        for k in range(1, count + 1):
+            hi = k * step
+            yield poly_range(exps, coeffs, (lo,), (hi,))
+            lo = hi
+    elif kind is IndicatorFn:
+        verdict = _unit_verdicts(g.region, depth)
+        v = g.value
+        ranges = {IN: (v, v), OUT: (0.0, 0.0), STRADDLE: (min(0.0, v), max(0.0, v))}
+        for k in range(count):
+            yield ranges[verdict((k,))]
+    elif kind is PiecewiseConstantFn and all(len(box) == 1 for box, _ in g.pieces):
+        # the pieces as range_on sees them: a value counts where its box
+        # meets the image, the default where the pieces' union misses some
+        pieces = [(_unit_verdicts(BoxElem([box]), depth), v) for box, v in g.pieces]
+        support = _unit_verdicts(g.support, depth)
+        default = g.default
+        for k in range(count):
+            cell = (k,)
+            values = [v for verdict, v in pieces if verdict(cell) != OUT]
+            if support(cell) != IN:
+                values.append(default)
+            yield min(values), max(values)
+    else:
+        yield from map(g.range_on, _cylinder_images(depth))
+
+
 def _depth_sums(g, depth: int) -> tuple[float, float]:
     scale = 0.5 ** depth
     lower = 0.0
     upper = 0.0
-    for box in _cylinder_images(depth):
-        rlo, rhi = g.range_on(box)
+    for rlo, rhi in _cylinder_ranges(g, depth):
         lower += rlo
         upper += rhi
     return lower * scale, upper * scale
@@ -135,10 +203,11 @@ def cantor_integrate(
     eps = float(Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon))
     if eps <= 0:
         raise InputError("epsilon must be positive")
+    _check_depth(depth_budget)
     floor = float(getattr(g, "oscillation_floor", 0.0))
     trace = []
     if floor >= eps:
-        rlo, rhi = g.range_on(((Fraction(0), Fraction(1)),))
+        rlo, rhi = g.range_on(UNIT)
         return IntegralReport(
             status=NOT_INTEGRABLE, lower=rlo, upper=rhi,
             epsilon=eps, trace=((1, rhi - rlo),), backend="cantor",
@@ -176,11 +245,12 @@ def oscillation_cover(g, threshold, depth: int) -> OscillationCover:
     thr = float(threshold)
     if thr <= 0:
         raise InputError("threshold must be positive")
-    words = []
-    for k, box in enumerate(_cylinder_images(depth)):
-        rlo, rhi = g.range_on(box)
-        if rhi - rlo >= thr:
-            words.append(format(k, f"0{depth}b") if depth else "")
+    _check_depth(depth)
+    words = [
+        format(k, f"0{depth}b") if depth else ""
+        for k, (rlo, rhi) in enumerate(_cylinder_ranges(g, depth))
+        if rhi - rlo >= thr
+    ]
     cover = CantorClopen(words)
     return OscillationCover(cover=cover, measure=clopen_measure(cover))
 
@@ -204,34 +274,40 @@ def lebesgue_vitali_check(
     succeeds, not integrable when the oracle certifies a positive
     oscillation floor, undecided otherwise.  The profile records
     (threshold, depth reached, final cover measure).
+
+    All thresholds share one sweep per depth.  Cylinders of one depth are
+    disjoint, so a cover's measure is its cylinder count over ``2**depth``.
     """
     eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
     if eps <= 0:
         raise InputError("epsilon must be positive")
+    _check_depth(depth_budget)
     floor = float(getattr(g, "oscillation_floor", 0.0))
-    profile = []
-    all_vanish = True
-    for k in range(1, threshold_levels + 1):
-        threshold = Fraction(1, 2 ** k)
-        depth = 0
-        measure = Fraction(1)
-        while depth <= depth_budget:
-            measure = oscillation_cover(g, threshold, depth).measure
-            if measure < eps:
-                break
+    thresholds = [Fraction(1, 2 ** k) for k in range(1, threshold_levels + 1)]
+    settled: list[tuple[Fraction, int, Fraction] | None] = [None] * len(thresholds)
+    measures = [Fraction(1)] * len(thresholds)
+    for depth in range(depth_budget + 1):
+        pending = [i for i, s in enumerate(settled) if s is None]
+        if not pending:
+            break
+        # the widths that reach some pending threshold, sorted, so the
+        # cylinders at or above each threshold are one bisection away
+        low = min(float(thresholds[i]) for i in pending)
+        wide = sorted(w for rlo, rhi in _cylinder_ranges(g, depth) if (w := rhi - rlo) >= low)
+        for i in pending:
+            threshold = thresholds[i]
+            measure = measures[i] = Fraction(len(wide) - bisect_left(wide, float(threshold)), 1 << depth)
             # a certified floor above the threshold can never vanish
-            if floor >= threshold:
-                break
-            depth += 1
-        else:
-            depth = depth_budget
-        profile.append((threshold, min(depth, depth_budget), measure))
-        if measure >= eps:
-            all_vanish = False
-    if all_vanish:
+            if measure < eps or floor >= threshold:
+                settled[i] = (threshold, depth, measure)
+    profile = tuple(
+        s or (threshold, depth_budget, measure)
+        for s, threshold, measure in zip(settled, thresholds, measures)
+    )
+    if all(measure < eps for _, _, measure in profile):
         verdict = INTEGRABLE
     elif floor > 0.0:
         verdict = NOT_INTEGRABLE
     else:
         verdict = UNDECIDED
-    return LebesgueVitaliReport(verdict=verdict, oscillation_profile=tuple(profile))
+    return LebesgueVitaliReport(verdict=verdict, oscillation_profile=profile)

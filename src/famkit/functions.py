@@ -98,13 +98,18 @@ class PolynomialFn:
 
 
 class PiecewiseConstantFn:
-    """Constant on each of finitely many boxes, with a default elsewhere."""
+    """Constant on each of finitely many boxes, with a default elsewhere.
+
+    Where pieces overlap, the first one's value is the function's value.
+    """
 
     oscillation_floor = 0.0
 
     def __init__(self, pieces: Sequence[tuple[Box, float]], default: float = 0.0):
         self.pieces = [(tuple((Fraction(lo), Fraction(hi)) for lo, hi in box), float(v)) for box, v in pieces]
         self.default = float(default)
+        #: the union of the pieces: the default shows wherever it misses
+        self.support = BoxElem([box for box, _ in self.pieces])
 
     def __call__(self, point) -> float:
         for box, v in self.pieces:
@@ -113,15 +118,8 @@ class PiecewiseConstantFn:
         return self.default
 
     def range_on(self, box) -> tuple[float, float]:
-        values = []
-        covered = Fraction(0)
-        vol = box_volume(box)
-        for piece, v in self.pieces:
-            inter = box_intersect(box, piece)
-            if inter is not None:
-                values.append(v)
-                covered += box_volume(inter)
-        if covered < vol:
+        values = [v for piece, v in self.pieces if box_intersect(box, piece) is not None]
+        if self.support.classify(box) != IN:
             values.append(self.default)
         return min(values), max(values)
 

@@ -62,8 +62,14 @@ class DyadicLattice:
             self.levels.append(tuple(levels))
         return self.axes[depth]
 
+    def point(self, axis: int, level: int, index: int) -> Fraction:
+        """``lo + width*index/2**level`` on ``axis``."""
+        lo, w = self.lo[axis], self.width[axis]
+        q, s = lo.denominator, w.denominator
+        return Fraction((lo.numerator * s << level) + w.numerator * index * q, q * s << level)
+
     def endpoint(self, axis: int, level: int, index: int) -> Fraction:
-        """``lo + width*index/2**level`` on ``axis``, built once per point."""
+        """:meth:`point`, built once per point."""
         # (level, index) and (level - 1, index / 2) name the same point
         shift = min(level, (index & -index).bit_length() - 1) if index else level
         level -= shift
@@ -71,10 +77,7 @@ class DyadicLattice:
         key = (axis, level, index)
         end = self._ends.get(key)
         if end is None:
-            lo, w = self.lo[axis], self.width[axis]
-            q, s = lo.denominator, w.denominator
-            end = Fraction((lo.numerator * s << level) + w.numerator * index * q, q * s << level)
-            self._ends[key] = end
+            end = self._ends[key] = self.point(axis, level, index)
         return end
 
     def boxes(self, depth: int, cells) -> list[Box]:
@@ -237,8 +240,14 @@ def _combine(parts: list[Verdicts], absorbing: int, neutral: int) -> Verdicts:
 
 
 def _adapter(region, lattice: DyadicLattice) -> Verdicts:
-    # a region known only by classify(box) sees each cell as a rational box
+    # a region known only by classify(box) sees each cell as a rational box,
+    # built afresh: most cells classified are never returned, and a cache of
+    # them would grow with every cell swept
     def at(depth):
-        return lambda cell: region.classify(lattice.boxes(depth, (cell,))[0])
+        sides = tuple(enumerate(lattice.levels[depth]))
+        point = lattice.point
+        return lambda cell: region.classify(
+            tuple((point(d, level, i), point(d, level, i + 1)) for (d, level), i in zip(sides, cell))
+        )
 
     return at

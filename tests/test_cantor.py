@@ -1,11 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from famkit.boxes import VolumeFam, make_box
+from famkit.boxes import BoxElem, VolumeFam, make_box
 from famkit.cantor import (
+    DEFAULT_DEPTH_BUDGET,
+    MAX_DEPTH,
     CantorClopen,
     Cylinder,
+    _cylinder_ranges,
     _depth_sums,
     cantor_integrate,
     clopen_measure,
@@ -13,9 +18,21 @@ from famkit.cantor import (
     lebesgue_vitali_check,
     oscillation_cover,
 )
-from famkit.errors import InputError
-from famkit.functions import DenseCodenseRegion, IndicatorFn, PiecewiseConstantFn, PolynomialFn
+from famkit.errors import CapExceededError, InputError
+from famkit.functions import (
+    DenseCodenseRegion,
+    HalfPlaneRegion,
+    IndicatorFn,
+    LipschitzFn,
+    PiecewiseConstantFn,
+    PolynomialFn,
+    RegionComplement,
+    RegionIntersection,
+    RegionUnion,
+)
 from famkit.integrate import integrate
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 class TestClopen:
@@ -81,6 +98,12 @@ class TestCantorIntegrate:
         report = cantor_integrate(PolynomialFn([0, 0, 1]), epsilon=1e-4)
         assert report.status == "integrable"
         assert report.value == pytest.approx(1 / 3, abs=1e-4)
+
+    def test_overlapping_pieces_keep_the_default(self):
+        half = make_box([[0, F(1, 2)]])
+        report = cantor_integrate(PiecewiseConstantFn([(half, 1.0), (half, 1.0)], default=5.0), epsilon=1e-3)
+        assert report.status == "integrable"
+        assert report.value == pytest.approx(3.0, abs=1e-3)
 
     def test_dirichlet(self):
         report = cantor_integrate(IndicatorFn(DenseCodenseRegion()), epsilon=1e-6)
@@ -157,6 +180,154 @@ class TestCylinderImages:
             if rhi - rlo >= 0.25:
                 covered.append(w)
         assert oscillation_cover(g, F(1, 4), depth).cover == CantorClopen(covered)
+
+
+# cut points: dyadic and not, inside [0, 1], on its ends and outside it
+CUTS = st.sampled_from([F(-1, 2), F(0), F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(5, 8), F(2, 3), F(1), F(3, 2)])
+VALUES = st.sampled_from([1.0, -2.0, 0.5, 3.0, 0.0, -0.0])
+
+
+@st.composite
+def intervals(draw):
+    a, b = draw(CUTS), draw(CUTS)
+    return make_box([[min(a, b), max(a, b)]])
+
+
+HALFPLANES = st.builds(
+    HalfPlaneRegion,
+    st.sampled_from([[1], [-1], [2], [F(-1, 3)]]),
+    st.builds(F, st.integers(-3, 9), st.sampled_from([1, 2, 3, 4, 7, 8, 1024])),
+)
+REGIONS = st.recursive(
+    HALFPLANES | st.lists(intervals(), min_size=1, max_size=3).map(BoxElem),
+    lambda parts: (
+        parts.map(RegionComplement)
+        | st.lists(parts, min_size=2, max_size=3).map(lambda ps: RegionUnion(*ps))
+        | st.lists(parts, min_size=2, max_size=3).map(lambda ps: RegionIntersection(*ps))
+    ),
+    max_leaves=4,
+)
+ORACLES = {
+    "poly": st.lists(st.floats(-4, 4), min_size=1, max_size=5).map(PolynomialFn),
+    "indicator": st.builds(IndicatorFn, REGIONS, VALUES),
+    "piecewise": st.builds(
+        PiecewiseConstantFn, st.lists(st.tuples(intervals(), VALUES), max_size=4), VALUES
+    ),
+    # no lattice path: asked on each image's box
+    "lipschitz": st.builds(
+        lambda c, k: LipschitzFn(lambda p: k * abs(p[0] - c), abs(k)),
+        st.floats(0, 1), st.sampled_from([0.5, -1.0, 3.0]),
+    ),
+}
+
+
+class TestCylinderRanges:
+    """The sweep returns exactly ``range_on`` of each cylinder's image."""
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    @SETTINGS
+    @given(data=st.data(), depth=st.integers(0, 10))
+    def test_sweep_matches_range_on_bitwise(self, kind, data, depth):
+        g = data.draw(ORACLES[kind])
+        range_on = g.range_on
+        calls = 0
+
+        def counted(box):
+            nonlocal calls
+            calls += 1
+            return range_on(box)
+
+        g.range_on = counted  # on the instance, so type(g) still selects the path
+        try:
+            got = list(_cylinder_ranges(g, depth))
+        finally:
+            del g.range_on
+        want = [range_on((iota2_image(w),)) for w in TestCylinderImages.words(depth)]
+        assert [(lo.hex(), hi.hex()) for lo, hi in got] == [(lo.hex(), hi.hex()) for lo, hi in want]
+        # only the oracles without a lattice or float path are asked per box
+        assert calls == (2 ** depth if kind == "lipschitz" else 0)
+
+    def test_pieces_of_another_dimension_keep_range_on(self):
+        # range_on reads only the first side of this 2-D piece, whose empty
+        # second side would make the lattice see no piece at all
+        g = PiecewiseConstantFn([(make_box([[0, F(1, 2)], [1, 1]]), 2.0)], default=-1.0)
+        want = [g.range_on((iota2_image(w),)) for w in TestCylinderImages.words(3)]
+        assert list(_cylinder_ranges(g, 3)) == want
+
+
+def reference_vitali(g, eps, depth_budget, threshold_levels=8):
+    """The per-threshold loop that the shared sweep replaced: each threshold
+    deepens on its own, through ``oscillation_cover``."""
+    floor = float(getattr(g, "oscillation_floor", 0.0))
+    profile = []
+    for k in range(1, threshold_levels + 1):
+        threshold = F(1, 2 ** k)
+        depth = 0
+        while depth <= depth_budget:
+            measure = oscillation_cover(g, threshold, depth).measure
+            if measure < eps or floor >= threshold:
+                break
+            depth += 1
+        else:
+            depth = depth_budget
+        profile.append((threshold, depth, measure))
+    if all(m < eps for _, _, m in profile):
+        verdict = "integrable"
+    elif floor > 0.0:
+        verdict = "not_integrable"
+    else:
+        verdict = "undecided"
+    return verdict, tuple(profile)
+
+
+VITALI_FUNCTIONS = {
+    "poly": PolynomialFn([0.3, -0.7, 0.5]),
+    # widths 2**-depth: each threshold is met exactly at some depth
+    "x": PolynomialFn([0, 1]),
+    "x2": PolynomialFn([0, 0, 1]),
+    "step": PiecewiseConstantFn(
+        [(make_box([[0, F(1, 3)]]), 1.0), (make_box([[F(1, 3), F(5, 7)]]), 3.0)], default=-1.0
+    ),
+    "indicator": IndicatorFn(HalfPlaneRegion([-1], F(-2, 9)), 0.5),
+    "dirichlet": IndicatorFn(DenseCodenseRegion()),
+}
+
+
+class TestVitaliSweep:
+    @pytest.mark.parametrize("name", sorted(VITALI_FUNCTIONS))
+    @pytest.mark.parametrize(
+        "eps,budget", [(F(1, 50), 20), (F(1, 200), 20), (F(1, 8), 20), (F(1, 50), 3), (F(1, 2), 0)]
+    )
+    def test_profile_matches_the_per_threshold_loop(self, name, eps, budget):
+        g = VITALI_FUNCTIONS[name]
+        report = lebesgue_vitali_check(g, epsilon=eps, depth_budget=budget)
+        assert (report.verdict, report.oscillation_profile) == reference_vitali(g, eps, budget)
+
+
+class TestDepthCap:
+    CALLS = {
+        "integrate": lambda depth: cantor_integrate(PolynomialFn([0, 1]), depth_budget=depth),
+        "vitali": lambda depth: lebesgue_vitali_check(PolynomialFn([0, 1]), depth_budget=depth),
+        "cover": lambda depth: oscillation_cover(PolynomialFn([0, 1]), F(1, 4), depth),
+    }
+
+    def test_cap_keeps_float_endpoints_exact(self):
+        assert DEFAULT_DEPTH_BUDGET <= MAX_DEPTH <= 53
+
+    @pytest.mark.parametrize("op", sorted(CALLS))
+    def test_negative_depth_is_an_input_error(self, op):
+        with pytest.raises(InputError) as exc:
+            self.CALLS[op](-1)
+        assert not isinstance(exc.value, CapExceededError)
+
+    @pytest.mark.parametrize("op", sorted(CALLS))
+    def test_depth_above_the_cap_fails_before_sweeping(self, op):
+        with pytest.raises(CapExceededError):
+            self.CALLS[op](MAX_DEPTH + 1)
+
+    def test_the_cap_itself_is_allowed(self):
+        report = cantor_integrate(PolynomialFn([3.0]), depth_budget=MAX_DEPTH)
+        assert report.status == "integrable"
 
 
 class TestLebesgueVitali:

@@ -260,6 +260,15 @@ class TestCantorCLI:
         assert code == 3
         assert json.loads(out)["verdict"] == "not_integrable"
 
+    @pytest.mark.parametrize("op", ["integrate", "vitali", "cover"])
+    @pytest.mark.parametrize("depth", ["-1", "40"])
+    def test_bad_depth_rejected(self, capsys, op, depth):
+        # a negative depth is malformed; 40 would sweep 2^40 cylinders
+        code, out, err = run(capsys, ["cantor", "--fn", '{"poly": [0, 1]}', "--op", op, "--depth", depth])
+        assert code == 2
+        assert out == ""
+        assert "cylinder depth" in err
+
 
 class TestErrorPaths:
     def test_unknown_subcommand_usage(self, capsys):

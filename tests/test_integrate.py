@@ -315,6 +315,21 @@ class TestBoxIntegrate:
         assert report.status == "integrable"
         assert report.value == pytest.approx(2.0, abs=1e-6)
 
+    def test_piecewise_overlapping_pieces_keep_the_default(self):
+        # both pieces are [0, 1/2): their volumes add up to the whole unit
+        # interval, but the default 5 still holds on [1/2, 1)
+        half = make_box([[0, F(1, 2)]])
+        fn = PiecewiseConstantFn([(half, 1.0), (half, 1.0)], default=5.0)
+        assert fn.range_on(UNIT.bounding) == (1.0, 5.0)
+        report = integrate(fn, UNIT, epsilon=1e-3)
+        assert report.status == "integrable"
+        assert report.value == pytest.approx(3.0, abs=1e-3)
+        # overlapping pieces that do cover the interval leave the default out
+        covering = PiecewiseConstantFn(
+            [(make_box([[0, F(3, 4)]]), 1.0), (make_box([[F(1, 2), 1]]), 2.0)], default=5.0
+        )
+        assert covering.range_on(UNIT.bounding) == (1.0, 2.0)
+
     def test_integrate_over_jordan_null_set(self):
         point = PointRegion([F(1, 2)])
         report = integrate_over(PolynomialFn([0, 1]), point, UNIT, epsilon=1e-6)
