@@ -32,21 +32,33 @@ FIXTURES = {
 
 
 def swept_cylinders(fn):
-    """Cylinders ``fn`` sweeps, counted through a wrapped ``_cylinder_ranges``."""
+    """Cylinders ``fn`` sweeps: ``2**depth`` for each outermost call of
+    ``_depth_sums`` or ``_cylinder_ranges`` (depth sums of polynomials
+    sweep without the latter)."""
     count = 0
-    sweep = cantor._cylinder_ranges
+    inside = False
+    depth_sums, sweep = cantor._depth_sums, cantor._cylinder_ranges
 
-    def counting(g, depth):
+    def counted_sums(g, depth):
+        nonlocal count, inside
+        count += 2 ** depth
+        inside = True
+        try:
+            return depth_sums(g, depth)
+        finally:
+            inside = False
+
+    def counted_sweep(g, depth):
         nonlocal count
-        for item in sweep(g, depth):
-            count += 1
-            yield item
+        if not inside:
+            count += 2 ** depth
+        return sweep(g, depth)
 
-    cantor._cylinder_ranges = counting
+    cantor._depth_sums, cantor._cylinder_ranges = counted_sums, counted_sweep
     try:
         fn()
     finally:
-        cantor._cylinder_ranges = sweep
+        cantor._depth_sums, cantor._cylinder_ranges = depth_sums, sweep
     return count
 
 

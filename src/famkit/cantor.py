@@ -10,12 +10,15 @@ so range oracles from the box backend drive the Darboux sums here too.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
+from operator import add, mul
 from typing import Iterable, Iterator
 
-from ._refine_py import poly_range
 from .boxes import IN, OUT, STRADDLE, BoxElem
 from .errors import CapExceededError, InputError
 from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn
@@ -29,6 +32,10 @@ DEFAULT_DEPTH_BUDGET = 20
 #: cells; sweeps run in floats, whose endpoints k/2**depth stay exact up to
 #: depth 53.
 MAX_DEPTH = 20
+
+#: Cylinders that one pass of the polynomial sweep encloses together; its
+#: lists hold this many floats at any depth.
+BLOCK = 1024
 
 #: The unit interval, the image of the whole Cantor space.
 UNIT = ((Fraction(0), Fraction(1)),)
@@ -139,24 +146,69 @@ def _unit_verdicts(region, depth: int):
     return lattice_classifier(region, lattice)(depth)
 
 
+def _is_swept_poly(g) -> bool:
+    """Polynomials in one variable with finite coefficients, whose ranges
+    :func:`_poly_blocks` encloses in float blocks."""
+    return type(g) is PolynomialFn and g.dimension <= 1 and all(map(math.isfinite, g.coeffs))
+
+
+def _poly_blocks(g, depth: int) -> Iterator[tuple[list[float], list[float]]]:
+    """The lower and upper ends of ``g``'s range on the depth-``depth``
+    cylinder images, left to right, one pair of lists per ``BLOCK``
+    cylinders: bit for bit ``poly_range`` on each image.
+
+    The image ``[k, k+1] * 2**-depth`` has float endpoints ``k * 2**-depth``,
+    exact like the image's rational ones.  They lie in [0, 1], where
+    ``_pow_interval`` returns ``(lo**e, hi**e)``: powers are the same
+    repeated products, and rounding is monotone, so ``c * x**e`` is lowest
+    at the left end when ``c >= 0`` and at the right end otherwise.  Terms
+    add up from 0.0 in term order, as ``poly_range`` adds them.  A sum
+    that starts at 0.0 is never -0.0, so adding a term of zero coefficient
+    (every product is then a zero) leaves it as it is, and such terms are
+    skipped.
+    """
+    count = 1 << depth
+    step = 0.5 ** depth
+    # exps are sorted, so one variable's exponents rise and each power
+    # extends the last one
+    terms = [(exp[0] if exp else 0, c) for exp, c in zip(g.exps, g.coeffs) if c]
+    for k0 in range(0, count, BLOCK):
+        k1 = min(k0 + BLOCK, count)
+        xs = [k * step for k in range(k0, k1 + 1)]
+        n = k1 - k0
+        lows = highs = [0.0] * n
+        power, pw = 0, None
+        for e, c in terms:
+            if not e:
+                lows = highs = [c] * n  # 0.0 + c, as c is not zero
+                continue
+            while power < e:
+                pw = xs if pw is None else list(map(mul, pw, xs))
+                power += 1
+            cp = [c * p for p in pw]
+            # cp has one entry more than the sums, and map stops at the shorter
+            left, right = cp, islice(cp, 1, None)
+            if c < 0:
+                left, right = right, left
+            lows = list(map(add, lows, left))
+            highs = list(map(add, highs, right))
+        yield lows, highs
+
+
 def _cylinder_ranges(g, depth: int) -> Iterator[tuple[float, float]]:
     """``g``'s range on each depth-``depth`` cylinder image, left to right:
     exactly ``g.range_on`` of the image, without building its box.
 
-    Polynomials get float endpoints ``k * 2**-depth``, which equal the
-    images' rational endpoints exactly.  Indicators and 1-D step functions
-    read verdicts on the integer lattice of [0, 1], whose depth-``depth``
-    cells are the images.  Any other oracle is asked on each image's box.
+    Polynomials are enclosed a block of cylinders at a time by
+    :func:`_poly_blocks`.  Indicators and 1-D step functions read verdicts
+    on the integer lattice of [0, 1], whose depth-``depth`` cells are the
+    images.  Any other oracle is asked on each image's box.
     """
     count = 1 << depth
     kind = type(g)
-    if kind is PolynomialFn:
-        exps, coeffs, step = g.exps, g.coeffs, 0.5 ** depth
-        lo = 0.0
-        for k in range(1, count + 1):
-            hi = k * step
-            yield poly_range(exps, coeffs, (lo,), (hi,))
-            lo = hi
+    if _is_swept_poly(g):
+        for lows, highs in _poly_blocks(g, depth):
+            yield from zip(lows, highs)
     elif kind is IndicatorFn:
         verdict = _unit_verdicts(g.region, depth)
         v = g.value
@@ -180,12 +232,24 @@ def _cylinder_ranges(g, depth: int) -> Iterator[tuple[float, float]]:
 
 
 def _depth_sums(g, depth: int) -> tuple[float, float]:
+    """The lower and upper Darboux sums of ``g`` on the depth-``depth``
+    cylinders: the range ends added left to right, then scaled.
+
+    Polynomial blocks fold in with ``reduce(add, ...)``, the same sequential
+    addition as the loop; ``sum`` would not do, since it compensates float
+    sums from Python 3.12 on.
+    """
     scale = 0.5 ** depth
     lower = 0.0
     upper = 0.0
-    for rlo, rhi in _cylinder_ranges(g, depth):
-        lower += rlo
-        upper += rhi
+    if _is_swept_poly(g):
+        for lows, highs in _poly_blocks(g, depth):
+            lower = reduce(add, lows, lower)
+            upper = reduce(add, highs, upper)
+    else:
+        for rlo, rhi in _cylinder_ranges(g, depth):
+            lower += rlo
+            upper += rhi
     return lower * scale, upper * scale
 
 

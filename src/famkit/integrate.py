@@ -389,18 +389,64 @@ def integrate_over(f, E, fam, epsilon=None, budget: int = DEFAULT_BUDGET) -> Int
     return _integrate_box(RestrictedFn(f, E), fam, epsilon, budget, "adaptive")
 
 
-@dataclass(frozen=True)
 class MeasureBracket:
-    inner: Fraction
-    outer: Fraction
-    inner_cells: tuple[Box, ...]
-    straddle_cells: tuple[Box, ...]
-    converged: bool
-    certified_diverged: bool = False
+    """An exact inner/outer bracket and the cells that witness it.
+
+    ``inner_cells`` lie inside the region and ``straddle_cells`` meet its
+    boundary, as rational boxes.  A bracket from :func:`measure_bracket`
+    keeps its cells as lattice indices and builds the boxes when they are
+    first read, so callers that need only the measures never build them.
+    """
+
+    def __init__(self, inner: Fraction, outer: Fraction, inner_cells, straddle_cells,
+                 converged: bool, certified_diverged: bool = False):
+        self.inner = inner
+        self.outer = outer
+        self.converged = converged
+        self.certified_diverged = certified_diverged
+        self._cells = (tuple(inner_cells), tuple(straddle_cells))
+
+    @classmethod
+    def _deferred(cls, inner: Fraction, outer: Fraction, converged: bool, cells) -> MeasureBracket:
+        """A bracket whose ``(inner_cells, straddle_cells)`` the call
+        ``cells()`` returns, on first access."""
+        bracket = cls(inner, outer, (), (), converged)
+        bracket._cells = cells
+        return bracket
+
+    def _witness(self) -> tuple[tuple[Box, ...], tuple[Box, ...]]:
+        if callable(self._cells):
+            self._cells = self._cells()
+        return self._cells
+
+    @property
+    def inner_cells(self) -> tuple[Box, ...]:
+        return self._witness()[0]
+
+    @property
+    def straddle_cells(self) -> tuple[Box, ...]:
+        return self._witness()[1]
 
     @property
     def gap(self) -> Fraction:
         return self.outer - self.inner
+
+    def _key(self):
+        return (self.inner, self.outer, self._witness(), self.converged, self.certified_diverged)
+
+    def __eq__(self, other):
+        if not isinstance(other, MeasureBracket):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        inner_cells, straddle_cells = self._witness()
+        return (f"MeasureBracket(inner={self.inner!r}, outer={self.outer!r}, "
+                f"inner_cells={inner_cells!r}, straddle_cells={straddle_cells!r}, "
+                f"converged={self.converged!r}, certified_diverged={self.certified_diverged!r})")
 
 
 def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) -> MeasureBracket:
@@ -473,16 +519,14 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
     inner_units = sum(len(cells) << (deepest - s) for s, cells in enumerate(inner))
     inner_vol = total * Fraction(inner_units, 1 << deepest)
     gap = total * Fraction(remaining + len(queue), 1 << (depth + 1))
-    boxes = lattice.boxes
-    straddle = boxes(depth, itertools.islice(queue, remaining))
-    straddle += boxes(depth + 1, itertools.islice(queue, remaining, None))
-    return MeasureBracket(
-        inner=inner_vol,
-        outer=inner_vol + gap,
-        inner_cells=tuple(box for s, cells in enumerate(inner) for box in boxes(s, cells)),
-        straddle_cells=tuple(straddle),
-        converged=gap < eps,
-    )
+
+    def witness():
+        boxes = lattice.boxes
+        straddle = boxes(depth, itertools.islice(queue, remaining))
+        straddle += boxes(depth + 1, itertools.islice(queue, remaining, None))
+        return tuple(box for s, cells in enumerate(inner) for box in boxes(s, cells)), tuple(straddle)
+
+    return MeasureBracket._deferred(inner_vol, inner_vol + gap, gap < eps, witness)
 
 
 def outer_measure(E, fam, epsilon=Fraction(1, 1024), budget: int = DEFAULT_BUDGET):

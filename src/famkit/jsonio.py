@@ -231,6 +231,9 @@ def parse_fn(data, dimension: int):
     if "piecewise" in data:
         spec = data["piecewise"]
         pieces = [(make_box(p["box"]), float(p["value"])) for p in spec.get("pieces", [])]
+        for box, _ in pieces:
+            if len(box) != dimension:
+                raise InputError(f"piecewise box has {len(box)} axes, the problem has {dimension}")
         return PiecewiseConstantFn(pieces, default=float(spec.get("default", 0.0)))
     if "indicator" in data:
         return IndicatorFn(parse_region(data["indicator"], dimension))

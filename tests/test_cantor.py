@@ -1,11 +1,14 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famkit._refine_py import poly_range
 from famkit.boxes import BoxElem, VolumeFam, make_box
 from famkit.cantor import (
+    BLOCK,
     DEFAULT_DEPTH_BUDGET,
     MAX_DEPTH,
     CantorClopen,
@@ -109,6 +112,18 @@ class TestCantorIntegrate:
         report = cantor_integrate(IndicatorFn(DenseCodenseRegion()), epsilon=1e-6)
         assert report.status == "not_integrable"
         assert report.upper - report.lower == pytest.approx(1.0)
+
+    def test_pinned_square(self):
+        # x**2 at 1e-4 stops at depth 14, the gap halving exactly each time
+        report = cantor_integrate(PolynomialFn([0, 0, 1]), epsilon=1e-4)
+        assert (report.lower.hex(), report.upper.hex()) == ("0x1.554d556000000p-2", "0x1.555d556000000p-2")
+        assert [(n, w.hex()) for n, w in report.trace] == [(2 ** d, (0.5 ** d).hex()) for d in range(15)]
+
+    def test_pinned_cubic(self):
+        report = cantor_integrate(PolynomialFn([0.3, -0.7, 0.5, -0.1]), epsilon=1e-4)
+        assert (report.lower.hex(), report.upper.hex()) == ("0x1.774dddecccea5p-4", "0x1.77a11120001d9p-4")
+        assert [w.hex() for _, w in report.trace[-3:]] == [
+            "0x1.4cccccccccd00p-12", "0x1.4cccccccccc00p-13", "0x1.4ccccccccd000p-14"]
 
     def test_agreement_with_box_backend(self):
         for fn in [PolynomialFn([0, 1]), PolynomialFn([1, -2, 3])]:
@@ -221,6 +236,16 @@ ORACLES = {
 }
 
 
+# zeros of both signs, negatives and magnitudes far from 1
+POLY_COEFFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e-324]) | st.floats(-4, 4)
+
+
+def poly_ranges(g, depth):
+    """``poly_range`` on each depth-``depth`` cylinder image, one call each."""
+    step = 0.5 ** depth
+    return [poly_range(g.exps, g.coeffs, (k * step,), ((k + 1) * step,)) for k in range(2 ** depth)]
+
+
 class TestCylinderRanges:
     """The sweep returns exactly ``range_on`` of each cylinder's image."""
 
@@ -246,6 +271,40 @@ class TestCylinderRanges:
         assert [(lo.hex(), hi.hex()) for lo, hi in got] == [(lo.hex(), hi.hex()) for lo, hi in want]
         # only the oracles without a lattice or float path are asked per box
         assert calls == (2 ** depth if kind == "lipschitz" else 0)
+
+    @pytest.mark.parametrize("depth", [11, 12, 13])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(coeffs=st.lists(POLY_COEFFS, min_size=1, max_size=8))
+    def test_blocks_match_poly_range_bitwise(self, depth, coeffs):
+        # depths past log2(BLOCK): the sweep crosses block boundaries
+        assert 2 ** depth > BLOCK
+        g = PolynomialFn(coeffs)
+        want = poly_ranges(g, depth)
+        got = list(_cylinder_ranges(g, depth))
+        assert [(lo.hex(), hi.hex()) for lo, hi in got] == [(lo.hex(), hi.hex()) for lo, hi in want]
+        lower = upper = 0.0
+        for rlo, rhi in want:
+            lower += rlo
+            upper += rhi
+        scale = 0.5 ** depth
+        assert [x.hex() for x in _depth_sums(g, depth)] == [(lower * scale).hex(), (upper * scale).hex()]
+
+    def test_nonfinite_coefficients_keep_range_on(self):
+        # inf * 0.0 is nan at x = 0: only the per-image oracle says where
+        g = PolynomialFn([1.0, float("inf")])
+        want = [g.range_on((iota2_image(w),)) for w in TestCylinderImages.words(3)]
+        assert [tuple(map(float.hex, r)) for r in _cylinder_ranges(g, 3)] == \
+            [tuple(map(float.hex, r)) for r in want]
+
+    def test_deep_sums_hold_one_block(self):
+        g = PolynomialFn([0.3, -0.7, 0.5, -0.1, 0.02])
+        tracemalloc.start()
+        try:
+            _depth_sums(g, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_pieces_of_another_dimension_keep_range_on(self):
         # range_on reads only the first side of this 2-D piece, whose empty

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from famkit.cli import build_parser, main
+from famkit.lattice import DyadicLattice
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -208,6 +209,19 @@ class TestIntegrateCLI:
         assert out == ""
         assert "exponents must be non-negative integers" in err
 
+    @pytest.mark.parametrize("box,pieces", [
+        # a 2-D piece in a 1-D integral used to answer 0.5 from its first side
+        ("[[0,1]]", [[0, "1/2"], [5, 6]]),
+        # a 1-D piece in a 2-D integral used to be taken as a slab
+        ("[[0,1],[0,1]]", [[0, "1/2"]]),
+    ])
+    def test_piecewise_box_of_another_dimension_rejected(self, capsys, box, pieces):
+        fn = json.dumps({"piecewise": {"pieces": [{"box": pieces, "value": 1}], "default": 0}})
+        code, out, err = run(capsys, ["integrate", "--fn", fn, "--box", box])
+        assert code == 2
+        assert out == ""
+        assert "piecewise box has" in err
+
     def test_undecided_exit_code(self, capsys):
         code, out, _ = run(
             capsys,
@@ -244,6 +258,21 @@ class TestJordanMeasureCLI:
         assert code == 0
         report = json.loads(out)
         assert report["inner"] == "1/2" and report["outer"] == "1/2"
+
+
+    def test_measure_builds_no_witness_boxes(self, capsys, monkeypatch):
+        # measure prints only inner and outer, so no cell becomes a box
+        def no_boxes(*args):
+            raise AssertionError("measure built witness boxes")
+
+        monkeypatch.setattr(DyadicLattice, "boxes", no_boxes)
+        region = '{"halfplane": {"normal": [1, 2, -1], "offset": "2/3"}}'
+        code, out, _ = run(
+            capsys,
+            ["measure", "--region", region, "--box", "[[0, 1], [0, 1], [0, 1]]", "--eps", "1/34"],
+        )
+        assert code == 0
+        assert json.loads(out) == {"inner": "84041/262144", "outer": "91751/262144"}
 
 
 class TestCantorCLI:

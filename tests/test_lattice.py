@@ -5,6 +5,7 @@ and ``measure_bracket`` must give what the Fraction-box heap it replaced
 gave: the same brackets and the same cells in the same order.
 """
 
+import hashlib
 import heapq
 from fractions import Fraction as F
 
@@ -22,7 +23,7 @@ from famkit.functions import (
     RegionUnion,
     triangle_under_diagonal,
 )
-from famkit.integrate import MeasureBracket, is_jordan, measure_bracket
+from famkit.integrate import MeasureBracket, inner_measure, is_jordan, measure_bracket, outer_measure
 from famkit.lattice import DyadicLattice, lattice_classifier
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -216,6 +217,16 @@ PINNED = {
 }
 
 
+# sha256 of repr((inner_cells, straddle_cells)), pinned while every bracket
+# still built its boxes eagerly
+PINNED_CELLS = {
+    "triangle-xy": "dd38b9d126b5b224",
+    "halfspace-3d": "6bcc827106fb2fcb",
+    "halfplane-fine": "cc7b68d6a31c1f88",
+    "triangle-1e-4": "9a33cfa9b3d637a8",
+}
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_brackets(name):
     region, fam, eps = FIXTURES[name]
@@ -223,6 +234,8 @@ def test_pinned_brackets(name):
     inner, outer, n_inner, n_straddle = PINNED[name]
     assert (bracket.inner, bracket.outer) == (inner, outer)
     assert (len(bracket.inner_cells), len(bracket.straddle_cells)) == (n_inner, n_straddle)
+    cells = repr((bracket.inner_cells, bracket.straddle_cells)).encode()
+    assert hashlib.sha256(cells).hexdigest()[:16] == PINNED_CELLS[name]
     assert bracket.converged
     if fam.dimension == 2:
         report = is_jordan(region, fam, eps)
@@ -231,6 +244,20 @@ def test_pinned_brackets(name):
         A, B = report.witness
         assert (len(A.boxes), len(B.boxes)) == (n_inner, n_inner + n_straddle)
         assert (A.volume, B.volume) == (inner, outer)
+
+
+def test_measures_build_no_boxes(monkeypatch):
+    def no_boxes(*args):
+        raise AssertionError("built witness boxes")
+
+    monkeypatch.setattr(DyadicLattice, "boxes", no_boxes)
+    region, fam, eps = FIXTURES["halfspace-3d"]
+    inner, outer, _, _ = PINNED["halfspace-3d"]
+    assert (inner_measure(region, fam, eps), outer_measure(region, fam, eps)) == (inner, outer)
+    bracket = measure_bracket(region, fam, eps)
+    assert (bracket.gap, bracket.converged) == (outer - inner, True)
+    with pytest.raises(AssertionError, match="built witness boxes"):
+        bracket.inner_cells
 
 
 def test_witness_boxes_drop_empty_ones_and_sort():
