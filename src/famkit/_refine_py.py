@@ -1,15 +1,17 @@
 """Scalar refinement for box-backend Darboux sums.
 
 ``refine_generic`` drives any range oracle with a heap: split the cell with
-the largest oscillation contribution, bisecting its widest axis (lowest axis
-index on ties).  It serves the scalar oracles (indicators, restrictions,
-piecewise-constant and Lipschitz functions) and is the reference that the
-batched polynomial engine in ``famkit._refine`` is tested against.
+the largest oscillation contribution by ``split_widest``, which bisects its
+widest axis (lowest axis index on ties).  It serves the scalar oracles
+(indicators, restrictions, piecewise-constant and Lipschitz functions) and
+is the reference that the batched polynomial engine in ``famkit._refine``
+is tested against.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -57,6 +59,25 @@ def poly_range(
     return rlo, rhi
 
 
+def split_widest(lo: list[float], hi: list[float]):
+    """The two halves of the cell ``[lo, hi]``, split at the midpoint of its
+    widest axis (lowest axis index on ties).  The halves share the parent's
+    lists, which are never mutated."""
+    axis = 0
+    width = hi[0] - lo[0]
+    for d in range(1, len(lo)):
+        w = hi[d] - lo[d]
+        if w > width:
+            width = w
+            axis = d
+    mid = 0.5 * (lo[axis] + hi[axis])
+    left_hi = hi[:]
+    left_hi[axis] = mid
+    right_lo = lo[:]
+    right_lo[axis] = mid
+    return (lo, left_hi), (right_lo, hi)
+
+
 def refine_generic(
     range_fn: Callable[[Sequence[float], Sequence[float]], tuple[float, float]],
     lo0: Sequence[float],
@@ -70,25 +91,27 @@ def refine_generic(
     Returns ``(lower, upper, ncells, converged, trace)`` where the final
     sums are exactly-rounded (math.fsum) over the live cells.
     """
-    dim = len(lo0)
-    lo0 = [float(x) for x in lo0]
-    hi0 = [float(x) for x in hi0]
-    vol0 = 1.0
-    for d in range(dim):
-        vol0 *= hi0[d] - lo0[d]
-    rlo, rhi = range_fn(lo0, hi0)
-    cells: dict[int, tuple[list[float], list[float], float, float, float]] = {
-        0: (lo0, hi0, rlo, rhi, vol0)
-    }
-    heap: list[tuple[float, int]] = [(-(rhi - rlo) * vol0, 0)]
-    next_id = 1
-    gap_est = (rhi - rlo) * vol0
+    # every live cell is in the heap once, as (-contribution, id, lo, hi,
+    # range lo, range hi, volume); ids are unique, so lists are never compared
+    heap: list[tuple] = []
+    ids = itertools.count()
+
+    def push(lo: list[float], hi: list[float]) -> float:
+        vol = 1.0
+        for l, h in zip(lo, hi):
+            vol *= h - l
+        rlo, rhi = range_fn(lo, hi)
+        contrib = (rhi - rlo) * vol
+        heapq.heappush(heap, (-contrib, next(ids), lo, hi, rlo, rhi, vol))
+        return contrib
+
+    gap_est = push([float(x) for x in lo0], [float(x) for x in hi0])
     trace = [(1, gap_est)]
     next_trace = 2
     converged = False
 
     def certified_gap() -> float:
-        return math.fsum((c[3] - c[2]) * c[4] for c in cells.values())
+        return math.fsum((c[5] - c[4]) * c[6] for c in heap)
 
     while True:
         if gap_est < eps:
@@ -98,45 +121,20 @@ def refine_generic(
                 break
             gap_est = exact
             continue
-        if len(cells) >= max_cells:
+        if len(heap) >= max_cells:
             break
-        while heap and heap[0][1] not in cells:
-            heapq.heappop(heap)
-        if not heap:
-            break
-        key, cid = heapq.heappop(heap)
-        if -key <= 0.0:
+        if heap[0][0] >= 0.0:  # no cell contributes
             converged = certified_gap() < eps
             break
-        lo, hi, rl, rh, vol = cells.pop(cid)
-        axis = 0
-        width = hi[0] - lo[0]
-        for d in range(1, dim):
-            w = hi[d] - lo[d]
-            if w > width:
-                width = w
-                axis = d
-        mid = 0.5 * (lo[axis] + hi[axis])
+        key, _, lo, hi, _, _, _ = heapq.heappop(heap)
         gap_est += key  # key is minus the parent's contribution
-        left_lo, left_hi = lo[:], hi[:]
-        left_hi[axis] = mid
-        right_lo, right_hi = lo[:], hi[:]
-        right_lo[axis] = mid
-        for clo, chi in ((left_lo, left_hi), (right_lo, right_hi)):
-            cvol = 1.0
-            for d in range(dim):
-                cvol *= chi[d] - clo[d]
-            crlo, crhi = range_fn(clo, chi)
-            contrib = (crhi - crlo) * cvol
-            cells[next_id] = (clo, chi, crlo, crhi, cvol)
-            heapq.heappush(heap, (-contrib, next_id))
-            gap_est += contrib
-            next_id += 1
-        if len(cells) >= next_trace:
-            trace.append((len(cells), gap_est))
+        for half in split_widest(lo, hi):
+            gap_est += push(*half)
+        if len(heap) >= next_trace:
+            trace.append((len(heap), gap_est))
             next_trace *= 2
 
-    lower = math.fsum(c[2] * c[4] for c in cells.values())
-    upper = math.fsum(c[3] * c[4] for c in cells.values())
-    trace.append((len(cells), certified_gap()))
-    return lower, upper, len(cells), converged, trace
+    lower = math.fsum(c[4] * c[6] for c in heap)
+    upper = math.fsum(c[5] * c[6] for c in heap)
+    trace.append((len(heap), certified_gap()))
+    return lower, upper, len(heap), converged, trace

@@ -10,7 +10,6 @@ so range oracles from the box backend drive the Darboux sums here too.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from itertools import islice
 from operator import add, mul
 from typing import Iterable, Iterator
 
-from .boxes import IN, OUT, STRADDLE, BoxElem
+from .boxes import IN, OUT, BoxElem
 from .errors import CapExceededError, InputError
 from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn
 from .integrate import INTEGRABLE, NOT_INTEGRABLE, UNDECIDED, IntegralReport
@@ -147,9 +146,9 @@ def _unit_verdicts(region, depth: int):
 
 
 def _is_swept_poly(g) -> bool:
-    """Polynomials in one variable with finite coefficients, whose ranges
-    :func:`_poly_blocks` encloses in float blocks."""
-    return type(g) is PolynomialFn and g.dimension <= 1 and all(map(math.isfinite, g.coeffs))
+    """Polynomials in one variable, whose ranges :func:`_poly_blocks`
+    encloses in float blocks."""
+    return type(g) is PolynomialFn and g.dimension <= 1
 
 
 def _poly_blocks(g, depth: int) -> Iterator[tuple[list[float], list[float]]]:
@@ -211,8 +210,7 @@ def _cylinder_ranges(g, depth: int) -> Iterator[tuple[float, float]]:
             yield from zip(lows, highs)
     elif kind is IndicatorFn:
         verdict = _unit_verdicts(g.region, depth)
-        v = g.value
-        ranges = {IN: (v, v), OUT: (0.0, 0.0), STRADDLE: (min(0.0, v), max(0.0, v))}
+        ranges = g.ranges
         for k in range(count):
             yield ranges[verdict((k,))]
     elif kind is PiecewiseConstantFn and all(len(box) == 1 for box, _ in g.pieces):

@@ -8,6 +8,7 @@ inside/outside/straddling.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,10 +38,20 @@ def exponents(exps) -> tuple[int, ...]:
     return tuple(out)
 
 
+def finite(value, what: str) -> float:
+    """``value`` as a float, which no oracle can enclose unless it is finite
+    (JSON input reads ``NaN``, ``Infinity`` and ``1e400``)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return x
+
+
 def add_term(terms: dict, exps, coeff) -> None:
     """Add ``coeff * x**exps`` to ``terms``; a repeated exponent tuple sums."""
     key = exponents(exps)
-    terms[key] = terms[key] + float(coeff) if key in terms else float(coeff)
+    coeff = finite(coeff, "coefficients")
+    terms[key] = terms[key] + coeff if key in terms else coeff
 
 
 class PolynomialFn:
@@ -66,7 +77,7 @@ class PolynomialFn:
                 raise InputError("inconsistent exponent arity")
             self.dimension = dims.pop()
         else:
-            seq = [float(v) for v in coeffs]
+            seq = [finite(v, "coefficients") for v in coeffs]
             if not seq:
                 seq = [0.0]
             terms = {(e,): c for e, c in enumerate(seq)}
@@ -106,8 +117,9 @@ class PiecewiseConstantFn:
     oscillation_floor = 0.0
 
     def __init__(self, pieces: Sequence[tuple[Box, float]], default: float = 0.0):
-        self.pieces = [(tuple((Fraction(lo), Fraction(hi)) for lo, hi in box), float(v)) for box, v in pieces]
-        self.default = float(default)
+        self.pieces = [(tuple((Fraction(lo), Fraction(hi)) for lo, hi in box), finite(v, "piece values"))
+                       for box, v in pieces]
+        self.default = finite(default, "the default value")
         #: the union of the pieces: the default shows wherever it misses
         self.support = BoxElem([box for box, _ in self.pieces])
 
@@ -131,7 +143,7 @@ class LipschitzFn:
 
     def __init__(self, fn: Callable[[Sequence[float]], float], constant: float):
         self.fn = fn
-        self.constant = float(constant)
+        self.constant = finite(constant, "the Lipschitz constant")
 
     def __call__(self, point) -> float:
         return self.fn(point)
@@ -157,63 +169,39 @@ class HalfPlaneRegion:
     def __init__(self, normal: Sequence, offset):
         object.__setattr__(self, "normal", tuple(Fraction(c) for c in normal))
         object.__setattr__(self, "offset", Fraction(offset))
-        object.__setattr__(self, "_fnormal", tuple(float(c) for c in self.normal))
-        object.__setattr__(self, "_foffset", float(self.offset))
+        # the same half-plane over integers: N . x <= C, scaled by the lcm
+        # of the denominators, once per region
+        den = math.lcm(self.offset.denominator, *(c.denominator for c in self.normal))
+        object.__setattr__(self, "_scaled", (
+            tuple(c.numerator * (den // c.denominator) for c in self.normal),
+            self.offset.numerator * (den // self.offset.denominator),
+        ))
 
-    def _classify_exact(self, box: Box) -> int:
-        # raw integer cross-multiplication; this is the hot tie-breaking
-        # path for cells whose corners sit exactly on the boundary.  Bounds
-        # may be Fractions or floats (box integrals); as_integer_ratio is
-        # exact for both
-        low_n, low_d = 0, 1
-        high_n, high_d = 0, 1
-        for c, (lo, hi) in zip(self.normal, box):
-            if c >= 0:
-                lo_t, hi_t = lo, hi
-            else:
-                lo_t, hi_t = hi, lo
-            lo_n, lo_d = lo_t.as_integer_ratio()
-            hi_n, hi_d = hi_t.as_integer_ratio()
-            tn = c.numerator * lo_n
-            td = c.denominator * lo_d
-            low_n = low_n * td + tn * low_d
-            low_d *= td
-            tn = c.numerator * hi_n
-            td = c.denominator * hi_d
-            high_n = high_n * td + tn * high_d
-            high_d *= td
-        off_n, off_d = self.offset.numerator, self.offset.denominator
-        if high_n * off_d <= off_n * high_d:
+    def classify(self, box: Box) -> int:
+        # exact for float and Fraction bounds alike, as as_integer_ratio is
+        # exact for both: N . lo and N . hi grow as integers over their own
+        # denominators, which cost less to multiply out than to keep common
+        normal, offset = self._scaled
+        low = high = 0
+        low_d = high_d = 1
+        for c, (lo, hi) in zip(normal, box):
+            if c < 0:
+                lo, hi = hi, lo
+            n, d = lo.as_integer_ratio()
+            low = low * d + c * n * low_d
+            low_d *= d
+            n, d = hi.as_integer_ratio()
+            high = high * d + c * n * high_d
+            high_d *= d
+        if high <= offset * high_d:
             return IN
-        if low_n * off_d > off_n * low_d:
+        if low > offset * low_d:
             return OUT
         return STRADDLE
 
-    def classify(self, box: Box) -> int:
-        # float prefilter with a certified margin; ties fall back to exact
-        # rational arithmetic, so the verdict is always sound
-        low = high = 0.0
-        scale = 1.0
-        for fc, (lo, hi) in zip(self._fnormal, box):
-            flo, fhi = float(lo), float(hi)
-            if fc >= 0.0:
-                low += fc * flo
-                high += fc * fhi
-            else:
-                low += fc * fhi
-                high += fc * flo
-            scale += abs(fc) * max(abs(flo), abs(fhi))
-        off = self._foffset
-        margin = 1e-12 * scale
-        verdict_in = high <= off - margin
-        verdict_out = low > off + margin
-        if verdict_in:
-            return IN
-        if verdict_out:
-            return OUT
-        if low < off - margin and high > off + margin:
-            return STRADDLE
-        return self._classify_exact(box)
+    # perfbench/tracing.py counts calls to this name as exact fallbacks;
+    # classify has no fallback left, so nothing calls it and the count is 0
+    _classify_exact = classify
 
     def contains_point(self, point) -> bool:
         return sum(c * Fraction(x) for c, x in zip(self.normal, point)) <= self.offset
@@ -321,20 +309,17 @@ class IndicatorFn:
 
     def __init__(self, region, value: float = 1.0):
         self.region = region_of(region)
-        self.value = float(value)
+        v = self.value = finite(value, "indicator value")
         dense = getattr(self.region, "dense", False) and getattr(self.region, "codense", False)
-        self.oscillation_floor = abs(self.value) if dense else 0.0
+        self.oscillation_floor = abs(v) if dense else 0.0
+        #: the range on a cell, by the region's verdict on it
+        self.ranges = {IN: (v, v), OUT: (0.0, 0.0), STRADDLE: (min(0.0, v), max(0.0, v))}
 
     def __call__(self, point) -> float:
         return self.value if self.region.contains_point(point) else 0.0
 
     def range_on(self, box) -> tuple[float, float]:
-        c = self.region.classify(box)
-        if c == IN:
-            return (self.value, self.value)
-        if c == OUT:
-            return (0.0, 0.0)
-        return (min(0.0, self.value), max(0.0, self.value))
+        return self.ranges[self.region.classify(box)]
 
 
 class RestrictedFn:

@@ -283,17 +283,7 @@ def _refine_grid(range_fn, lo0, hi0, eps, max_cells):
             return lower, upper, len(cells), True, trace
         if len(cells) * 2 > max_cells:
             return lower, upper, len(cells), False, trace
-        split = []
-        for lo, hi in cells:
-            axis = max(range(len(lo)), key=lambda d: hi[d] - lo[d])
-            mid = 0.5 * (lo[axis] + hi[axis])
-            left_hi = hi[:]
-            left_hi[axis] = mid
-            right_lo = lo[:]
-            right_lo[axis] = mid
-            split.append((lo, left_hi))
-            split.append((right_lo, hi))
-        cells = split
+        cells = [half for lo, hi in cells for half in _refine_py.split_widest(lo, hi)]
 
 
 def _scaled_outward(x: float, total: Fraction, toward: float) -> float:
@@ -325,22 +315,20 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
             trace=((1, (rhi - rlo) * total),),
             backend="box",
         )
+
+    def range_fn(lo, hi):
+        return fn.range_on(tuple(zip(lo, hi)))
+
     if strategy == "adaptive":
         if isinstance(fn, PolynomialFn):
             lower, upper, ncells, converged, trace = _refine.refine_poly(
                 fn.exps, fn.coeffs, lo0, hi0, eps, budget
             )
         else:
-            def range_fn(lo, hi):
-                return fn.range_on(tuple(zip(lo, hi)))
-
             lower, upper, ncells, converged, trace = _refine_py.refine_generic(
                 range_fn, lo0, hi0, eps, budget
             )
     elif strategy == "grid":
-        def range_fn(lo, hi):
-            return fn.range_on(tuple(zip(lo, hi)))
-
         lower, upper, ncells, converged, trace = _refine_grid(range_fn, lo0, hi0, eps, budget)
     else:
         raise InputError(f"unknown strategy {strategy!r}")

@@ -202,11 +202,16 @@ def parse_region(data, dimension: int):
         raise InputError("region must be a name or an object")
     if "halfplane" in data:
         spec = data["halfplane"]
-        return HalfPlaneRegion(
-            [parse_rational(c) for c in spec["normal"]], parse_rational(spec["offset"])
-        )
+        normal = [parse_rational(c) for c in spec["normal"]]
+        if len(normal) != dimension:
+            raise InputError(f"half-plane normal has {len(normal)} axes, the problem has {dimension}")
+        return HalfPlaneRegion(normal, parse_rational(spec["offset"]))
     if "boxes" in data:
-        return BoxElem([make_box(b) for b in data["boxes"]])
+        boxes = [make_box(b) for b in data["boxes"]]
+        for box in boxes:
+            if len(box) != dimension:
+                raise InputError(f"region box has {len(box)} axes, the problem has {dimension}")
+        return BoxElem(boxes)
     if "union" in data:
         return RegionUnion(*(parse_region(r, dimension) for r in data["union"]))
     if "intersection" in data:

@@ -43,7 +43,8 @@ def _fm_canonical(coeffs: tuple[Fraction, ...], const: Fraction):
 def fm_feasible(system: FeasibilitySystem) -> bool:
     """Feasibility verdict by exact Fourier-Motzkin elimination.
 
-    Variables are eliminated in descending index order (the reverse of the
+    Equalities are substituted away first, one variable each.  The other
+    variables are eliminated in descending index order (the reverse of the
     simplex's Bland order); rows are kept canonical and deduplicated to
     tame the combination blowup.  No witness is produced.
     """
@@ -52,9 +53,6 @@ def fm_feasible(system: FeasibilitySystem) -> bool:
         raise CapExceededError(f"Fourier-Motzkin capped at {FM_VAR_CAP} variables")
     # rows as (coeffs, const) meaning sum(coeffs * w) <= const
     raw: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for coeffs, rhs in system.equalities:
-        raw.append((tuple(coeffs), Fraction(rhs)))
-        raw.append((tuple(-c for c in coeffs), -Fraction(rhs)))
     for coeffs, lo, hi in system.intervals:
         if hi is not None:
             raw.append((tuple(coeffs), Fraction(hi)))
@@ -62,6 +60,27 @@ def fm_feasible(system: FeasibilitySystem) -> bool:
             raw.append((tuple(-c for c in coeffs), -Fraction(lo)))
     for i in range(n):
         raw.append((tuple(Fraction(-1) if j == i else Fraction(0) for j in range(n)), Fraction(0)))
+    # each equality is solved for its highest-index variable with a nonzero
+    # coefficient, which is substituted away from the rows and the later
+    # equalities; its w >= 0 row becomes a row on the other variables
+    equalities = [(tuple(map(Fraction, coeffs)), Fraction(rhs)) for coeffs, rhs in system.equalities]
+    while equalities:
+        coeffs, rhs = equalities.pop(0)
+        pivot = next((j for j in reversed(range(n)) if coeffs[j]), None)
+        if pivot is None:
+            if rhs:
+                return False  # 0 = rhs, with rhs nonzero
+            continue
+
+        def substituted(row):
+            row_coeffs, row_const = row
+            f = row_coeffs[pivot] / coeffs[pivot]
+            if not f:
+                return row
+            return tuple(a - f * c for a, c in zip(row_coeffs, coeffs)), row_const - f * rhs
+
+        raw = [substituted(row) for row in raw]
+        equalities = [substituted(row) for row in equalities]
 
     rows = {_fm_canonical(c, k) for c, k in raw}
     for var in reversed(range(n)):

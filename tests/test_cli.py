@@ -222,6 +222,21 @@ class TestIntegrateCLI:
         assert out == ""
         assert "piecewise box has" in err
 
+    @pytest.mark.parametrize("argv", [
+        # json.loads reads NaN, Infinity and 1e400: the first never returned,
+        # the next two printed NaN and exited 4
+        ["integrate", "--fn", '{"poly": [1, NaN]}', "--box", "[[0,1]]"],
+        ["cantor", "--fn", '{"poly": [1, Infinity]}', "--eps", "1e-2"],
+        ["integrate", "--fn", '{"piecewise": {"pieces": [{"box": [[0, "1/2"]], "value": NaN}], "default": 0}}',
+         "--box", "[[0,1]]"],
+        ["cantor", "--fn", '{"poly": {"terms": [{"exps": [2], "coeff": 1e400}]}}'],
+    ])
+    def test_nonfinite_numbers_rejected(self, argv):
+        proc = famkit_process(["-m", "famkit", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "must be finite" in proc.stderr
+
     def test_undecided_exit_code(self, capsys):
         code, out, _ = run(
             capsys,
@@ -250,6 +265,20 @@ class TestJordanMeasureCLI:
         assert code == 3
         report = json.loads(out)
         assert report["inner"] == "0" and report["outer"] == "1"
+
+    @pytest.mark.parametrize("command,region", [
+        # the third coefficient used to be dropped: jordan true, 525311/4194304
+        ("jordan", {"halfplane": {"normal": [1, 1, 5], "offset": "1/2"}}),
+        # a 1-D box used to be taken as a slab: measure 1/2
+        ("measure", {"boxes": [[[0, "1/2"]]]}),
+        ("measure", {"complement": {"union": ["triangle-xy", {"halfplane": {"normal": [1], "offset": 0}}]}}),
+        ("jordan", {"intersection": [{"boxes": [[[0, 1], [0, 1], [0, 1]]]}]}),
+    ])
+    def test_region_of_another_dimension_rejected(self, capsys, command, region):
+        code, out, err = run(capsys, [command, "--region", json.dumps(region), "--box", "[[0,1],[0,1]]"])
+        assert code == 2
+        assert out == ""
+        assert "the problem has 2" in err
 
     def test_measure_finite(self, tmp_path, capsys):
         payload = {"fam": UNIFORM4, "set": [0, 2]}

@@ -195,16 +195,12 @@ class TestExtendProperties:
             system = FeasibilitySystem(n_vars=n, equalities=tuple(eqs), intervals=tuple(ivs))
             assert solve_feasibility(system).feasible == fm_feasible(system)
 
-    def test_shared_phase1_matches_cold_solves(self):
-        # optimize() starts every objective's phase 2 from a copy of one
-        # phase-1 tableau; each optimum must equal a solve of its own and
-        # come with a feasible solution that attains it
-        def dot(c, x):
-            return sum((a * w for a, w in zip(c, x)), F(0))
-
-        rng = Random(43)
-        solved = 0
-        for _ in range(60):
+    @staticmethod
+    def objective_systems(seed, count=60):
+        """``count`` systems of one total-mass row, up to two more equality
+        rows and up to two interval rows, each with three objectives."""
+        rng = Random(seed)
+        for _ in range(count):
             n = rng.randint(2, 5)
             eqs = [(tuple(F(1) for _ in range(n)), F(rng.randint(1, 4)))]
             for _ in range(rng.randint(0, 2)):
@@ -217,6 +213,18 @@ class TestExtendProperties:
                 ivs.append((coeffs, lo, lo + F(rng.randint(0, 3), 2)))
             system = FeasibilitySystem(n_vars=n, equalities=tuple(eqs), intervals=tuple(ivs))
             objectives = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(3)]
+            yield system, objectives
+
+    def test_shared_phase1_matches_cold_solves(self):
+        # optimize() starts every objective's phase 2 from a copy of one
+        # phase-1 tableau; each optimum must equal a solve of its own and
+        # come with a feasible solution that attains it
+        def dot(c, x):
+            return sum((a * w for a, w in zip(c, x)), F(0))
+
+        solved = 0
+        for system, objectives in self.objective_systems(43):
+            eqs, ivs = system.equalities, system.intervals
             together = optimize(system, objectives)
             if together is None:
                 assert not solve_feasibility(system).feasible
@@ -228,6 +236,24 @@ class TestExtendProperties:
                 assert all(dot(c, x) == rhs for c, rhs in eqs)
                 assert all(lo <= dot(c, x) <= hi for c, lo, hi in ivs)
         assert solved >= 15
+
+    def test_fm_decides_systems_with_equality_rows(self):
+        # substituting the equalities away first keeps Fourier-Motzkin inside
+        # its row cap; eliminating them as two inequalities each overran it
+        # on the 30th system (5 variables, 3 equalities, 2 interval rows)
+        feasible = 0
+        for system, _ in self.objective_systems(43):
+            verdict = fm_feasible(system)
+            assert verdict == solve_feasibility(system).feasible
+            feasible += verdict
+        assert 15 <= feasible < 60
+
+    def test_fm_rejects_inconsistent_equalities(self):
+        # the second row is the first one twice with another total: 0 = 1
+        system = FeasibilitySystem(n_vars=2, equalities=(((F(1), F(1)), F(1)), ((F(2), F(2)), F(3))),
+                                   intervals=())
+        assert not fm_feasible(system)
+        assert not solve_feasibility(system).feasible
 
     def test_value_range_matches_fm(self):
         # both ends of the range are attained and nothing beyond them is:
