@@ -3,7 +3,9 @@
 Times ``famkit.integrate.measure_bracket`` and ``is_jordan`` on the three
 half-plane fixtures of the regions benchmark and on criterion 7's triangle
 at 1e-4, prints cells classified, microseconds per cell and wall time (best
-of ``--repeat`` runs) and the bracket.  Cells are counted in a separate
+of ``--repeat`` runs) and the bracket.  ``is_jordan`` builds its witness
+only when it is read, so the ``is_jordan+witness`` row, which reads it,
+shows what the witness boxes cost.  Cells are counted in a separate
 untimed run.  The exact brackets of these fixtures are pinned by
 ``tests/test_lattice.py``; this script only times them.
 
@@ -83,7 +85,7 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=3, help="runs per timing (the best is kept)")
     args = parser.parse_args(argv)
 
-    header = f"{'fixture':15} {'call':>15} {'cells':>8} {'us/cell':>8} {'seconds':>8}  bracket"
+    header = f"{'fixture':15} {'call':>17} {'cells':>8} {'us/cell':>8} {'seconds':>8}  bracket"
     print(header)
     print("-" * len(header))
     for name, (region, fam, eps) in FIXTURES.items():
@@ -93,8 +95,10 @@ def main(argv=None):
         if fam.dimension == 2:
             seconds, _ = best_time(lambda: integrate.is_jordan(region, fam, eps), args.repeat)
             rows.append(("is_jordan", seconds))
+            seconds, _ = best_time(lambda: integrate.is_jordan(region, fam, eps).witness, args.repeat)
+            rows.append(("is_jordan+witness", seconds))
         for call, seconds in rows:
-            print(f"{name:15} {call:>15} {cells:>8} {seconds / cells * 1e6:>8.2f} {seconds:>8.4f}"
+            print(f"{name:15} {call:>17} {cells:>8} {seconds / cells * 1e6:>8.2f} {seconds:>8.4f}"
                   f"  [{bracket.inner}, {bracket.outer}]")
     if args.full:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

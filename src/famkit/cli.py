@@ -302,9 +302,8 @@ def _cmd_jordan(args) -> int:
         "outer": report.outer,
         "measure": report.measure,
     }
-    if report.witness:
-        out["witness_inner_boxes"] = len(report.witness[0].boxes)
-        out["witness_outer_boxes"] = len(report.witness[1].boxes)
+    if report.witness_sizes:
+        out["witness_inner_boxes"], out["witness_outer_boxes"] = report.witness_sizes
     _emit(out, args)
     if report.jordan is True:
         return EXIT_OK

@@ -40,8 +40,17 @@ def exponents(exps) -> tuple[int, ...]:
 
 def finite(value, what: str) -> float:
     """``value`` as a float, which no oracle can enclose unless it is finite
-    (JSON input reads ``NaN``, ``Infinity`` and ``1e400``)."""
-    x = float(value)
+    (JSON input reads ``NaN``, ``Infinity`` and ``1e400``).  A string that
+    ``float`` rejects is read as a rational ``"p/q"``."""
+    try:
+        x = float(value)
+    except ValueError:
+        try:
+            x = float(Fraction(value))
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{what} must be numbers or \"p/q\" strings, got {value!r}") from None
+        except OverflowError:
+            raise InputError(f"{what} must be finite, got {value!r}") from None
     if not math.isfinite(x):
         raise InputError(f"{what} must be finite, got {value!r}")
     return x
@@ -265,12 +274,15 @@ class RegionUnion:
         object.__setattr__(self, "parts", tuple(parts))
 
     def classify(self, box: Box) -> int:
-        results = [p.classify(box) for p in self.parts]
-        if any(r == IN for r in results):
-            return IN
-        if all(r == OUT for r in results):
-            return OUT
-        return STRADDLE
+        # IN absorbs, so the parts after the first IN need no verdict
+        result = OUT
+        for p in self.parts:
+            verdict = p.classify(box)
+            if verdict == IN:
+                return IN
+            if verdict != OUT:
+                result = STRADDLE
+        return result
 
     def contains_point(self, point) -> bool:
         return any(p.contains_point(point) for p in self.parts)
@@ -284,12 +296,15 @@ class RegionIntersection:
         object.__setattr__(self, "parts", tuple(parts))
 
     def classify(self, box: Box) -> int:
-        results = [p.classify(box) for p in self.parts]
-        if all(r == IN for r in results):
-            return IN
-        if any(r == OUT for r in results):
-            return OUT
-        return STRADDLE
+        # OUT absorbs, so the parts after the first OUT need no verdict
+        result = IN
+        for p in self.parts:
+            verdict = p.classify(box)
+            if verdict == OUT:
+                return OUT
+            if verdict != IN:
+                result = STRADDLE
+        return result
 
     def contains_point(self, point) -> bool:
         return all(p.contains_point(point) for p in self.parts)

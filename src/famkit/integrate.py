@@ -146,17 +146,64 @@ def jordan_completion(fam: Fam) -> Fam:
     return Fam(algebra, tuple(weights[a.bits] for a in algebra.atoms))
 
 
-@dataclass(frozen=True)
 class JordanReport:
-    jordan: bool | None
-    inner: object
-    outer: object
-    measure: object = None
-    witness: tuple = ()
+    """A Jordan verdict, its inner/outer bracket and, when Jordan, a
+    sandwich witness ``A <= E <= B``.
+
+    A report from :func:`is_jordan` on boxes builds its witness when
+    ``witness`` is first read; ``witness_sizes`` gives the number of boxes
+    in ``A`` and ``B`` without building them.
+    """
+
+    def __init__(self, jordan: bool | None, inner, outer, measure=None, witness: tuple = ()):
+        self.jordan = jordan
+        self.inner = inner
+        self.outer = outer
+        self.measure = measure
+        self._witness = witness
+        self._sizes = None
+
+    @classmethod
+    def _deferred(cls, inner, outer, measure, witness, sizes: tuple[int, int]) -> JordanReport:
+        """A Jordan report whose witness the call ``witness()`` returns, on
+        first access; ``sizes`` are its box counts."""
+        report = cls(True, inner, outer, measure)
+        report._witness = witness
+        report._sizes = sizes
+        return report
+
+    @property
+    def witness(self) -> tuple:
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
+
+    @property
+    def witness_sizes(self) -> tuple[int, ...]:
+        """The number of boxes of each witness set of a box-backend
+        report, ``()`` when there is no witness."""
+        if self._sizes is None:
+            self._sizes = tuple(len(w.boxes) for w in self.witness)
+        return self._sizes
 
     @property
     def bracket(self):
         return (self.inner, self.outer)
+
+    def _key(self):
+        return (self.jordan, self.inner, self.outer, self.measure, self.witness)
+
+    def __eq__(self, other):
+        if not isinstance(other, JordanReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"JordanReport(jordan={self.jordan!r}, inner={self.inner!r}, outer={self.outer!r}, "
+                f"measure={self.measure!r}, witness={self.witness!r})")
 
 
 def _finite_measure_pair(E: SetElem, fam: Fam) -> tuple[Fraction, Fraction]:
@@ -393,13 +440,17 @@ class MeasureBracket:
         self.converged = converged
         self.certified_diverged = certified_diverged
         self._cells = (tuple(inner_cells), tuple(straddle_cells))
+        #: ``(len(inner_cells), len(straddle_cells))``, known without the boxes
+        self.cell_counts = tuple(map(len, self._cells))
 
     @classmethod
-    def _deferred(cls, inner: Fraction, outer: Fraction, converged: bool, cells) -> MeasureBracket:
+    def _deferred(cls, inner: Fraction, outer: Fraction, converged: bool, cells,
+                  counts: tuple[int, int]) -> MeasureBracket:
         """A bracket whose ``(inner_cells, straddle_cells)`` the call
-        ``cells()`` returns, on first access."""
+        ``cells()`` returns, on first access; ``counts`` are their lengths."""
         bracket = cls(inner, outer, (), (), converged)
         bracket._cells = cells
+        bracket.cell_counts = counts
         return bracket
 
     def _witness(self) -> tuple[tuple[Box, ...], tuple[Box, ...]]:
@@ -514,7 +565,9 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
         straddle += boxes(depth + 1, itertools.islice(queue, remaining, None))
         return tuple(box for s, cells in enumerate(inner) for box in boxes(s, cells)), tuple(straddle)
 
-    return MeasureBracket._deferred(inner_vol, inner_vol + gap, gap < eps, witness)
+    # the queue holds every straddling cell, the ``remaining`` ones included
+    counts = (sum(map(len, inner)), len(queue))
+    return MeasureBracket._deferred(inner_vol, inner_vol + gap, gap < eps, witness, counts)
 
 
 def outer_measure(E, fam, epsilon=Fraction(1, 1024), budget: int = DEFAULT_BUDGET):
@@ -537,14 +590,17 @@ def is_jordan(E, fam, epsilon=Fraction(1, 1024), budget: int = DEFAULT_BUDGET) -
         return _finite_is_jordan(E, fam)
     bracket = measure_bracket(E, fam, epsilon, budget)
     if bracket.converged:
-        A = BoxElem.from_disjoint(bracket.inner_cells)
-        B = BoxElem.from_disjoint(bracket.inner_cells + bracket.straddle_cells)
-        return JordanReport(
-            jordan=True,
-            inner=bracket.inner,
-            outer=bracket.outer,
-            measure=(bracket.inner + bracket.outer) / 2,
-            witness=(A, B),
+        def witness():
+            A = BoxElem.from_disjoint(bracket.inner_cells)
+            B = BoxElem.from_disjoint(bracket.inner_cells + bracket.straddle_cells)
+            return A, B
+
+        # from_disjoint keeps every cell of positive volume and drops the
+        # rest; the cells have zero volume exactly when the bounding box does
+        n_inner, n_straddle = bracket.cell_counts
+        sizes = (n_inner, n_inner + n_straddle) if fam.total else (0, 0)
+        return JordanReport._deferred(
+            bracket.inner, bracket.outer, (bracket.inner + bracket.outer) / 2, witness, sizes
         )
     if bracket.certified_diverged:
         return JordanReport(jordan=False, inner=bracket.inner, outer=bracket.outer)

@@ -191,6 +191,16 @@ def jsonable(value) -> Any:
 # -- function DSL -------------------------------------------------------
 
 
+def _form(data: dict, forms: tuple[str, ...], what: str):
+    """The form key of a DSL object and its value: the object's one key,
+    which must be one of ``forms`` (a second key would go unread)."""
+    if len(data) == 1:
+        ((key, spec),) = data.items()
+        if key in forms:
+            return key, spec
+    raise InputError(f"{what} object needs exactly one key, one of {', '.join(forms)}; got {list(data)}")
+
+
 def parse_region(data, dimension: int):
     if isinstance(data, str):
         if data == "dirichlet":
@@ -200,49 +210,44 @@ def parse_region(data, dimension: int):
         raise InputError(f"unknown named region {data!r}")
     if not isinstance(data, dict):
         raise InputError("region must be a name or an object")
-    if "halfplane" in data:
-        spec = data["halfplane"]
+    form, spec = _form(data, ("halfplane", "boxes", "union", "intersection", "complement"), "region")
+    if form == "halfplane":
         normal = [parse_rational(c) for c in spec["normal"]]
         if len(normal) != dimension:
             raise InputError(f"half-plane normal has {len(normal)} axes, the problem has {dimension}")
         return HalfPlaneRegion(normal, parse_rational(spec["offset"]))
-    if "boxes" in data:
-        boxes = [make_box(b) for b in data["boxes"]]
+    if form == "boxes":
+        boxes = [make_box(b) for b in spec]
         for box in boxes:
             if len(box) != dimension:
                 raise InputError(f"region box has {len(box)} axes, the problem has {dimension}")
         return BoxElem(boxes)
-    if "union" in data:
-        return RegionUnion(*(parse_region(r, dimension) for r in data["union"]))
-    if "intersection" in data:
-        return RegionIntersection(*(parse_region(r, dimension) for r in data["intersection"]))
-    if "complement" in data:
-        return RegionComplement(parse_region(data["complement"], dimension))
-    raise InputError("unknown region form")
+    if form == "union":
+        return RegionUnion(*(parse_region(r, dimension) for r in spec))
+    if form == "intersection":
+        return RegionIntersection(*(parse_region(r, dimension) for r in spec))
+    return RegionComplement(parse_region(spec, dimension))
 
 
 def parse_fn(data, dimension: int):
     """The shared function DSL: poly, piecewise, indicator, or table."""
     if not isinstance(data, dict):
         raise InputError("function must be an object")
-    if "poly" in data:
-        spec = data["poly"]
+    form, spec = _form(data, ("poly", "piecewise", "indicator"), "function")
+    if form == "poly":
         if isinstance(spec, dict):
             terms = {}
             for t in spec["terms"]:
                 add_term(terms, t["exps"], t["coeff"])
             return PolynomialFn(terms, dimension=dimension)
-        return PolynomialFn([float(c) for c in spec], dimension=dimension)
-    if "piecewise" in data:
-        spec = data["piecewise"]
-        pieces = [(make_box(p["box"]), float(p["value"])) for p in spec.get("pieces", [])]
+        return PolynomialFn(spec, dimension=dimension)
+    if form == "piecewise":
+        pieces = [(make_box(p["box"]), p["value"]) for p in spec.get("pieces", [])]
         for box, _ in pieces:
             if len(box) != dimension:
                 raise InputError(f"piecewise box has {len(box)} axes, the problem has {dimension}")
-        return PiecewiseConstantFn(pieces, default=float(spec.get("default", 0.0)))
-    if "indicator" in data:
-        return IndicatorFn(parse_region(data["indicator"], dimension))
-    raise InputError("function DSL needs poly, piecewise, or indicator")
+        return PiecewiseConstantFn(pieces, default=spec.get("default", 0.0))
+    return IndicatorFn(parse_region(spec, dimension))
 
 
 def parse_table(data, ground: GroundSet):

@@ -4,7 +4,9 @@ from fractions import Fraction
 from random import Random
 
 from famkit.boolalg import Algebra, GroundSet, Partition, SetElem
+from famkit.boxes import BoxElem, make_box
 from famkit.fam import Fam
+from famkit.functions import HalfPlaneRegion, RegionIntersection
 
 
 def random_subset(rng: Random, ground: GroundSet, nonempty: bool = False) -> SetElem:
@@ -79,3 +81,29 @@ def random_table(rng: Random, ground: GroundSet, max_denominator: int = 6, span:
         Fraction(rng.randint(-span * max_denominator, span * max_denominator), rng.randint(1, max_denominator))
         for _ in range(ground.size)
     ]
+
+
+def random_jordan_region(rng: Random):
+    """A half-plane, a union of up to two boxes on the 1/8 grid, or an
+    intersection of two half-planes, in the unit square."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        normal = [Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))]
+        if normal == [0, 0]:
+            normal[rng.randrange(2)] = Fraction(1)
+        offset = Fraction(rng.randint(-2, 4), rng.randint(1, 3))
+        return HalfPlaneRegion(normal, offset)
+    if kind == 1:
+        boxes = []
+        for _ in range(rng.randint(1, 2)):
+            x0, x1 = sorted(Fraction(rng.randint(0, 8), 8) for _ in range(2))
+            y0, y1 = sorted(Fraction(rng.randint(0, 8), 8) for _ in range(2))
+            if x0 < x1 and y0 < y1:
+                boxes.append(make_box([[x0, x1], [y0, y1]]))
+        if boxes:
+            return BoxElem(boxes)
+        return HalfPlaneRegion((1, 0), Fraction(1, 2))
+    return RegionIntersection(
+        HalfPlaneRegion((Fraction(rng.randint(1, 2)), Fraction(rng.randint(-1, 1))), Fraction(rng.randint(0, 2))),
+        HalfPlaneRegion((Fraction(-1), Fraction(rng.randint(-1, 1))), Fraction(rng.randint(0, 2), 3)),
+    )

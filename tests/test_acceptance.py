@@ -15,7 +15,7 @@ import pytest
 
 from famkit.approx import approx_uniform, uap_witness
 from famkit.boolalg import Algebra, GroundSet, Partition, SetElem, generate_algebra
-from famkit.boxes import BoxElem, VolumeFam, make_box
+from famkit.boxes import VolumeFam, make_box
 from famkit.cantor import cantor_integrate, clopen_measure, lebesgue_vitali_check
 from famkit.extend import (
     PartialAssignment,
@@ -48,7 +48,7 @@ from famkit.integrate import (
 )
 from famkit.oracle import fm_feasible, scan_order_condition, set_partitions
 
-from genutil import random_fam, random_partition, random_subset
+from genutil import random_fam, random_jordan_region, random_partition, random_subset
 
 
 @contextmanager
@@ -241,32 +241,9 @@ def test_criterion_6_quadrature():
         assert time.perf_counter() - started < 5.0
 
 
-def _random_jordan_region(rng):
-    kind = rng.randrange(3)
-    if kind == 0:
-        normal = [F(rng.randint(-2, 2)), F(rng.randint(-2, 2))]
-        if normal == [0, 0]:
-            normal[rng.randrange(2)] = F(1)
-        offset = F(rng.randint(-2, 4), rng.randint(1, 3))
-        return HalfPlaneRegion(normal, offset)
-    if kind == 1:
-        boxes = []
-        for _ in range(rng.randint(1, 2)):
-            x0, x1 = sorted(F(rng.randint(0, 8), 8) for _ in range(2))
-            y0, y1 = sorted(F(rng.randint(0, 8), 8) for _ in range(2))
-            if x0 < x1 and y0 < y1:
-                boxes.append(make_box([[x0, x1], [y0, y1]]))
-        if boxes:
-            return BoxElem(boxes)
-        return HalfPlaneRegion((1, 0), F(1, 2))
-    return RegionIntersection(
-        HalfPlaneRegion((F(rng.randint(1, 2)), F(rng.randint(-1, 1))), F(rng.randint(0, 2))),
-        HalfPlaneRegion((F(-1), F(rng.randint(-1, 1))), F(rng.randint(0, 2), 3)),
-    )
-
-
 def test_criterion_7_jordan_suite():
     with criterion(7, "triangle at 1e-4, dense fixture, and closure on 200 pairs"):
+        started = time.perf_counter()
         square = VolumeFam([[0, 1], [0, 1]])
         report = is_jordan(triangle_under_diagonal(), square, F(1, 10000))
         assert report.jordan
@@ -281,8 +258,8 @@ def test_criterion_7_jordan_suite():
         eps = F(1, 128)
         rng = Random(540)
         for _ in range(200):
-            a = _random_jordan_region(rng)
-            b = _random_jordan_region(rng)
+            a = random_jordan_region(rng)
+            b = random_jordan_region(rng)
             assert is_jordan(RegionUnion(a, b), square, eps).jordan
             assert is_jordan(RegionIntersection(a, b), square, eps).jordan
             assert is_jordan(RegionComplement(a), square, eps).jordan
@@ -294,6 +271,7 @@ def test_criterion_7_jordan_suite():
             m_right = is_jordan(right, square, eps).measure
             m_union = is_jordan(RegionUnion(left, right), square, eps).measure
             assert abs(m_union - (m_left + m_right)) <= 2 * eps
+        assert time.perf_counter() - started < 5.0
 
 
 def test_criterion_8_cantor_lebesgue_vitali():

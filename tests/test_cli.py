@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from famkit.boxes import BoxElem
 from famkit.cli import build_parser, main
 from famkit.lattice import DyadicLattice
 
@@ -237,6 +238,40 @@ class TestIntegrateCLI:
         assert proc.stdout == ""
         assert "must be finite" in proc.stderr
 
+    @pytest.mark.parametrize("fn", [
+        # the value key was ignored: the plain indicator integrated to 0.5
+        '{"indicator": {"halfplane": {"normal": [1], "offset": "1/2"}}, "value": 2}',
+        # the piecewise form was ignored beside the polynomial
+        '{"poly": [0, 1], "piecewise": {"pieces": [], "default": 5}}',
+        '{"indicator": {"complement": {"boxes": [[[0, 1]]]}, "union": []}}',
+        '{}',
+    ])
+    def test_fn_object_has_one_form_key(self, capsys, fn):
+        code, out, err = run(capsys, ["integrate", "--fn", fn, "--box", "[[0, 1]]", "--eps", "1e-3"])
+        assert code == 2
+        assert out == ""
+        assert "needs exactly one key" in err
+
+    @pytest.mark.parametrize("fn,value", [
+        ('{"poly": [0, "1/3"]}', 1 / 6),
+        ('{"poly": {"terms": [{"exps": [1], "coeff": "-2/3"}]}}', -1 / 3),
+        ('{"piecewise": {"pieces": [{"box": [[0, "1/2"]], "value": "2/3"}], "default": "-1/3"}}', 1 / 6),
+    ])
+    def test_rational_strings_accepted(self, capsys, fn, value):
+        code, out, _ = run(capsys, ["integrate", "--fn", fn, "--box", "[[0, 1]]", "--eps", "1e-3"])
+        assert code == 0
+        assert abs(json.loads(out)["value"] - value) <= 1e-3
+
+    @pytest.mark.parametrize("coeff,message", [
+        ('"1/0"', "numbers or"), ('"one"', "numbers or"), ('"1%s/3"' % ("0" * 400), "must be finite"),
+    ])
+    def test_bad_rational_strings_rejected(self, capsys, coeff, message):
+        fn = '{"poly": [0, %s]}' % coeff
+        code, out, err = run(capsys, ["integrate", "--fn", fn, "--box", "[[0, 1]]", "--eps", "1e-3"])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_undecided_exit_code(self, capsys):
         code, out, _ = run(
             capsys,
@@ -280,6 +315,18 @@ class TestJordanMeasureCLI:
         assert out == ""
         assert "the problem has 2" in err
 
+    @pytest.mark.parametrize("region", [
+        {"halfplane": {"normal": [1, 0], "offset": "1/2"}, "boxes": [[[0, 1], [0, 1]]]},
+        {"union": ["triangle-xy"], "extra": 1},
+        {"complement": {"intersection": [], "offset": 0}},
+        {},
+    ])
+    def test_region_object_has_one_form_key(self, capsys, region):
+        code, out, err = run(capsys, ["measure", "--region", json.dumps(region), "--box", "[[0,1],[0,1]]"])
+        assert code == 2
+        assert out == ""
+        assert "needs exactly one key" in err
+
     def test_measure_finite(self, tmp_path, capsys):
         payload = {"fam": UNIFORM4, "set": [0, 2]}
         path = write_json(tmp_path, "m.json", payload)
@@ -302,6 +349,33 @@ class TestJordanMeasureCLI:
         )
         assert code == 0
         assert json.loads(out) == {"inner": "84041/262144", "outer": "91751/262144"}
+
+    @pytest.mark.parametrize("region,box,eps,counts", [
+        ('"triangle-xy"', "[[0, 1], [0, 1]]", "1/1000", (1997, 6042)),
+        ('{"halfplane": {"normal": [1, 2], "offset": "2/3"}}', "[[0, 1], [0, 1]]", "1/3000", (2426, 6147)),
+        # the dense fixture returns before any lattice cell: one straddling box
+        ('"dirichlet"', '[[0, "1/1000"]]', "1/8", (0, 1)),
+    ])
+    def test_jordan_builds_no_witness_boxes(self, capsys, monkeypatch, region, box, eps, counts):
+        # jordan prints only the witness box counts, so no cell becomes a box
+        def no_boxes(*args):
+            raise AssertionError("jordan built witness boxes")
+
+        monkeypatch.setattr(DyadicLattice, "boxes", no_boxes)
+        monkeypatch.setattr(BoxElem, "from_disjoint", no_boxes)
+        code, out, _ = run(capsys, ["jordan", "--region", region, "--box", box, "--eps", eps])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["witness_inner_boxes"], report["witness_outer_boxes"]) == counts
+
+    def test_unconverged_jordan_prints_no_counts(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["jordan", "--region", '"triangle-xy"', "--box", "[[0, 1], [0, 1]]", "--eps", "1/1000",
+             "--budget", "10"],
+        )
+        assert code == 4
+        assert json.loads(out) == {"inner": "5/16", "jordan": None, "measure": None, "outer": "13/16"}
 
 
 class TestCantorCLI:

@@ -428,6 +428,43 @@ class TestHalfPlaneClassify:
         assert vars(HalfPlaneRegion)["_classify_exact"] is vars(HalfPlaneRegion)["classify"]
 
 
+def _listed_verdict(region, box):
+    """The rule that classified every part of a union or an intersection
+    before deciding."""
+    if isinstance(region, RegionComplement):
+        return {IN: OUT, OUT: IN, STRADDLE: STRADDLE}[_listed_verdict(region.inner, box)]
+    if isinstance(region, (RegionUnion, RegionIntersection)):
+        results = [_listed_verdict(p, box) for p in region.parts]
+        if isinstance(region, RegionUnion):
+            return IN if IN in results else OUT if all(r == OUT for r in results) else STRADDLE
+        return IN if all(r == IN for r in results) else OUT if OUT in results else STRADDLE
+    return region.classify(box)
+
+
+_eighths = st.integers(-2, 10).map(lambda k: F(k, 8))
+_leaf_regions = st.one_of(
+    st.builds(HalfPlaneRegion, st.tuples(_eighths, _eighths), _eighths),
+    st.lists(st.tuples(_eighths, _eighths, _eighths, _eighths), min_size=1, max_size=2).map(
+        lambda corners: BoxElem([make_box([sorted((a, b)), sorted((c, d))]) for a, b, c, d in corners])),
+)
+_regions = st.recursive(_leaf_regions, lambda parts: st.one_of(
+    st.builds(RegionComplement, parts),
+    st.lists(parts, min_size=1, max_size=3).map(lambda ps: RegionUnion(*ps)),
+    st.lists(parts, min_size=1, max_size=3).map(lambda ps: RegionIntersection(*ps)),
+), max_leaves=6)
+
+
+class TestCombinedRegionClassify:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_regions, st.lists(_eighths, min_size=4, max_size=4))
+    def test_short_circuit_matches_listed_verdicts(self, region, corners):
+        x0, x1, y0, y1 = corners
+        box = ((min(x0, x1), max(x0, x1) + F(1, 16)), (min(y0, y1), max(y0, y1) + F(1, 16)))
+        assert region.classify(box) == _listed_verdict(region, box)
+        floats = tuple((float(lo), float(hi)) for lo, hi in box)
+        assert region.classify(floats) == _listed_verdict(region, floats)
+
+
 OFFGRID = VolumeFam([[F(1, 3), 2], [F(-1, 7), 1]])
 
 

@@ -8,6 +8,7 @@ gave: the same brackets and the same cells in the same order.
 import hashlib
 import heapq
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,18 @@ from famkit.functions import (
     RegionUnion,
     triangle_under_diagonal,
 )
-from famkit.integrate import MeasureBracket, inner_measure, is_jordan, measure_bracket, outer_measure
+from famkit.integrate import (
+    JordanReport,
+    MeasureBracket,
+    inner_measure,
+    integrate_simple,
+    is_jordan,
+    measure_bracket,
+    outer_measure,
+)
 from famkit.lattice import DyadicLattice, lattice_classifier
+
+from genutil import random_jordan_region
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 SQUARE = VolumeFam([[0, 1], [0, 1]])
@@ -227,6 +238,16 @@ PINNED_CELLS = {
 }
 
 
+# sha256 of repr(is_jordan(...)) and its hash, pinned while JordanReport was
+# a frozen dataclass that built its witness eagerly
+PINNED_REPORTS = {
+    "triangle-xy": ("9e79fde3c64f1181", 8348494000078085531),
+    "halfspace-3d": ("9ff578e7592d4a72", -7165032805495021789),
+    "halfplane-fine": ("1fee906523ffd22e", -4731182392852850587),
+    "triangle-1e-4": ("c5ee7d3602fabe9c", -3203770979701878008),
+}
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_brackets(name):
     region, fam, eps = FIXTURES[name]
@@ -237,13 +258,22 @@ def test_pinned_brackets(name):
     cells = repr((bracket.inner_cells, bracket.straddle_cells)).encode()
     assert hashlib.sha256(cells).hexdigest()[:16] == PINNED_CELLS[name]
     assert bracket.converged
-    if fam.dimension == 2:
-        report = is_jordan(region, fam, eps)
-        assert report.jordan
-        assert report.measure == (inner + outer) / 2
-        A, B = report.witness
-        assert (len(A.boxes), len(B.boxes)) == (n_inner, n_inner + n_straddle)
-        assert (A.volume, B.volume) == (inner, outer)
+    assert bracket.cell_counts == (n_inner, n_straddle)
+    report = is_jordan(region, fam, eps)
+    assert report.jordan
+    assert report.measure == (inner + outer) / 2
+    assert report.witness_sizes == (n_inner, n_inner + n_straddle)
+    A, B = report.witness
+    assert (len(A.boxes), len(B.boxes)) == (n_inner, n_inner + n_straddle)
+    assert (A.volume, B.volume) == (inner, outer)
+    assert report.witness is report.witness
+    eager = JordanReport(jordan=True, inner=inner, outer=outer, measure=(inner + outer) / 2,
+                         witness=(BoxElem.from_disjoint(bracket.inner_cells),
+                                  BoxElem.from_disjoint(bracket.inner_cells + bracket.straddle_cells)))
+    assert report == eager and hash(report) == hash(eager)
+    digest, value = PINNED_REPORTS[name]
+    assert hashlib.sha256(repr(report).encode()).hexdigest()[:16] == digest
+    assert hash(report) == value
 
 
 def test_measures_build_no_boxes(monkeypatch):
@@ -256,8 +286,59 @@ def test_measures_build_no_boxes(monkeypatch):
     assert (inner_measure(region, fam, eps), outer_measure(region, fam, eps)) == (inner, outer)
     bracket = measure_bracket(region, fam, eps)
     assert (bracket.gap, bracket.converged) == (outer - inner, True)
+    # a Jordan verdict builds its witness only when it is read
+    report = is_jordan(region, fam, eps)
+    assert report.witness_sizes == (2685, 2685 + 7807)
+    simple = integrate_simple([(region, 1)], fam, eps)
+    assert (simple.status, simple.lower, simple.upper) == ("integrable", inner, outer)
     with pytest.raises(AssertionError, match="built witness boxes"):
         bracket.inner_cells
+    with pytest.raises(AssertionError, match="built witness boxes"):
+        report.witness
+
+
+def assert_sizes_match_witness(report):
+    sizes = report.witness_sizes
+    A, B = report.witness
+    assert sizes == (len(A.boxes), len(B.boxes))
+
+
+FLAT = VolumeFam([[0, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("region,fam,counts,sizes", [
+    # on a flat box every cell is empty, and the witness drops empty boxes
+    (HalfPlaneRegion((1, 1), 5), FLAT, (1, 0), (0, 0)),
+    (HalfPlaneRegion((0, 1), F(1, 2)), FLAT, (0, 1), (0, 0)),
+    (DenseCodenseRegion(), FLAT, (0, 1), (0, 0)),
+    # the dense fixture's early return: one straddling cell, the box itself
+    (DenseCodenseRegion(), VolumeFam([[0, F(1, 1000)]]), (0, 1), (0, 1)),
+])
+def test_witness_sizes_without_lattice_boxes(region, fam, counts, sizes):
+    assert measure_bracket(region, fam, F(1, 8)).cell_counts == counts
+    report = is_jordan(region, fam, F(1, 8))
+    assert report.witness_sizes == sizes
+    assert_sizes_match_witness(report)
+
+
+def test_witness_sizes_on_criterion_7_pairs():
+    # the regions of acceptance criterion 7, drawn in the same order
+    rng = Random(540)
+    for _ in range(200):
+        a = random_jordan_region(rng)
+        b = random_jordan_region(rng)
+        knife = HalfPlaneRegion((1, 0), F(rng.randint(1, 3), 4))
+        left = RegionIntersection(a, knife)
+        right = RegionIntersection(b, RegionComplement(knife))
+        for region in (RegionUnion(a, b), RegionIntersection(a, b), RegionComplement(a),
+                       left, right, RegionUnion(left, right)):
+            assert_sizes_match_witness(is_jordan(region, SQUARE, F(1, 128)))
+
+
+def test_unconverged_report_has_no_witness():
+    report = is_jordan(triangle_under_diagonal(), SQUARE, F(1, 1000), budget=10)
+    assert report.jordan is None
+    assert (report.witness, report.witness_sizes) == ((), ())
 
 
 def test_witness_boxes_drop_empty_ones_and_sort():
