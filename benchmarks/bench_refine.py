@@ -3,9 +3,12 @@
 Runs the adaptive Darboux refinement on polynomial quadrature fixtures at
 matched tolerances, once with ``famkit._refine.refine_poly`` (numpy batches)
 and once with ``famkit._refine_py.refine_generic`` driving the scalar
-``poly_range`` (one cell per step), prints cells, wall time and the
-certified bracket for both, and checks that they split the same number of
-cells.
+``poly_range`` (one cell per step), prints cells, wall time, microseconds
+per cell and the certified bracket for both, and checks that they split the
+same number of cells.  The grid strategy runs x^2*y - y^3 at 1e-2 (65,536
+cells) once on numpy arrays (``famkit._refine.refine_grid``) and once with
+one scalar ``poly_range`` call per cell (``integrate._refine_grid``), and
+checks that the two agree bit for bit.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_refine.py [--full]
@@ -15,10 +18,14 @@ the heap reference takes about 12 s there.
 """
 
 import argparse
+import importlib
 import sys
 import time
 
 from famkit import _refine, _refine_py
+
+# famkit/__init__ rebinds the name ``famkit.integrate`` to the function
+integrate_module = importlib.import_module("famkit.integrate")
 
 FIXTURES = [
     ("x^2 on [0,1]", [(0,), (1,), (2,)], [0.0, 0.0, 1.0], [0.0], [1.0], [1e-3, 1e-4, 1e-5]),
@@ -47,14 +54,29 @@ def heap_refine(exps, coeffs, lo, hi, eps, budget):
     )
 
 
-ENGINES = {"batched": _refine.refine_poly, "heap": heap_refine}
+def scalar_grid(exps, coeffs, lo, hi, eps, budget):
+    return integrate_module._refine_grid(
+        lambda l, h: _refine_py.poly_range(exps, coeffs, l, h), lo, hi, eps, budget
+    )
+
+
+ENGINES = {"batched": _refine.refine_poly, "heap": heap_refine,
+           "grid": _refine.refine_grid, "grid-py": scalar_grid}
+GRID = ("x^2*y - y^3 on [0,1]^2", *FIXTURES[2][1:5], 1e-2)
+
+
+def bits(result):
+    lower, upper, cells, converged, trace = result
+    return lower.hex(), upper.hex(), cells, converged, [(n, gap.hex()) for n, gap in trace]
 
 
 def run(engine, name, exps, coeffs, lo, hi, eps, budget=4_000_000):
     started = time.perf_counter()
-    lower, upper, cells, converged, _ = ENGINES[engine](exps, coeffs, lo, hi, eps, budget)
+    result = ENGINES[engine](exps, coeffs, lo, hi, eps, budget)
     elapsed = time.perf_counter() - started
+    lower, upper, cells, converged, _ = result
     return {
+        "bits": bits(result),
         "fixture": name,
         "eps": eps,
         "engine": engine,
@@ -76,27 +98,34 @@ def main(argv=None):
     rows = []
     for name, exps, coeffs, lo, hi, tolerances in FIXTURES:
         for eps in tolerances:
-            batched, heap = (run(e, name, exps, coeffs, lo, hi, eps) for e in ENGINES)
+            batched, heap = (run(e, name, exps, coeffs, lo, hi, eps) for e in ("batched", "heap"))
             rows += [batched, heap]
             assert batched["cells"] == heap["cells"], (batched, heap)
             assert batched["converged"] == heap["converged"], (batched, heap)
+    grid, grid_py = (run(e, *GRID) for e in ("grid", "grid-py"))
+    rows += [grid, grid_py]
+    assert grid["cells"] == 65_536, grid
+    assert grid["bits"] == grid_py["bits"], (grid, grid_py)
     if args.full:
         rows.append(run("batched", "x^2 on [0,1]", *FIXTURES[0][1:5], 1e-6))
 
-    header = f"{'fixture':22} {'eps':>8} {'engine':>8} {'cells':>9} {'seconds':>9} {'bracket width':>14}"
+    header = (f"{'fixture':22} {'eps':>8} {'engine':>8} {'cells':>9} {'seconds':>9} "
+              f"{'us/cell':>8} {'bracket width':>14}")
     print(header)
     print("-" * len(header))
     seconds = {}
     for row in rows:
         print(
-            f"{row['fixture']:22} {row['eps']:>8.0e} {row['engine']:>8} "
-            f"{row['cells']:>9} {row['seconds']:>9.4f} {row['upper'] - row['lower']:>14.3e}"
+            f"{row['fixture']:22} {row['eps']:>8.0e} {row['engine']:>8} {row['cells']:>9} "
+            f"{row['seconds']:>9.4f} {1e6 * row['seconds'] / row['cells']:>8.2f} "
+            f"{row['upper'] - row['lower']:>14.3e}"
         )
         seconds.setdefault((row["fixture"], row["eps"]), {})[row["engine"]] = row["seconds"]
     print()
-    for (fixture, eps), pair in seconds.items():
-        if len(pair) == 2 and pair["batched"] > 0:
-            print(f"speedup {fixture} @ {eps:.0e}: {pair['heap'] / pair['batched']:.1f}x")
+    for (fixture, eps), times in seconds.items():
+        for fast, slow in (("batched", "heap"), ("grid", "grid-py")):
+            if fast in times and slow in times and times[fast] > 0:
+                print(f"speedup {fixture} @ {eps:.0e} ({fast}): {times[slow] / times[fast]:.1f}x")
     return 0
 
 

@@ -8,6 +8,18 @@ enclosure, so no child contributes more than its parent; the heap would
 therefore split every cell of such a batch before it could stop.  The
 batched loop splits those cells in far fewer Python steps.
 
+A round costs about what it splits, apart from a few contiguous passes over
+1-D arrays.  The contributions of the live cells stay in creation order
+(the printed trace sums them in that order), while each cell's corners stay
+in one row of a store: a split writes the left child over its parent and
+appends the right child.  The selection starts from the previous round's
+smallest pick: only the cells above it are sorted, the cells equal to it
+follow in creation order, and ``np.partition`` runs only when those fall
+short of the excess.
+
+``refine_grid`` is the ``grid`` strategy on the same cells: it splits every
+cell each round.
+
 numpy is imported inside the functions that use it, so that importing
 famkit (and every subcommand that integrates no polynomial) stays free of
 its start-up time and memory.
@@ -29,12 +41,39 @@ def backend_name() -> str:
     return "python"
 
 
-def _ipow(x, e: int):
-    # repeated multiplication from 1.0, as in the scalar _refine_py._ipow
-    r = 1.0
-    for _ in range(e):
-        r = r * x
-    return r
+def _power_ranges(exps, lo, hi):
+    """The enclosure ``(plo, phi)`` of ``x_d ** e`` for every axis ``d`` and
+    exponent ``e > 0`` of a term, keyed by ``(d, e)``.
+
+    The powers of an axis come from one chain of products, ``x``, ``x * x``,
+    ``x * x * x``, ...: the same floats as the scalar
+    ``_refine_py._ipow``, which multiplies from 1.0.
+    """
+    import numpy as np
+
+    wanted: dict[int, set[int]] = {}
+    for exp in exps:
+        for d, e in enumerate(exp):
+            if e:
+                wanted.setdefault(d, set()).add(e)
+    out = {}
+    for d, es in wanted.items():
+        x, y = lo[:, d], hi[:, d]
+        a, b = x, y
+        up = down = None
+        for e in range(1, max(es) + 1):
+            if e > 1:
+                a, b = a * x, b * y
+            if e not in es:
+                continue
+            if e % 2 == 1:
+                out[d, e] = a, b
+                continue
+            if up is None:
+                up, down = x >= 0.0, y <= 0.0
+            out[d, e] = (np.where(up, a, np.where(down, b, 0.0)),
+                         np.where(up, b, np.where(down, a, np.where(a > b, a, b))))
+    return out
 
 
 def poly_range_batch(exps: Sequence[Sequence[int]], coeffs: Sequence[float], lo, hi):
@@ -47,25 +86,24 @@ def poly_range_batch(exps: Sequence[Sequence[int]], coeffs: Sequence[float], lo,
     """
     import numpy as np
 
-    n = lo.shape[0]
-    rlo = np.zeros(n)
-    rhi = np.zeros(n)
+    powers = _power_ranges(exps, lo, hi)
+    rlo = np.zeros(lo.shape[0])
+    rhi = np.zeros(lo.shape[0])
     for exp, c in zip(exps, coeffs):
-        tlo = np.full(n, float(c))
-        thi = tlo
+        tlo = thi = float(c)
         for d, e in enumerate(exp):
             if not e:
                 continue
-            a, b = _ipow(lo[:, d], e), _ipow(hi[:, d], e)
-            if e % 2 == 1:
-                plo, phi = a, b
-            else:
-                up, down = lo[:, d] >= 0.0, hi[:, d] <= 0.0
-                plo = np.where(up, a, np.where(down, b, 0.0))
-                phi = np.where(up, b, np.where(down, a, np.where(a > b, a, b)))
-            products = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+            plo, phi = powers[d, e]
             # min() and max() keep the first of equal values, and so does
             # replacing only on a strict comparison
+            if tlo is thi:
+                # the four products are a, b, a, b
+                a, b = tlo * plo, tlo * phi
+                tlo = np.where(b < a, b, a)
+                thi = np.where(b > a, b, a)
+                continue
+            products = (tlo * plo, tlo * phi, thi * plo, thi * phi)
             tlo = thi = products[0]
             for p in products[1:]:
                 tlo = np.where(p < tlo, p, tlo)
@@ -75,21 +113,40 @@ def poly_range_batch(exps: Sequence[Sequence[int]], coeffs: Sequence[float], lo,
     return rlo, rhi
 
 
-def _cell_terms(exps, coeffs, lo, hi):
-    """Per cell: ``rlo * vol``, ``rhi * vol`` and ``(rhi - rlo) * vol``."""
+def _cell_terms(exps, coeffs, cells):
+    """Per cell (a row ``lo..., hi...``): ``rlo * vol``, ``rhi * vol`` and
+    ``(rhi - rlo) * vol``."""
     import numpy as np
 
+    dim = cells.shape[1] // 2
+    lo, hi = cells[:, :dim], cells[:, dim:]
     rlo, rhi = poly_range_batch(exps, coeffs, lo, hi)
-    vol = np.ones(lo.shape[0])
-    for d in range(lo.shape[1]):
+    vol = np.ones(len(cells))
+    for d in range(dim):
         vol = vol * (hi[:, d] - lo[:, d])
     return rlo * vol, rhi * vol, (rhi - rlo) * vol
 
 
-def _blocks(exps, coeffs, lo, hi):
+def _blocks(exps, coeffs, cells):
     """``_cell_terms`` over consecutive blocks of ``BLOCK`` rows."""
-    for start in range(0, len(lo), BLOCK):
-        yield _cell_terms(exps, coeffs, lo[start:start + BLOCK], hi[start:start + BLOCK])
+    for start in range(0, len(cells), BLOCK):
+        yield _cell_terms(exps, coeffs, cells[start:start + BLOCK])
+
+
+def _contributions(exps, coeffs, cells):
+    import numpy as np
+
+    return np.concatenate([terms[2] for terms in _blocks(exps, coeffs, cells)])
+
+
+def _sums(exps, coeffs, cells) -> tuple[float, float]:
+    """The exactly rounded lower and upper Darboux sums over ``cells``,
+    from one enclosure of each cell."""
+    lows, highs = [], []
+    for terms in _blocks(exps, coeffs, cells):
+        lows.append(terms[0])
+        highs.append(terms[1])
+    return _fsum(lows), _fsum(highs)
 
 
 def _fsum(arrays) -> float:
@@ -98,28 +155,54 @@ def _fsum(arrays) -> float:
     return math.fsum(itertools.chain.from_iterable(map(memoryview, arrays)))
 
 
-def _largest_first(contrib, excess, limit, guess):
+def _halves(cells):
+    """The two halves of each cell, left then right, split at the midpoint
+    of its widest axis (lowest axis index on ties) as
+    ``_refine_py.split_widest`` splits it."""
+    import numpy as np
+
+    dim = cells.shape[1] // 2
+    rows = np.arange(len(cells))
+    axis = np.argmax(cells[:, dim:] - cells[:, :dim], axis=1)
+    mid = 0.5 * (cells[rows, axis] + cells[rows, dim + axis])
+    children = np.repeat(cells, 2, axis=0)
+    children[2 * rows, dim + axis] = mid
+    children[2 * rows + 1, axis] = mid
+    return children
+
+
+def _largest_first(contrib, excess, limit, guess, start=math.inf):
     """The fewest largest cells (earliest first among equal contributions)
     whose contributions add up to at least ``excess``, at most ``limit`` of
     them, with the running sums of their contributions.
 
-    Only the cells at or above the ``guess``-th largest contribution are
-    sorted; the guess grows until they add up to the excess.
+    The candidates are every cell at or above a threshold, which starts at
+    ``start``: only the cells above it are sorted, and the cells equal to it
+    follow in creation order, as ``nonzero`` returns them.  While the
+    candidates fall short of the excess, the threshold drops to the
+    ``m``-th largest contribution, ``m`` growing fourfold from ``guess``.
     """
     import numpy as np
 
     n = len(contrib)
+    threshold = start
     m = max(guess, 1)
     while True:
-        if m < n:
-            cand = np.flatnonzero(contrib >= np.partition(contrib, n - m)[n - m])
-            cand = cand[np.argsort(-contrib[cand], kind="stable")]
-        else:
-            cand = np.argsort(-contrib, kind="stable")
+        above = (contrib > threshold).nonzero()[0]
+        cand = np.concatenate((above[np.argsort(-contrib[above], kind="stable")],
+                               (contrib == threshold).nonzero()[0]))
         sums = np.cumsum(contrib[cand])
-        if m >= n or len(cand) >= limit or (len(cand) and sums[-1] >= excess):
+        if len(cand) >= limit or (len(cand) and sums[-1] >= excess):
             break
-        m *= 4
+        while m <= len(cand):
+            m *= 4
+        lower = np.partition(contrib, n - m)[n - m] if m < n else math.nan
+        if not lower < threshold:
+            # the cut lies among the last cells, or a NaN does not compare
+            cand = np.argsort(-contrib, kind="stable")
+            sums = np.cumsum(contrib[cand])
+            break
+        threshold = lower
     k = min(int(np.searchsorted(sums, excess)) + 1, len(cand), limit)
     return cand[:k], sums
 
@@ -147,52 +230,95 @@ def refine_poly(
     """
     import numpy as np
 
-    # cells are kept in creation order, so a stable sort breaks ties as the
-    # heap's cell ids do; besides its corners a cell stores only its
-    # contribution, and the sum terms are recomputed for the cells left
-    lo = np.array([lo0], dtype=float)
-    hi = np.array([hi0], dtype=float)
-    contrib = _cell_terms(exps, coeffs, lo, hi)[2]
+    # the live cells in creation order, so that a stable sort breaks ties
+    # as the heap's cell ids do: their contributions, and the rows of their
+    # corners ``lo..., hi...`` in ``store``.  A split cell's left child
+    # takes over its row and the right child gets the next free one, so a
+    # round moves the corners of the split cells only; the sum terms are
+    # recomputed at the end, once, for the cells left
+    store = np.array([[*lo0, *hi0]], dtype=float)
+    rows = np.zeros(1, dtype=np.intp)
+    contrib = _contributions(exps, coeffs, store)
     trace = [(1, float(contrib[0]))]
     next_trace = 2
     guess = 1
+    threshold = math.inf
     converged = False
     while True:
         n = len(contrib)
         gap = float(contrib.sum())
+        exact = None
         if gap < eps:
-            gap = _fsum([contrib])
+            exact = gap = _fsum([contrib])
             if gap < eps:
                 converged = True
                 break
         if n >= max_cells:
             break
-        picked, split_sums = _largest_first(contrib, gap - eps, max_cells - n, 2 * guess)
+        picked, split_sums = _largest_first(contrib, gap - eps, max_cells - n, 2 * guess, threshold)
         k = guess = len(picked)
+        # contributions never grow when a cell is split, so the last pick
+        # is where the next round's selection starts
+        threshold = contrib[picked[-1]]
 
         # each parent becomes its left child and then its right child, in
         # the order in which the heap numbers them
-        twice = np.repeat(picked, 2)
-        clo, chi = lo[twice], hi[twice]
-        left = np.arange(0, 2 * k, 2)
-        axis = np.argmax(chi[left] - clo[left], axis=1)
-        mid = 0.5 * (clo[left, axis] + chi[left, axis])
-        chi[left, axis] = mid
-        clo[left + 1, axis] = mid
-        ccontrib = np.concatenate([terms[2] for terms in _blocks(exps, coeffs, clo, chi)])
+        parents = rows[picked]
+        children = _halves(store[parents])
+        ccontrib = _contributions(exps, coeffs, children)
 
         while next_trace <= n + k:
             j = next_trace - n
             trace.append((next_trace, gap - float(split_sums[j - 1]) + float(ccontrib[: 2 * j].sum())))
             next_trace *= 2
 
+        if n + k > len(store):
+            grown = np.empty((min(max(2 * len(store), n + k), max_cells), store.shape[1]))
+            grown[:n] = store[:n]
+            store = grown
+        crows = np.empty(2 * k, dtype=np.intp)
+        crows[0::2] = parents
+        crows[1::2] = np.arange(n, n + k)
+        store[crows] = children
         keep = np.ones(n, dtype=bool)
         keep[picked] = False
-        lo = np.concatenate((lo[keep], clo))
-        hi = np.concatenate((hi[keep], chi))
+        rows = np.concatenate((rows[keep], crows))
         contrib = np.concatenate((contrib[keep], ccontrib))
 
-    trace.append((len(contrib), _fsum([contrib])))
-    lower = _fsum(terms[0] for terms in _blocks(exps, coeffs, lo, hi))
-    upper = _fsum(terms[1] for terms in _blocks(exps, coeffs, lo, hi))
-    return lower, upper, len(contrib), converged, trace
+    n = len(contrib)
+    trace.append((n, _fsum([contrib]) if exact is None else exact))
+    # exactly rounded sums do not depend on the order of the cells
+    lower, upper = _sums(exps, coeffs, store[:n])
+    return lower, upper, n, converged, trace
+
+
+def refine_grid(
+    exps: Sequence[Sequence[int]],
+    coeffs: Sequence[float],
+    lo0: Sequence[float],
+    hi0: Sequence[float],
+    eps: float,
+    max_cells: int,
+) -> tuple[float, float, int, bool, list[tuple[int, float]]]:
+    """Uniform dyadic refinement of a polynomial: split every cell each
+    round, until the gap ``upper - lower`` is below ``eps`` or another
+    round would pass ``max_cells``.
+
+    The cells are the float cells of ``integrate._refine_grid``'s scalar
+    rounds, and the exactly rounded sums do not depend on their order, so
+    the results are bit-identical to it.  Returns ``(lower, upper, ncells,
+    converged, trace)``, the trace holding ``(ncells, gap)`` every round.
+    """
+    import numpy as np
+
+    cells = np.array([[*lo0, *hi0]], dtype=float)
+    trace = []
+    while True:
+        lower, upper = _sums(exps, coeffs, cells)
+        gap = upper - lower
+        trace.append((len(cells), gap))
+        if gap < eps:
+            return lower, upper, len(cells), True, trace
+        if len(cells) * 2 > max_cells:
+            return lower, upper, len(cells), False, trace
+        cells = _halves(cells)

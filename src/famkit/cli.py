@@ -76,6 +76,17 @@ STATUS_EXIT = {
 }
 
 
+def _cell_budget(text: str) -> int:
+    """``--budget``: a cell count, so at least 1."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {budget}")
+    return budget
+
+
 def _load(args) -> dict:
     if args.infile in (None, "-"):
         text = sys.stdin.read()
@@ -394,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", default=None, help="problem file (JSON), - for stdin")
         p.add_argument("--eps", default=None, help="tolerance (rational or decimal string)")
         p.add_argument("--depth", type=int, default=None, help="cylinder depth budget")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="cell budget")
+        p.add_argument("--budget", type=_cell_budget, default=DEFAULT_BUDGET, help="cell budget (at least 1)")
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--seed", type=int, default=None,
                        help="reserved for randomized test generators; solver paths ignore it")

@@ -316,8 +316,15 @@ def box_infsum(fn, cells, fam: VolumeFam) -> float:
     return math.fsum(fn.range_on(c)[0] * float(box_volume(c)) for c in cells)
 
 
-def _refine_grid(range_fn, lo0, hi0, eps, max_cells):
-    """Uniform dyadic refinement: split every cell each round."""
+def _refine_grid(range_fn, lo0, hi0, eps, max_cells, poly=None):
+    """Uniform dyadic refinement: split every cell each round.
+
+    ``poly``, a polynomial's ``(exps, coeffs)``, runs the rounds over numpy
+    arrays in ``_refine.refine_grid``, with the same results; any other
+    oracle gets one ``range_fn`` call per cell, and numpy stays unloaded.
+    """
+    if poly is not None:
+        return _refine.refine_grid(*poly, lo0, hi0, eps, max_cells)
     cells = [(list(lo0), list(hi0))]
     trace = []
     while True:
@@ -376,7 +383,8 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
                 range_fn, lo0, hi0, eps, budget
             )
     elif strategy == "grid":
-        lower, upper, ncells, converged, trace = _refine_grid(range_fn, lo0, hi0, eps, budget)
+        poly = (fn.exps, fn.coeffs) if isinstance(fn, PolynomialFn) else None
+        lower, upper, ncells, converged, trace = _refine_grid(range_fn, lo0, hi0, eps, budget, poly)
     else:
         raise InputError(f"unknown strategy {strategy!r}")
     if converged:

@@ -411,6 +411,23 @@ class TestErrorPaths:
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("command, payload", [
+        ("measure", {"region": "triangle-xy", "box": [[0, 1], [0, 1]], "epsilon": "1/64"}),
+        ("integrate", {"fn": {"poly": [0, 0, 1]}, "box": [[0, 1]], "epsilon": "1e-3"}),
+        ("jordan", {"region": "triangle-xy", "box": [[0, 1], [0, 1]], "epsilon": "1/64"}),
+    ])
+    @pytest.mark.parametrize("budget", ["-5", "0", "two"])
+    def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, command, payload, budget):
+        path = write_json(tmp_path, "p.json", payload)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--in", path, "--budget", budget])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--budget" in err
+        code, _, _ = run(capsys, [command, "--in", path, "--budget", "1"])
+        assert code in (0, 4)
+
     def test_missing_file(self, capsys):
         code = main(["classify", "--in", "/nonexistent/really.json"])
         assert code == 2
@@ -500,6 +517,28 @@ class TestLazyNumpy:
         proc = famkit_process(["-c", script, indicator, poly], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[False, False, True]"
+
+    def test_grid_leaves_numpy_unloaded_without_a_polynomial(self, tmp_path):
+        # the grid strategy runs polynomials on numpy arrays, other oracles
+        # one cell at a time
+        indicator = write_json(tmp_path, "ind.json", {
+            "fn": {"indicator": "triangle-xy"}, "box": [[0, 1], [0, 1]], "epsilon": "1e-1",
+            "strategy": "grid"})
+        poly = write_json(tmp_path, "poly.json", {
+            "fn": {"poly": [0, 0, 1]}, "box": [[0, 1]], "epsilon": "1e-2", "strategy": "grid"})
+        script = (
+            "import contextlib, io, sys\n"
+            "import famkit.cli\n"
+            "seen = []\n"
+            "for path in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert famkit.cli.main(['integrate', '--in', path]) == 0\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "print(seen)\n"
+        )
+        proc = famkit_process(["-c", script, indicator, poly], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[False, True]"
 
     def test_brackets_and_cantor_leave_numpy_unloaded(self, tmp_path):
         # the regions benchmark runs only these subcommands; numpy would add

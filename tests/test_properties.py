@@ -1,6 +1,7 @@
 """Structural property suites: hypothesis-driven laws plus exhaustive
 small-scale checks."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction as F
@@ -526,6 +527,107 @@ class TestBatchedRefinement:
             assert sums[len(picked) - 1] == 106.0
         picked, _ = _largest_first(contrib, 105.5, 50, 1)
         assert picked.tolist() == [7, 4000, *range(7), *range(8, 49)]
+
+        # a block of 15k equal contributions, with cells above and below it;
+        # the selection ends inside the block from any starting threshold
+        contrib = np.ones(20_000)
+        contrib[1::20] = 3.0
+        contrib[5::10] = 2.0
+        contrib[3::20] = 0.5
+        contrib[9::20] = 0.25
+        assert np.count_nonzero(contrib == 1.0) == 15_000
+        above = [*range(1, 20_000, 20), *range(5, 20_000, 10)]
+        ties = np.flatnonzero(contrib == 1.0).tolist()
+        for start in (math.inf, 4.0, 3.0, 2.5, 2.0, 1.0, 0.75, 0.5, 0.25, 0.0):
+            for guess in (1, 64, 20_000):
+                picked, sums = _largest_first(contrib, 14_000.5, 30_000, guess, start)
+                assert picked.tolist() == above + ties[:7_001], (start, guess)
+                assert sums[len(picked) - 1] == 14_001.0
+                picked, _ = _largest_first(contrib, 14_000.5, 9_000, guess, start)
+                assert picked.tolist() == above + ties[:6_000], (start, guess)
+
+    def test_selection_matches_a_full_sort(self):
+        import numpy as np
+
+        from famkit._refine import _largest_first
+
+        rng = Random(23)
+        for _ in range(300):
+            n = rng.randint(1, 400)
+            values = [rng.randint(0, 12) / 4 for _ in range(rng.randint(1, 6))]
+            contrib = np.array([rng.choice(values) for _ in range(n)])
+            total = float(contrib.sum())
+            excess = rng.uniform(0, 1.1 * total)
+            limit = rng.randint(1, n + 5)
+            order = np.argsort(-contrib, kind="stable")
+            full = np.cumsum(contrib[order])
+            k = min(int(np.searchsorted(full, excess)) + 1, n, limit)
+            start = rng.choice([math.inf, -1.0, *values, rng.uniform(0, 3)])
+            picked, sums = _largest_first(contrib, excess, limit, rng.randint(1, 2 * n), start)
+            assert picked.tolist() == order[:k].tolist()
+            assert [x.hex() for x in sums[:k].tolist()] == [x.hex() for x in full[:k].tolist()]
+
+    # float.hex of lower and upper, the cell count, convergence and a digest
+    # of the printed trace, pinned from the engine that gathered its cells
+    # with boolean masks every round
+    PINS = [
+        ("0x1.fcccd00000000p-1", "0x1.0199980000000p+0", 29492, True,
+         "c40fba4bba3f7b75ce9c694bf99025bd4a5bffc486131465a4601f762a41395f"),
+        ("-0x1.6ff59bca80000p-4", "-0x1.3ab6413af0000p-4", 21489, True,
+         "f26b049e6c8bbbbae3ece6ce6d7b2fb10ae41e2f80351168ddbb98e2ac2a7c7b"),
+        ("0x1.cedac37000000p-4", "0x1.1aa0830000000p-3", 23474, True,
+         "5ab784c6dca5396a24c3265fea59ca5d1146aebc244093dee7fc0108dea4bf45"),
+        ("0x1.55483a6bd1000p-2", "0x1.55627133d5000p-2", 9387, True,
+         "c373bdee36df8f628f4db822e00172f174d724d3f6339b814f2734a59eff8000"),
+    ]
+    BUDGET_PINS = [
+        (([(0,), (2,)], [1.0, 1.0], [0.0], [1.0], 1e-9, 777),
+         ("0x1.552de95400000p+0", "0x1.557cce6400000p+0", 777, False,
+          "33e9e22995f69808bfaed190bb37256293db6d1a179963f6973b1286d62d4f30")),
+        (([(2, 1), (0, 3)], [1.0, -1.0], [-0.5, -0.25], [0.75, 1.0], 1e-3, 20_000),
+         ("-0x1.e0cf469088800p-3", "-0x1.bc4154d984a80p-3", 20000, False,
+          "d3aa12ced5089fa64941e06cbb5a3573ee4409091d3986423e27f3aa4e7946c6")),
+    ]
+
+    @staticmethod
+    def _pin(result):
+        lower, upper, cells, converged, trace = result
+        digest = hashlib.sha256(repr(tuple((n, gap.hex()) for n, gap in trace)).encode()).hexdigest()
+        return lower.hex(), upper.hex(), cells, converged, digest
+
+    def test_heavy_fixtures_pinned(self):
+        from famkit._refine import refine_poly
+
+        for fixture, pinned in zip(self.HEAVY, self.PINS):
+            assert self._pin(refine_poly(*fixture, 2_000_000)) == pinned, fixture
+        for args, pinned in self.BUDGET_PINS:
+            assert self._pin(refine_poly(*args)) == pinned, args
+
+    @SETTINGS
+    @given(dyadic_polynomials(), st.booleans())
+    def test_grid_matches_the_scalar_grid(self, case, offgrid):
+        import importlib
+
+        from famkit._refine import refine_grid
+        from famkit._refine_py import poly_range
+
+        integrate_module = importlib.import_module("famkit.integrate")
+        exps, coeffs, lo, hi, tightness = case
+        if offgrid:
+            # corners off the dyadic grid, so midpoints and widths round
+            lo = [x + 1 / 3 for x in lo]
+            hi = [x + 2 / 7 for x in hi]
+        rlo, rhi = poly_range(exps, coeffs, lo, hi)
+        gap0 = (rhi - rlo) * math.prod(h - l for l, h in zip(lo, hi))
+        eps = gap0 * 10 ** (-tightness / len(lo)) if gap0 > 0 else 1e-3
+        scalar = integrate_module._refine_grid(lambda l, h: poly_range(exps, coeffs, l, h), lo, hi, eps, 4096)
+        batched = refine_grid(exps, coeffs, lo, hi, eps, 4096)
+
+        def bits(result):
+            lower, upper, cells, converged, trace = result
+            return lower.hex(), upper.hex(), cells, converged, [(n, gap.hex()) for n, gap in trace]
+
+        assert bits(batched) == bits(scalar)
 
     def test_budget_stops_at_exactly_max_cells(self):
         from famkit._refine import refine_poly
