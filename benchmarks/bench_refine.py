@@ -6,7 +6,8 @@ and once with ``famkit._refine_py.refine_generic`` driving the scalar
 ``poly_range`` (one cell per step), prints cells, wall time, microseconds
 per cell and the certified bracket for both, and checks that they split the
 same number of cells.  The grid strategy runs x^2*y - y^3 at 1e-2 (65,536
-cells) once on numpy arrays (``famkit._refine.refine_grid``) and once with
+cells) through the uniform loop ``famkit._refine_py.refine_uniform``, once
+on numpy arrays (``famkit._refine.refine_grid``) and once on lists with
 one scalar ``poly_range`` call per cell (``integrate._refine_grid``), and
 checks that the two agree bit for bit.
 

@@ -17,8 +17,9 @@ smallest pick: only the cells above it are sorted, the cells equal to it
 follow in creation order, and ``np.partition`` runs only when those fall
 short of the excess.
 
-``refine_grid`` is the ``grid`` strategy on the same cells: it splits every
-cell each round.
+``refine_grid`` is the ``grid`` strategy on the same cells: it hands
+``_sums`` and ``_halves`` to the uniform loop ``_refine_py.refine_uniform``,
+which splits every cell each round.
 
 numpy is imported inside the functions that use it, so that importing
 famkit (and every subcommand that integrates no polynomial) stays free of
@@ -30,6 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Sequence
+
+from ._refine_py import refine_uniform
 
 # cells per vectorized pass over cell terms; about a dozen temporaries of
 # this length are alive at once, so it bounds their memory
@@ -300,25 +303,14 @@ def refine_grid(
     eps: float,
     max_cells: int,
 ) -> tuple[float, float, int, bool, list[tuple[int, float]]]:
-    """Uniform dyadic refinement of a polynomial: split every cell each
-    round, until the gap ``upper - lower`` is below ``eps`` or another
-    round would pass ``max_cells``.
+    """Uniform dyadic refinement of a polynomial by
+    ``_refine_py.refine_uniform``, its cells the rows of one array.
 
     The cells are the float cells of ``integrate._refine_grid``'s scalar
     rounds, and the exactly rounded sums do not depend on their order, so
-    the results are bit-identical to it.  Returns ``(lower, upper, ncells,
-    converged, trace)``, the trace holding ``(ncells, gap)`` every round.
+    the results are bit-identical to it.
     """
     import numpy as np
 
-    cells = np.array([[*lo0, *hi0]], dtype=float)
-    trace = []
-    while True:
-        lower, upper = _sums(exps, coeffs, cells)
-        gap = upper - lower
-        trace.append((len(cells), gap))
-        if gap < eps:
-            return lower, upper, len(cells), True, trace
-        if len(cells) * 2 > max_cells:
-            return lower, upper, len(cells), False, trace
-        cells = _halves(cells)
+    return refine_uniform(lambda cells: _sums(exps, coeffs, cells), _halves,
+                          np.array([[*lo0, *hi0]], dtype=float), eps, max_cells)

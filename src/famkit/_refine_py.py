@@ -6,6 +6,10 @@ widest axis (lowest axis index on ties).  It serves the scalar oracles
 (indicators, restrictions, piecewise-constant and Lipschitz functions) and
 is the reference that the batched polynomial engine in ``famkit._refine``
 is tested against.
+
+``refine_uniform`` splits every cell each round instead: the ``grid``
+strategy runs it on lists and on numpy rows of float cells, and Cantor
+integrals on cylinder depths.
 """
 
 from __future__ import annotations
@@ -138,3 +142,23 @@ def refine_generic(
     upper = math.fsum(c[5] * c[6] for c in heap)
     trace.append((len(heap), certified_gap()))
     return lower, upper, len(heap), converged, trace
+
+
+def refine_uniform(sums, split, cells, eps: float, max_cells: int):
+    """Split every cell each round, starting from one, until the gap of
+    ``sums(cells)``, a ``(lower, upper)`` pair, is below ``eps`` or the next
+    ``split(cells)``, twice as many, would pass ``max_cells``.  Returns
+    ``(lower, upper, ncells, converged, trace)``, with ``(ncells, gap)``
+    traced every round."""
+    ncells = 1
+    trace = []
+    while True:
+        lower, upper = sums(cells)
+        gap = upper - lower
+        trace.append((ncells, gap))
+        if gap < eps:
+            return lower, upper, ncells, True, trace
+        if 2 * ncells > max_cells:
+            return lower, upper, ncells, False, trace
+        cells = split(cells)
+        ncells *= 2

@@ -125,7 +125,11 @@ class BoxElem:
         )
 
     def classify(self, cell: Box) -> int:
-        """IN / OUT / STRADDLE for a probe cell (conservative on unions)."""
+        """IN / OUT / STRADDLE for a probe cell (conservative on unions).
+
+        Float bounds count at their exact values, so no rounding of the
+        covered volume can hide a sliver of the cell that lies outside."""
+        cell = tuple((Fraction(lo), Fraction(hi)) for lo, hi in cell)
         covered = Fraction(0)
         vol = box_volume(cell)
         for b in self.boxes:

@@ -13,15 +13,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import islice
 from operator import add, mul
 from typing import Iterable, Iterator
 
+from ._refine_py import refine_uniform
 from .boxes import IN, OUT, BoxElem
 from .errors import CapExceededError, InputError
 from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn
-from .integrate import INTEGRABLE, NOT_INTEGRABLE, UNDECIDED, IntegralReport
+from .integrate import INTEGRABLE, NOT_INTEGRABLE, UNDECIDED, IntegralReport, _darboux_report, _exact_eps, _float_eps
 from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_DEPTH_BUDGET = 20
@@ -260,35 +261,15 @@ def cantor_integrate(
 
     Uniform-depth cylinder partitions keep the cells aligned with dyadic
     interval grids, so sup/inf on a cylinder are ``g``'s range over its
-    interval image; the stopping contract matches :func:`famkit.integrate.integrate`.
+    interval image.  A depth stands for its ``2**depth`` cylinders in the
+    grid strategy's loop, and the verdict is the box backend's.
     """
-    eps = float(Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon))
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
+    eps = _float_eps(epsilon)
     _check_depth(depth_budget)
-    floor = float(getattr(g, "oscillation_floor", 0.0))
-    trace = []
-    if floor >= eps:
-        rlo, rhi = g.range_on(UNIT)
-        return IntegralReport(
-            status=NOT_INTEGRABLE, lower=rlo, upper=rhi,
-            epsilon=eps, trace=((1, rhi - rlo),), backend="cantor",
-        )
-    lower = upper = 0.0
-    for depth in range(depth_budget + 1):
-        lower, upper = _depth_sums(g, depth)
-        trace.append((2 ** depth, upper - lower))
-        if upper - lower < eps:
-            return IntegralReport(
-                status=INTEGRABLE, lower=lower, upper=upper,
-                value=0.5 * (lower + upper), epsilon=eps,
-                trace=tuple(trace), backend="cantor",
-            )
-    status = NOT_INTEGRABLE if floor > 0.0 else UNDECIDED
-    return IntegralReport(
-        status=status, lower=lower, upper=upper, epsilon=eps,
-        trace=tuple(trace), backend="cantor",
-    )
+    # _depth_sums is looked up at each depth, where a wrapper around it sees every call
+    refine = partial(refine_uniform, lambda depth: _depth_sums(g, depth), lambda depth: depth + 1,
+                     0, eps, 2 ** depth_budget)
+    return _darboux_report(g, UNIT, Fraction(1), eps, refine, "cantor")
 
 
 @dataclass(frozen=True)
@@ -340,9 +321,7 @@ def lebesgue_vitali_check(
     All thresholds share one sweep per depth.  Cylinders of one depth are
     disjoint, so a cover's measure is its cylinder count over ``2**depth``.
     """
-    eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
+    eps = _exact_eps(epsilon)
     _check_depth(depth_budget)
     floor = float(getattr(g, "oscillation_floor", 0.0))
     thresholds = [Fraction(1, 2 ** k) for k in range(1, threshold_levels + 1)]

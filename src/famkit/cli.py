@@ -343,7 +343,7 @@ def _cmd_cantor(args) -> int:
     data = _load(args) if args.infile else {}
     fn_spec = json.loads(args.fn) if args.fn else data["fn"]
     fn = parse_fn(fn_spec, 1)
-    op = data.get("op", args.op)
+    op = args.op if args.op is not None else data.get("op", "integrate")
     depth = args.depth if args.depth is not None else int(data.get("depth", DEFAULT_DEPTH_BUDGET))
     eps = args.eps or data.get("epsilon", "1e-4")
     if op == "integrate":
@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fn", default=None, help="function DSL (JSON)")
         p.add_argument("--box", default=None, help="bounding box (JSON)")
         p.add_argument("--region", default=None, help="region DSL (JSON)")
-        p.add_argument("--op", default="integrate", help="cantor operation: integrate|vitali|cover")
+        p.add_argument("--op", default=None,
+                       help="cantor operation: integrate|vitali|cover (default: the file's op, else integrate)")
     return parser
 
 

@@ -291,9 +291,18 @@ def xi_star_converges(seq, f, fam: Fam, eps_grid) -> XiStarReport:
 # -- box backend -------------------------------------------------------
 
 
-def _float_eps(epsilon) -> float:
-    eps = float(Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon))
+def _exact_eps(epsilon) -> Fraction:
+    """A tolerance as an exact rational, a float read as its repr; it must
+    be positive."""
+    eps = as_fraction(str(epsilon) if isinstance(epsilon, float) else epsilon)
     if eps <= 0:
+        raise InputError("epsilon must be positive")
+    return eps
+
+
+def _float_eps(epsilon) -> float:
+    eps = float(_exact_eps(epsilon))
+    if eps == 0.0:  # positive, but below the least float
         raise InputError("epsilon must be positive")
     return eps
 
@@ -325,19 +334,15 @@ def _refine_grid(range_fn, lo0, hi0, eps, max_cells, poly=None):
     """
     if poly is not None:
         return _refine.refine_grid(*poly, lo0, hi0, eps, max_cells)
-    cells = [(list(lo0), list(hi0))]
-    trace = []
-    while True:
+
+    def sums(cells):
         terms = [(range_fn(lo, hi), math.prod(h - l for l, h in zip(lo, hi))) for lo, hi in cells]
-        lower = math.fsum(r[0] * v for r, v in terms)
-        upper = math.fsum(r[1] * v for r, v in terms)
-        gap = upper - lower
-        trace.append((len(cells), gap))
-        if gap < eps:
-            return lower, upper, len(cells), True, trace
-        if len(cells) * 2 > max_cells:
-            return lower, upper, len(cells), False, trace
-        cells = [half for lo, hi in cells for half in _refine_py.split_widest(lo, hi)]
+        return math.fsum(r[0] * v for r, v in terms), math.fsum(r[1] * v for r, v in terms)
+
+    def split(cells):
+        return [half for lo, hi in cells for half in _refine_py.split_widest(lo, hi)]
+
+    return _refine_py.refine_uniform(sums, split, [(list(lo0), list(hi0))], eps, max_cells)
 
 
 def _scaled_outward(x: float, total: Fraction, toward: float) -> float:
@@ -351,57 +356,57 @@ def _scaled_outward(x: float, total: Fraction, toward: float) -> float:
     return value
 
 
-def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> IntegralReport:
-    _require_oracle(fn)
-    eps = _float_eps(epsilon)
-    lo0 = [float(lo) for lo, _ in fam.bounding]
-    hi0 = [float(hi) for _, hi in fam.bounding]
+def _darboux_report(fn, bounding: Box, total: Fraction, eps: float, refine, backend: str) -> IntegralReport:
+    """The verdict on ``fn`` over ``bounding``, of measure ``total``: by its
+    oscillation floor when that reaches ``eps``, else by ``refine()``, which
+    returns ``(lower, upper, ncells, converged, trace)``."""
     floor = float(getattr(fn, "oscillation_floor", 0.0))
-    total = float(fam.total)
-    if floor > 0.0 and floor * total >= eps:
+    if floor > 0.0 and floor * float(total) >= eps:
         # no partition can beat the certified oscillation floor
-        rlo, rhi = fn.range_on(fam.bounding)
+        rlo, rhi = fn.range_on(bounding)
         return IntegralReport(
             status=NOT_INTEGRABLE,
-            lower=_scaled_outward(rlo, fam.total, -math.inf),
-            upper=_scaled_outward(rhi, fam.total, math.inf),
+            lower=_scaled_outward(rlo, total, -math.inf),
+            upper=_scaled_outward(rhi, total, math.inf),
             epsilon=eps,
-            trace=((1, (rhi - rlo) * total),),
-            backend="box",
+            trace=((1, (rhi - rlo) * float(total)),),
+            backend=backend,
         )
-
-    def range_fn(lo, hi):
-        return fn.range_on(tuple(zip(lo, hi)))
-
-    if strategy == "adaptive":
-        if isinstance(fn, PolynomialFn):
-            lower, upper, ncells, converged, trace = _refine.refine_poly(
-                fn.exps, fn.coeffs, lo0, hi0, eps, budget
-            )
-        else:
-            lower, upper, ncells, converged, trace = _refine_py.refine_generic(
-                range_fn, lo0, hi0, eps, budget
-            )
-    elif strategy == "grid":
-        poly = (fn.exps, fn.coeffs) if isinstance(fn, PolynomialFn) else None
-        lower, upper, ncells, converged, trace = _refine_grid(range_fn, lo0, hi0, eps, budget, poly)
-    else:
-        raise InputError(f"unknown strategy {strategy!r}")
-    if converged:
-        status, value = INTEGRABLE, 0.5 * (lower + upper)
-    elif floor > 0.0:
-        status, value = NOT_INTEGRABLE, None
-    else:
-        status, value = UNDECIDED, None
+    lower, upper, _, converged, trace = refine()
+    status = INTEGRABLE if converged else NOT_INTEGRABLE if floor > 0.0 else UNDECIDED
     return IntegralReport(
         status=status,
         lower=lower,
         upper=upper,
-        value=value,
+        value=0.5 * (lower + upper) if converged else None,
         epsilon=eps,
         trace=tuple(trace),
-        backend="box",
+        backend=backend,
     )
+
+
+def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> IntegralReport:
+    _require_oracle(fn)
+    eps = _float_eps(epsilon)
+    if budget < 1:
+        raise InputError(f"the cell budget must be at least 1, got {budget}")
+    lo0 = [float(lo) for lo, _ in fam.bounding]
+    hi0 = [float(hi) for _, hi in fam.bounding]
+
+    def range_fn(lo, hi):
+        return fn.range_on(tuple(zip(lo, hi)))
+
+    def refine():
+        if strategy == "adaptive":
+            if isinstance(fn, PolynomialFn):
+                return _refine.refine_poly(fn.exps, fn.coeffs, lo0, hi0, eps, budget)
+            return _refine_py.refine_generic(range_fn, lo0, hi0, eps, budget)
+        if strategy == "grid":
+            poly = (fn.exps, fn.coeffs) if isinstance(fn, PolynomialFn) else None
+            return _refine_grid(range_fn, lo0, hi0, eps, budget, poly)
+        raise InputError(f"unknown strategy {strategy!r}")
+
+    return _darboux_report(fn, fam.bounding, fam.total, eps, refine, "box")
 
 
 def integrate(f, fam, epsilon=None, budget: int = DEFAULT_BUDGET, strategy: str = "adaptive") -> IntegralReport:
@@ -506,7 +511,9 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
     level deeper than their parent), bisecting each along its widest axis.
     """
     region = region_of(E)
-    eps = as_fraction(str(epsilon)) if isinstance(epsilon, float) else as_fraction(epsilon)
+    eps = _exact_eps(epsilon)
+    if budget < 1:
+        raise InputError(f"the cell budget must be at least 1, got {budget}")
     total = fam.total
     if getattr(region, "dense", False) and getattr(region, "codense", False):
         return MeasureBracket(
@@ -523,7 +530,7 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
     def need(depth):
         # fewest straddling cells of depth ``depth`` whose volume reaches eps
         if total == 0:
-            return 0 if eps <= 0 else math.inf
+            return math.inf
         return math.ceil(eps * (1 << depth) / total)
 
     root = (0,) * lattice.dimension
@@ -622,7 +629,7 @@ def integrate_simple(cells, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGE
     certified non-Jordan cell with pairwise distinct nonzero constants
     certifies non-integrability.
     """
-    eps = as_fraction(str(epsilon)) if isinstance(epsilon, float) else as_fraction(epsilon)
+    eps = _exact_eps(epsilon)
     consts = [as_fraction(str(c)) if isinstance(c, float) else as_fraction(c) for _, c in cells]
     regions = [region_of(E) for E, _ in cells]
     boxy = [r for r in regions if isinstance(r, BoxElem)]

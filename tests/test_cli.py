@@ -401,6 +401,14 @@ class TestCantorCLI:
         assert out == ""
         assert "cylinder depth" in err
 
+    def test_op_flag_overrides_the_file(self, tmp_path, capsys):
+        path = write_json(tmp_path, "c.json", {"fn": {"poly": [0, 1]}, "op": "integrate"})
+        code, out, _ = run(capsys, ["cantor", "--in", path, "--op", "cover", "--depth", "3"])
+        assert code == 0
+        assert json.loads(out) == {"cover": [], "measure": "0"}
+        code, out, _ = run(capsys, ["cantor", "--in", path, "--depth", "3"])
+        assert "value" in json.loads(out)
+
 
 class TestErrorPaths:
     def test_unknown_subcommand_usage(self, capsys):
@@ -427,6 +435,14 @@ class TestErrorPaths:
         assert "--budget" in err
         code, _, _ = run(capsys, [command, "--in", path, "--budget", "1"])
         assert code in (0, 4)
+
+    @pytest.mark.parametrize("command", ["measure", "jordan"])
+    @pytest.mark.parametrize("eps", ["0", "-1"])
+    def test_tolerance_must_be_positive(self, capsys, command, eps):
+        code, out, err = run(capsys, [command, "--region", '{"halfplane": {"normal": [1, 2], "offset": "2/3"}}',
+                                      "--box", "[[0, 1], [0, 1]]", "--eps", eps, "--budget", "200"])
+        assert (code, out) == (2, "")
+        assert "epsilon must be positive" in err
 
     def test_missing_file(self, capsys):
         code = main(["classify", "--in", "/nonexistent/really.json"])

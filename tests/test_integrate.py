@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from famkit.boolalg import Algebra, GroundSet, Partition, SetElem, generate_algebra
 from famkit.boxes import IN, OUT, STRADDLE, BoxElem, VolumeFam, make_box
+from famkit.cantor import cantor_integrate
 from famkit.errors import InputError
 from famkit.fam import Fam, uniform_fam
 from famkit.functions import (
@@ -26,6 +27,7 @@ from famkit.functions import (
     triangle_under_diagonal,
 )
 from famkit.integrate import (
+    DEFAULT_BUDGET,
     INTEGRABLE,
     infsum,
     integrate,
@@ -34,6 +36,7 @@ from famkit.integrate import (
     inner_measure,
     is_jordan,
     jordan_completion,
+    measure_bracket,
     oscillation,
     outer_measure,
     pushforward_integral_check,
@@ -512,6 +515,69 @@ class TestScalarRefinementPins:
         assert _pin(run()) == pinned, name
 
 
+def _cantor_poly(depth_budget, epsilon):
+    return cantor_integrate(PolynomialFn([0.3, -0.7, 0.5]), depth_budget=depth_budget, epsilon=epsilon)
+
+
+def _grid(fn, budget):
+    return integrate(fn, OFFGRID, 1e-3, budget=budget, strategy="grid")
+
+
+GRID_POLY = PolynomialFn({(1, 1): 1.0, (0, 2): 0.5})
+GRID_HALFPLANE = IndicatorFn(HalfPlaneRegion((-3, 2), F(-1, 2)), value=-2.5)
+
+
+class TestUniformRefinementPins:
+    """The edges of uniform refinement: Cantor depth budgets of 0 and 1, an
+    unconverged Cantor run, the oscillation-floor short cut, and grids of
+    at most 1, 2 and 3 cells, in both cell forms.  Status, then ``_pin``."""
+
+    @pytest.mark.parametrize("name,run,pinned", [
+        ("cantor-depth-0", lambda: _cantor_poly(0, 1e-3),
+         ("undecided", "-0x1.9999999999999p-2", "0x1.999999999999ap-1", 1, False,
+          "1e6b0723521726af66a8694cf96956a1c590e0c7138884784ed872c7753161f0")),
+        ("cantor-depth-0-constant", lambda: cantor_integrate(PolynomialFn([2.5]), depth_budget=0, epsilon=1e-3),
+         ("integrable", "0x1.4000000000000p+1", "0x1.4000000000000p+1", 1, True,
+          "3e89c952db363712305652b8a060d48cfef1ffe08b9c3f8661446eb346349e17")),
+        ("cantor-depth-1", lambda: _cantor_poly(1, 1e-3),
+         ("undecided", "-0x1.4ccccccccccccp-3", "0x1.c000000000000p-2", 2, False,
+          "2c1b89964b97ac5be6c79fb789735f4b4195e1502e0809f662db4d99d1ed28f4")),
+        ("cantor-unconverged", lambda: _cantor_poly(9, 1e-4),
+         ("undecided", "0x1.d911666666666p-4", "0x1.e2ab000000000p-4", 512, False,
+          "32ef740c8f0ee9b36ac50e5689216d1aa89f9886536b5cc533f3c279cf086304")),
+        ("cantor-floor", lambda: cantor_integrate(IndicatorFn(DenseCodenseRegion(), value=-2.5), epsilon=1e-3),
+         ("not_integrable", "-0x1.4000000000000p+1", "0x0.0p+0", 1, False,
+          "1370b1e0f63de6bf482d95148feb0790f9f9a7a424f22486138a0b411c35a40d")),
+        ("box-floor", lambda: integrate(IndicatorFn(DenseCodenseRegion(), value=-2.5), OFFGRID, 1e-3),
+         ("not_integrable", "-0x1.30c30c30c30c4p+2", "0x0.0p+0", 1, False,
+          "0c075a7f1dcc92e4316c1214d900f5da1ead2bf19b1cb32c13b6fb4c50984b6c")),
+        ("box-floor-grid", lambda: _grid(IndicatorFn(DenseCodenseRegion(), value=3.0), DEFAULT_BUDGET),
+         ("not_integrable", "0x0.0p+0", "0x1.6db6db6db6db7p+2", 1, False,
+          "60a7cfcb28d82f2c0bcf6d110a24a26226f9062e7ff18b98238b9ca5d5fb3937")),
+        ("numpy-grid-1", lambda: _grid(GRID_POLY, 1),
+         ("undecided", "-0x1.16a3b35fc845ap-1", "0x1.30c30c30c30c3p+2", 1, False,
+          "44a4097908cf3c8c08a8e1bc5a7e52c1eca25c1214952e38895d95b2240daab6")),
+        ("numpy-grid-2", lambda: _grid(GRID_POLY, 2),
+         ("undecided", "-0x1.b92ddc02526e4p-2", "0x1.fbefbefbefbf0p+1", 2, False,
+          "cfa653ed979d509c1ac1eab22cf52bbd3861374860cb6a5fec461125b2a87efb")),
+        ("numpy-grid-3", lambda: _grid(GRID_POLY, 3),
+         ("undecided", "-0x1.b92ddc02526e4p-2", "0x1.fbefbefbefbf0p+1", 2, False,
+          "cfa653ed979d509c1ac1eab22cf52bbd3861374860cb6a5fec461125b2a87efb")),
+        ("scalar-grid-1", lambda: _grid(GRID_HALFPLANE, 1),
+         ("undecided", "-0x1.30c30c30c30c3p+2", "0x0.0p+0", 1, False,
+          "0c075a7f1dcc92e4316c1214d900f5da1ead2bf19b1cb32c13b6fb4c50984b6c")),
+        ("scalar-grid-2", lambda: _grid(GRID_HALFPLANE, 2),
+         ("undecided", "-0x1.30c30c30c30c3p+2", "-0x1.30c30c30c30c2p+1", 2, False,
+          "a4306dce7fa675231beb0c42b3fafac41c5fb861ae355277af450b1f56a4b76d")),
+        ("scalar-grid-3", lambda: _grid(GRID_HALFPLANE, 3),
+         ("undecided", "-0x1.30c30c30c30c3p+2", "-0x1.30c30c30c30c2p+1", 2, False,
+          "a4306dce7fa675231beb0c42b3fafac41c5fb861ae355277af450b1f56a4b76d")),
+    ])
+    def test_pinned(self, name, run, pinned):
+        report = run()
+        assert (report.status, *_pin(report)) == pinned, name
+
+
 class TestBoxSums:
     def test_identity_on_two_halves(self):
         # f(x) = x over [0,1) split in half: upper 3/4, lower 1/4
@@ -529,6 +595,55 @@ class TestBoxSums:
             box_supsum(lambda p: p[0], [make_box([[0, 1]])], UNIT)
         with pytest.raises(InputError):
             integrate(lambda p: p[0], UNIT, epsilon=1e-3)
+
+
+# ends 1e-17 short of 1, closer than any float below 1, so every float
+# cell [x, 1.0] with x < 1 meets both the box and its complement
+SLIVER = make_box([[0, F(99999999999999999, 10 ** 17)]])
+
+
+class TestBoxElemOnFloatCells:
+    def test_float_cell_over_the_end_straddles(self):
+        assert BoxElem([SLIVER]).classify(((0.5, 1.0),)) == STRADDLE
+
+    def test_step_function_keeps_its_default(self):
+        # the integral is 1 * (1 - 1e-17) + 1e17 * 1e-17, about 2
+        report = integrate(PiecewiseConstantFn([(SLIVER, 1.0)], default=1e17), UNIT, 1e-2, budget=64)
+        assert report.lower <= 2 <= report.upper
+        assert report.status == "undecided"
+
+    def test_indicator_of_the_complement_keeps_zero(self):
+        # the integral is 1e17 * 1e-17 = 1
+        report = integrate(IndicatorFn(RegionComplement(BoxElem([SLIVER])), value=1e17), UNIT, 1e-2, budget=64)
+        assert report.lower <= 1 <= report.upper
+        assert report.status == "undecided"
+
+
+class TestToleranceAndBudget:
+    HALF = HalfPlaneRegion((1, 2), F(2, 3))
+
+    @pytest.mark.parametrize("eps", [0, -1, "0", "-1/3", 0.0, -1e-3])
+    @pytest.mark.parametrize("call", [
+        lambda r, eps: measure_bracket(r, SQUARE, eps, budget=200),
+        lambda r, eps: is_jordan(r, SQUARE, eps, budget=200),
+        lambda r, eps: inner_measure(r, SQUARE, eps, budget=200),
+        lambda r, eps: outer_measure(r, SQUARE, eps, budget=200),
+        lambda r, eps: integrate_simple([(r, 1)], SQUARE, eps, budget=200),
+    ], ids=["measure_bracket", "is_jordan", "inner_measure", "outer_measure", "integrate_simple"])
+    def test_exact_tolerance_must_be_positive(self, call, eps):
+        with pytest.raises(InputError, match="epsilon must be positive"):
+            call(self.HALF, eps)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("strategy", ["adaptive", "grid"])
+    def test_integral_budget_below_one(self, budget, strategy):
+        with pytest.raises(InputError, match="at least 1"):
+            integrate(PolynomialFn([0, 0, 1]), UNIT, 1e-3, budget=budget, strategy=strategy)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_bracket_budget_below_one(self, budget):
+        with pytest.raises(InputError, match="at least 1"):
+            measure_bracket(HalfPlaneRegion((1, 1), 1), SQUARE, F(1, 64), budget=budget)
 
 
 class TestBoxJordan:

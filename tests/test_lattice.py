@@ -168,7 +168,7 @@ class TestLatticeVerdicts:
                 assert classify(cell) == region.classify(box)
 
     @SETTINGS
-    @given(problems(), st.sampled_from([F(1, 8), F(1, 40)]), st.integers(0, 60))
+    @given(problems(), st.sampled_from([F(1, 8), F(1, 40)]), st.integers(1, 60))
     def test_bracket_equals_the_heap(self, problem, eps, budget):
         bounds, region = problem
         fam = VolumeFam(bounds)
