@@ -9,7 +9,11 @@ same number of cells.  The grid strategy runs x^2*y - y^3 at 1e-2 (65,536
 cells) through the uniform loop ``famkit._refine_py.refine_uniform``, once
 on numpy arrays (``famkit._refine.refine_grid``) and once on lists with
 one scalar ``poly_range`` call per cell (``integrate._refine_grid``), and
-checks that the two agree bit for bit.
+checks that the two agree bit for bit.  A last row runs 32 seeded 1-D
+quartics shaped like the ``poly1d-adaptive`` problems of the perfbench
+``quadrature`` workload (rational intervals, epsilon from 1e-5 to 1e-3,
+300 to 3000 cells), where numpy call overhead rather than cells sets the
+cost, and prints their rounds, microseconds per round and per cell.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_refine.py [--full]
@@ -20,8 +24,11 @@ the heap reference takes about 12 s there.
 
 import argparse
 import importlib
+import math
+import random
 import sys
 import time
+from fractions import Fraction
 
 from famkit import _refine, _refine_py
 
@@ -64,6 +71,54 @@ def scalar_grid(exps, coeffs, lo, hi, eps, budget):
 ENGINES = {"batched": _refine.refine_poly, "heap": heap_refine,
            "grid": _refine.refine_grid, "grid-py": scalar_grid}
 GRID = ("x^2*y - y^3 on [0,1]^2", *FIXTURES[2][1:5], 1e-2)
+
+
+def quartics(seed=1, count=32):
+    """``count`` 1-D quartics ``(coeffs, lo, hi, eps)``, one per slice of
+    300 to 3000 cells, scaled as perfbench's ``quadrature`` workload scales
+    its adaptive ones: largest-first splitting leaves about
+    (int sqrt(|p'|))^2 / eps cells."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        base = [rng.uniform(-1, 1) for _ in range(4)] + [rng.choice([-1, 1]) * rng.uniform(0.3, 1)]
+        a = Fraction(rng.randint(-6, 4), rng.choice([2, 3, 4, 5, 7, 8]))
+        b = a + Fraction(rng.randint(2, 10), rng.choice([3, 4, 5, 8]))
+        eps = float(f"{10 ** rng.uniform(-5, -3):.1e}")
+        h = float(b - a) / 256
+        slope = [sum(abs(c) * k * abs(float(a) + (j + 0.5) * h) ** (k - 1) for k, c in enumerate(base) if k)
+                 for j in range(256)]
+        proxy = (sum(map(math.sqrt, slope)) * h) ** 2
+        scale = 300 * 10 ** ((i + rng.random()) / count) * eps / proxy
+        out.append(([float(f"{c * scale:.6g}") for c in base], float(a), float(b), eps))
+    return out
+
+
+def quartic_row():
+    """Cells, rounds and seconds of the fastest of three timed passes over
+    ``quartics()``; the rounds are counted in an untimed pass, one per
+    selection."""
+    runs = [([(e,) for e in range(5)], coeffs, [a], [b], eps) for coeffs, a, b, eps in quartics()]
+    seconds = math.inf
+    for _ in range(3):
+        started = time.perf_counter()
+        cells = sum(_refine.refine_poly(*run, 2_000_000)[2] for run in runs)
+        seconds = min(seconds, time.perf_counter() - started)
+    select = _refine._largest_first
+    rounds = 0
+
+    def counted(*args):
+        nonlocal rounds
+        rounds += 1
+        return select(*args)
+
+    _refine._largest_first = counted
+    try:
+        for run in runs:
+            _refine.refine_poly(*run, 2_000_000)
+    finally:
+        _refine._largest_first = select
+    return cells, rounds, seconds
 
 
 def bits(result):
@@ -122,6 +177,9 @@ def main(argv=None):
             f"{row['upper'] - row['lower']:>14.3e}"
         )
         seconds.setdefault((row["fixture"], row["eps"]), {})[row["engine"]] = row["seconds"]
+    cells, rounds, elapsed = quartic_row()
+    print(f"{'32 1-D quartics':22} {'1e-5..3':>8} {'batched':>8} {cells:>9} {elapsed:>9.4f} "
+          f"{1e6 * elapsed / cells:>8.2f}   {rounds} rounds, {1e6 * elapsed / rounds:.1f} us/round")
     print()
     for (fixture, eps), times in seconds.items():
         for fast, slow in (("batched", "heap"), ("grid", "grid-py")):

@@ -19,9 +19,14 @@ import itertools
 import math
 from typing import Callable, Sequence
 
+from .errors import InputError
+
+# a NaN gap never falls below epsilon, nor does it clear as cells shrink
+NAN_GAP = "the Darboux gap is NaN at {} cells: the range enclosures overflow"
+
 
 def _ipow(x: float, e: int) -> float:
-    # repeated multiplication, mirrored by the batched _refine.poly_range_batch
+    # repeated multiplication, mirrored by the batched _refine._enclose
     r = 1.0
     for _ in range(e):
         r *= x
@@ -149,12 +154,14 @@ def refine_uniform(sums, split, cells, eps: float, max_cells: int):
     ``sums(cells)``, a ``(lower, upper)`` pair, is below ``eps`` or the next
     ``split(cells)``, twice as many, would pass ``max_cells``.  Returns
     ``(lower, upper, ncells, converged, trace)``, with ``(ncells, gap)``
-    traced every round."""
+    traced every round.  Raises ``InputError`` when the gap is NaN."""
     ncells = 1
     trace = []
     while True:
         lower, upper = sums(cells)
         gap = upper - lower
+        if gap != gap:
+            raise InputError(NAN_GAP.format(ncells))
         trace.append((ncells, gap))
         if gap < eps:
             return lower, upper, ncells, True, trace

@@ -504,4 +504,4 @@ def test_kernel_backend_available():
     from famkit._refine import backend_name
 
     print(f"refinement kernel backend: {backend_name()}", flush=True)
-    assert backend_name() in ("cython", "python")
+    assert backend_name() == "python"

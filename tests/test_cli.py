@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,28 @@ class TestIntegrateCLI:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "must be finite" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        # these used to split one cell per round for 114 s, run the whole
+        # budget and print Infinity and NaN with exit 4, and do the same at
+        # every Cantor depth
+        ["integrate", "--fn", '{"poly": [0, 1e308, 1e308]}', "--box", "[[1, 1]]", "--eps", "1e-3",
+         "--budget", "100000"],
+        ["integrate", "--fn", '{"poly": [0, 1e308, 1e308]}', "--box", "[[0, 10]]", "--eps", "1e-3"],
+        ["cantor", "--fn", '{"poly": [1e308, 1e308]}', "--eps", "1e-6"],
+    ])
+    def test_nan_gap_exits_2_at_once(self, capsys, argv):
+        started = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert "Darboux gap is NaN" in err
+
+    def test_infinite_gap_converges(self, capsys):
+        code, out, _ = run(capsys, ["integrate", "--fn", '{"poly": [0, 1e308, -1e308]}', "--box", "[[0, 1]]",
+                                    "--eps", "1e306"])
+        assert code == 0
+        assert json.loads(out)["status"] == "integrable"
 
     @pytest.mark.parametrize("fn", [
         # the value key was ignored: the plain indicator integrated to 0.5

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -617,6 +618,35 @@ class TestBoxElemOnFloatCells:
         report = integrate(IndicatorFn(RegionComplement(BoxElem([SLIVER])), value=1e17), UNIT, 1e-2, budget=64)
         assert report.lower <= 1 <= report.upper
         assert report.status == "undecided"
+
+
+class TestNanGap:
+    """A NaN gap never falls below epsilon and never clears, so the run
+    stops at once with ``InputError``; an infinite gap may still clear."""
+
+    @pytest.mark.parametrize("run", [
+        # this used to split one cell per round, for 114 s
+        lambda: integrate(PolynomialFn([0, 1e308, 1e308]), VolumeFam([[1, 1]]), 1e-3, budget=100_000),
+        # these used to run the whole budget, their gap NaN from the second
+        # round on
+        lambda: integrate(PolynomialFn([0, 1e308, 1e308]), VolumeFam([[0, 10]]), 1e-3),
+        lambda: integrate(PolynomialFn([0, 1e308, 1e308]), VolumeFam([[0, 10]]), 1e-3, strategy="grid"),
+        # and this every Cantor depth, for 1 s
+        lambda: cantor_integrate(PolynomialFn([1e308, 1e308]), epsilon=1e-6),
+    ], ids=["zero-width", "adaptive", "grid", "cantor"])
+    def test_raises_at_once(self, run):
+        started = time.perf_counter()
+        with pytest.raises(InputError, match="Darboux gap is NaN"):
+            run()
+        assert time.perf_counter() - started < 1.0
+
+    def test_infinite_gap_still_converges(self):
+        # the gap is inf in the first round; the trace entry at two cells is
+        # NaN, since it subtracts the split cell's infinite contribution
+        report = integrate(PolynomialFn([0, 1e308, -1e308]), UNIT, 1e306)
+        assert (report.status, *_pin(report)) == (
+            "integrable", "0x1.705a74cf65d95p+1020", "0x1.871cf38576ec1p+1020", 205, True,
+            "38a79c59fced0f190dbacc4112384a28edfae6cb11710cc6db3025eb04a3d740")
 
 
 class TestToleranceAndBudget:

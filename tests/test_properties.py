@@ -488,6 +488,39 @@ class TestBatchedRefinement:
                 want = poly_range(exps, coeffs, lo[i].tolist(), hi[i].tolist())
                 assert (float(rlo[i]).hex(), float(rhi[i]).hex()) == (want[0].hex(), want[1].hex())
 
+    def test_overflowing_enclosure_matches_scalar_bitwise(self):
+        import numpy as np
+
+        from famkit._refine import poly_range_batch
+        from famkit._refine_py import poly_range
+
+        # coefficients near 1e300 on boxes at least 1/2 away from 0 at both
+        # ends: products overflow to +-inf, and no power underflows to 0
+        rng = Random(13)
+        checked = infinite = 0
+        for _ in range(200):
+            dim = rng.randint(1, 2)
+            exps = [tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+            sign = rng.choice([-1, 1])
+            coeffs = [sign * rng.choice([1, 1, -1]) * rng.uniform(0.5, 2) * 1e300 for _ in exps]
+            ends = [[rng.choice([-1, 1]) * rng.uniform(0.5, 60) for _ in range(dim)] for _ in range(100)]
+            lo = np.array(ends)
+            hi = lo + np.array([[rng.choice([0.0, 1.0, rng.uniform(0, 80)]) for _ in range(dim)] for _ in range(100)])
+            hi[np.abs(hi) < 0.5] = 0.5
+            try:
+                # a NaN (inf - inf, or 0 * inf) raises: only the boxes of
+                # polynomials that overflow to +-inf and never to NaN count
+                with np.errstate(over="ignore", invalid="raise"):
+                    rlo, rhi = poly_range_batch(exps, coeffs, lo, hi)
+            except FloatingPointError:
+                continue
+            for i in range(len(lo)):
+                want = poly_range(exps, coeffs, lo[i].tolist(), hi[i].tolist())
+                assert (float(rlo[i]).hex(), float(rhi[i]).hex()) == (want[0].hex(), want[1].hex())
+            checked += len(lo)
+            infinite += int(np.isinf(rlo).sum() + np.isinf(rhi).sum())
+        assert checked >= 5_000 and infinite >= 1_000, (checked, infinite)
+
     def test_heavy_fixtures_match_the_heap(self):
         from famkit._refine import refine_poly
 
@@ -538,7 +571,7 @@ class TestBatchedRefinement:
         assert np.count_nonzero(contrib == 1.0) == 15_000
         above = [*range(1, 20_000, 20), *range(5, 20_000, 10)]
         ties = np.flatnonzero(contrib == 1.0).tolist()
-        for start in (math.inf, 4.0, 3.0, 2.5, 2.0, 1.0, 0.75, 0.5, 0.25, 0.0):
+        for start in (math.inf, 4.0, 3.0, 2.5, 2.0, 1.0, 0.75, 0.5, 0.25, 0.0, None):
             for guess in (1, 64, 20_000):
                 picked, sums = _largest_first(contrib, 14_000.5, 30_000, guess, start)
                 assert picked.tolist() == above + ties[:7_001], (start, guess)
@@ -562,7 +595,7 @@ class TestBatchedRefinement:
             order = np.argsort(-contrib, kind="stable")
             full = np.cumsum(contrib[order])
             k = min(int(np.searchsorted(full, excess)) + 1, n, limit)
-            start = rng.choice([math.inf, -1.0, *values, rng.uniform(0, 3)])
+            start = rng.choice([math.inf, -1.0, *values, rng.uniform(0, 3), None])
             picked, sums = _largest_first(contrib, excess, limit, rng.randint(1, 2 * n), start)
             assert picked.tolist() == order[:k].tolist()
             assert [x.hex() for x in sums[:k].tolist()] == [x.hex() for x in full[:k].tolist()]
@@ -589,6 +622,38 @@ class TestBatchedRefinement:
           "d3aa12ced5089fa64941e06cbb5a3573ee4409091d3986423e27f3aa4e7946c6")),
     ]
 
+    # 1-D quartics shaped like the quadrature benchmark's adaptive problems
+    # (rational intervals, tolerances from 1e-5 to 1e-3, a few hundred to a
+    # few thousand cells), the last one stopped by its budget: coefficients
+    # of 1, x, ..., x^4, the interval, epsilon, the budget, then the pin
+    QUARTIC_PINS = [
+        (([-0.632212, 0.51446, -0.0817668, 0.511214, 0.629813], F(-3, 5), F(3, 5), 9.1e-4, 2_000_000),
+         ("-0x1.80a996cc3204cp-1", "-0x1.80325ebd319b5p-1", 1404, True,
+          "66e04c1ea7c04cd7eede75d4b01346c0ed31130c5b9776c693e68c3b26aba92c")),
+        (([0.00199519, 0.00141807, 0.00232208, 6.31461e-05, -0.0018733], F(-5, 7), F(9, 7), 3.8e-5, 2_000_000),
+         ("0x1.5f66a83da993bp-8", "0x1.61e3529621c6ep-8", 642, True,
+          "dcb011bc3011714f9db3688daf615584265009a1ee3bc6ec48d186d4f53c7219")),
+        (([-0.083471, 0.0336558, 0.050303, -0.0443958, 0.0644409], F(0), F(1), 5.4e-4, 2_000_000),
+         ("-0x1.8c213030560f0p-5", "-0x1.87b619a117b55p-5", 322, True,
+          "bef111a95744e56ffed403f3a45db59976393ef3aea57e70bb6a7971186de778")),
+        (([-7.48909e-05, 0.000303906, 0.000368399, 0.000377117, 0.000472975], F(-2, 5), F(13, 5), 1.4e-4,
+          2_000_000),
+         ("0x1.2dcdf32e5b8c8p-6", "0x1.3018a2b0e51d5p-6", 478, True,
+          "f543986323092d70e79ea4472e15bd80f276a26c6e195cc8241c63007faacfa8")),
+        (([0.0103811, -0.0112231, 0.00595935, 0.00517537, 0.0102712], F(1), F(9, 4), 4.1e-4, 2_000_000),
+         ("0x1.4565487bf767ap-3", "0x1.463c257288057p-3", 1028, True,
+          "4fb4f263270a3479a5715ffa8df21d511bc251b76fb866c42d125de6bf507816")),
+        (([-0.0010262, -0.00311327, 0.00347302, -0.00513585, -0.00397154], F(3, 5), F(37, 20), 5.2e-5, 2_000_000),
+         ("-0x1.fc3c482129110p-6", "-0x1.fb622ff27fd98p-6", 2109, True,
+          "e4b5d1672a7036fb324e41b4f6501c1e17dddd0d059ed038ace1b71c71e7e7bd")),
+        (([-0.377794, 0.242473, -0.0419677, 0.335682, 0.544718], F(1, 4), F(13, 20), 4.3e-5, 2_000_000),
+         ("-0x1.57c76b20f0953p-4", "-0x1.579a5595a3db9p-4", 2760, True,
+          "17f593c12b4916c4a4502de7040057f244aa57e8f3733427b2e9b15aa9a7eb0a")),
+        (([-0.377794, 0.242473, -0.0419677, 0.335682, 0.544718], F(1, 4), F(13, 20), 4.3e-5, 1500),
+         ("-0x1.57da3b53e5150p-4", "-0x1.57878329651d1p-4", 1500, False,
+          "c9e075e5e471e5610c8deaa11935051b81e789e2a3db5139dbe8273516cdd3a4")),
+    ]
+
     @staticmethod
     def _pin(result):
         lower, upper, cells, converged, trace = result
@@ -602,6 +667,14 @@ class TestBatchedRefinement:
             assert self._pin(refine_poly(*fixture, 2_000_000)) == pinned, fixture
         for args, pinned in self.BUDGET_PINS:
             assert self._pin(refine_poly(*args)) == pinned, args
+
+    @pytest.mark.parametrize("case,pinned", QUARTIC_PINS)
+    def test_quartics_pinned(self, case, pinned):
+        from famkit._refine import refine_poly
+
+        coeffs, a, b, eps, budget = case
+        exps = [(e,) for e in range(len(coeffs))]
+        assert self._pin(refine_poly(exps, coeffs, [float(a)], [float(b)], eps, budget)) == pinned
 
     @SETTINGS
     @given(dyadic_polynomials(), st.booleans())
