@@ -73,11 +73,12 @@ its start-up time and memory.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
 
-from ._refine_py import NAN_GAP, refine_uniform
+from ._refine_py import NAN_GAP, darboux_sum, refine_uniform
 from .errors import InputError
 
 # cells per vectorized pass over cell terms; about a dozen temporaries of
@@ -207,13 +208,14 @@ def _sums(plan, cells) -> tuple[float, float]:
     """The exactly rounded lower and upper Darboux sums over ``cells``,
     from one enclosure of each cell."""
     terms = [ends * vol for ends, vol in _blocks(plan, cells)]
-    return _fsum(t[0] for t in terms), _fsum(t[1] for t in terms)
+    lower = darboux_sum(_floats(t[0] for t in terms), "lower")
+    return lower, darboux_sum(_floats(t[1] for t in terms), "upper")
 
 
-def _fsum(arrays) -> float:
+def _floats(arrays):
     # memoryviews yield Python floats, twice as fast as numpy scalars and
     # without a list copy of the arrays
-    return math.fsum(itertools.chain.from_iterable(map(memoryview, arrays)))
+    return itertools.chain.from_iterable(map(memoryview, arrays))
 
 
 def _split(cells):
@@ -286,6 +288,22 @@ def _largest_first(contrib, excess, limit, guess, start=math.inf):
     return cand[:k], sums
 
 
+def _quiet(run):
+    """``run`` under one ``np.errstate`` per call: overflow to infinity and
+    NaN are part of the enclosure arithmetic (see the NaN policy above), so
+    numpy's warnings about them would only reach the CLI's stderr."""
+
+    @functools.wraps(run)
+    def quiet(*args):
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(*args)
+
+    return quiet
+
+
+@_quiet
 def refine_poly(
     exps: Sequence[Sequence[int]],
     coeffs: Sequence[float],
@@ -305,7 +323,8 @@ def refine_poly(
     Returns ``(lower, upper, ncells, converged, trace)``.  The sums are
     exactly rounded (math.fsum) over the live cells.  ``trace`` holds
     ``(ncells, gap)`` at the start, at each power-of-two cell count, and at
-    the end.  Raises ``InputError`` when the gap is NaN.
+    the end.  Raises ``InputError`` when the gap is NaN or a final sum
+    overflows.
     """
     import numpy as np
 
@@ -329,7 +348,7 @@ def refine_poly(
             raise InputError(NAN_GAP.format(n))
         exact = None
         if gap < eps:
-            exact = gap = _fsum([contrib])
+            exact = gap = math.fsum(memoryview(contrib))
             if gap < eps:
                 converged = True
                 break
@@ -369,12 +388,13 @@ def refine_poly(
         store[:, n:n + k] = halves[:, k:]
 
     n = len(contrib)
-    trace.append((n, _fsum([contrib]) if exact is None else exact))
+    trace.append((n, math.fsum(memoryview(contrib)) if exact is None else exact))
     # exactly rounded sums do not depend on the order of the cells
     lower, upper = _sums(plan, store[:, :n])
     return lower, upper, n, converged, trace
 
 
+@_quiet
 def refine_grid(
     exps: Sequence[Sequence[int]],
     coeffs: Sequence[float],

@@ -25,6 +25,17 @@ from .errors import InputError
 NAN_GAP = "the Darboux gap is NaN at {} cells: the range enclosures overflow"
 
 
+def darboux_sum(terms, which: str) -> float:
+    """The exactly rounded sum of ``terms``, the ``which`` ("lower" or
+    "upper") Darboux sum.  Raises ``InputError`` where it overflows:
+    ``math.fsum`` refuses a sum of -inf and +inf, and finite terms whose
+    partial sums leave the float range."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        raise InputError(f"the {which} Darboux sum overflows the float range") from None
+
+
 def _ipow(x: float, e: int) -> float:
     # repeated multiplication, mirrored by the batched _refine._enclose
     r = 1.0
@@ -98,7 +109,8 @@ def refine_generic(
     is certified below ``eps`` or the cell budget runs out.
 
     Returns ``(lower, upper, ncells, converged, trace)`` where the final
-    sums are exactly-rounded (math.fsum) over the live cells.
+    sums are exactly-rounded (math.fsum) over the live cells.  Raises
+    ``InputError`` when one of them overflows.
     """
     # every live cell is in the heap once, as (-contribution, id, lo, hi,
     # range lo, range hi, volume); ids are unique, so lists are never compared
@@ -143,8 +155,8 @@ def refine_generic(
             trace.append((len(heap), gap_est))
             next_trace *= 2
 
-    lower = math.fsum(c[4] * c[6] for c in heap)
-    upper = math.fsum(c[5] * c[6] for c in heap)
+    lower = darboux_sum((c[4] * c[6] for c in heap), "lower")
+    upper = darboux_sum((c[5] * c[6] for c in heap), "upper")
     trace.append((len(heap), certified_gap()))
     return lower, upper, len(heap), converged, trace
 

@@ -4,6 +4,10 @@ Exit codes: 0 success/feasible, 3 infeasible/not-integrable/not-jordan,
 4 undecided, 2 input error, 1 stdout closed by its reader.  Reports go to
 stdout, diagnostics to stderr; output is deterministic for fixed input and
 flags.
+
+Each handler imports the modules its subcommand runs, so a process loads
+only the engine it uses: ``extend`` never compiles the box backend, and
+``integrate`` never the simplex.
 """
 
 from __future__ import annotations
@@ -14,52 +18,7 @@ import json
 import os
 import sys
 
-from .approx import approx_uniform, approx_uniform_small
-from .boolalg import Partition
-from .boxes import VolumeFam, make_box
-from .cantor import DEFAULT_DEPTH_BUDGET, cantor_integrate, lebesgue_vitali_check, oscillation_cover
 from .errors import FamkitError, InputError
-from .extend import (
-    PartialAssignment,
-    amalgamate,
-    compatible,
-    extend_assignment,
-    extend_with_filter,
-    fam_with_constraints,
-    fam_with_integral_constraints,
-    three_way_extend,
-    ultrafilter_with_limits,
-    value_range,
-)
-from .fam import classify as classify_fam
-from .fam import has_uap, uniformly_supported
-from .integrate import (
-    DEFAULT_BUDGET,
-    as_table,
-    inner_measure,
-    integrate,
-    integrate_over,
-    is_jordan,
-    measure_bracket,
-    outer_measure,
-)
-from .jsonio import (
-    algebra_json,
-    fam_json,
-    jsonable,
-    parse_algebra,
-    parse_fam,
-    parse_fn,
-    parse_ground,
-    parse_partition,
-    parse_rational,
-    parse_region,
-    parse_set,
-    parse_table,
-    parse_target,
-    set_json,
-    set_key,
-)
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -106,6 +65,8 @@ def _load(args) -> dict:
 
 
 def _emit(report: dict, args) -> None:
+    from .jsonio import jsonable
+
     if getattr(args, "format", "json") == "table":
         for key, value in report.items():
             print(f"{key}: {json.dumps(jsonable(value), sort_keys=True)}")
@@ -131,6 +92,8 @@ def _report_integral(rep, args) -> int:
 
 
 def _cmd_algebra(args) -> int:
+    from .jsonio import algebra_json, parse_algebra
+
     data = _load(args)
     algebra = parse_algebra(data)
     _emit(
@@ -145,14 +108,19 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_fam_check(args) -> int:
+    from .jsonio import fam_json, parse_fam
+
     fam = parse_fam(_load(args))
     _emit({"fam": fam_json(fam), "total": fam.total}, args)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
+    from .fam import classify, has_uap, uniformly_supported
+    from .jsonio import parse_fam, set_json
+
     fam = parse_fam(_load(args))
-    flags = classify_fam(fam)
+    flags = classify(fam)
     witness = uniformly_supported(fam) if fam.total > 0 else None
     _emit(
         {
@@ -170,6 +138,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from .approx import approx_uniform, approx_uniform_small
+    from .boolalg import Partition
+    from .jsonio import parse_fam, parse_partition, parse_rational, parse_set, set_json, set_key
+
     data = _load(args)
     fam = parse_fam(data["fam"])
     partition = (
@@ -199,6 +171,9 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    from .extend import PartialAssignment, extend_assignment, value_range
+    from .jsonio import parse_ground, parse_rational, parse_set, set_json
+
     data = _load(args)
     ground = parse_ground(data["ground"])
     pairs = [(parse_set(s, ground), parse_rational(v)) for s, v in data["pairs"]]
@@ -215,6 +190,9 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_compatible(args) -> int:
+    from .extend import compatible
+    from .jsonio import parse_fam
+
     data = _load(args)
     fam0, fam1 = parse_fam(data["fam0"]), parse_fam(data["fam1"])
     ok, certificate = compatible(fam0, fam1)
@@ -223,6 +201,9 @@ def _cmd_compatible(args) -> int:
 
 
 def _cmd_amalgamate(args) -> int:
+    from .extend import amalgamate
+    from .jsonio import parse_fam
+
     data = _load(args)
     result = amalgamate(parse_fam(data["fam0"]), parse_fam(data["fam1"]))
     _emit({"result": result}, args)
@@ -230,6 +211,9 @@ def _cmd_amalgamate(args) -> int:
 
 
 def _cmd_extend_filter(args) -> int:
+    from .extend import extend_with_filter
+    from .jsonio import parse_fam, parse_set
+
     data = _load(args)
     fam0 = parse_fam(data["fam0"])
     gens = [parse_set(s, fam0.algebra.ground) for s in data["generators"]]
@@ -239,6 +223,9 @@ def _cmd_extend_filter(args) -> int:
 
 
 def _cmd_three_way(args) -> int:
+    from .extend import three_way_extend
+    from .jsonio import parse_fam, parse_set
+
     data = _load(args)
     fam0, fam1 = parse_fam(data["fam0"]), parse_fam(data["fam1"])
     gens = [parse_set(s, fam0.algebra.ground) for s in data["generators"]]
@@ -248,6 +235,10 @@ def _cmd_three_way(args) -> int:
 
 
 def _cmd_constrain(args) -> int:
+    from .extend import fam_with_constraints, fam_with_integral_constraints, ultrafilter_with_limits
+    from .fam import as_table
+    from .jsonio import parse_fam, parse_ground, parse_rational, parse_set, parse_table, parse_target
+
     data = _load(args)
     targets = [parse_target(t) for t in data.get("targets", [])]
     if "ultra" in data:
@@ -269,7 +260,9 @@ def _cmd_constrain(args) -> int:
     return STATUS_EXIT[result.status]
 
 
-def _box_fam(args, data) -> VolumeFam:
+def _box_fam(args, data):
+    from .boxes import VolumeFam, make_box
+
     box = data.get("box")
     if args.box:
         box = json.loads(args.box)
@@ -279,6 +272,9 @@ def _box_fam(args, data) -> VolumeFam:
 
 
 def _cmd_integrate(args) -> int:
+    from .integrate import DEFAULT_BUDGET, integrate, integrate_over
+    from .jsonio import parse_fam, parse_fn, parse_set, parse_table
+
     data = _load(args) if args.infile else {}
     if args.fn or "fn" in data:
         fn_spec = json.loads(args.fn) if args.fn else data["fn"]
@@ -286,7 +282,8 @@ def _cmd_integrate(args) -> int:
         fn = parse_fn(fn_spec, fam.dimension)
         eps = args.eps or data.get("epsilon", "1e-6")
         report = integrate(
-            fn, fam, epsilon=eps, budget=args.budget, strategy=data.get("strategy", "adaptive")
+            fn, fam, epsilon=eps, budget=args.budget or DEFAULT_BUDGET,
+            strategy=data.get("strategy", "adaptive"),
         )
         return _report_integral(report, args)
     fam = parse_fam(data["fam"])
@@ -301,12 +298,15 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_jordan(args) -> int:
+    from .integrate import DEFAULT_BUDGET, is_jordan
+    from .jsonio import parse_rational, parse_region
+
     data = _load(args) if args.infile else {}
     fam = _box_fam(args, data)
     region_spec = json.loads(args.region) if args.region else data["region"]
     region = parse_region(region_spec, fam.dimension)
     eps = parse_rational(args.eps or data.get("epsilon", "1/1024"))
-    report = is_jordan(region, fam, eps, budget=args.budget)
+    report = is_jordan(region, fam, eps, budget=args.budget or DEFAULT_BUDGET)
     out = {
         "jordan": report.jordan,
         "inner": report.inner,
@@ -322,6 +322,9 @@ def _cmd_jordan(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from .integrate import DEFAULT_BUDGET, inner_measure, measure_bracket, outer_measure
+    from .jsonio import parse_fam, parse_rational, parse_region, parse_set
+
     data = _load(args) if args.infile else {}
     if "fam" in data:
         fam = parse_fam(data["fam"])
@@ -333,13 +336,16 @@ def _cmd_measure(args) -> int:
         region_spec = json.loads(args.region) if args.region else data["region"]
         region = parse_region(region_spec, fam.dimension)
         eps = parse_rational(args.eps or data.get("epsilon", "1/1024"))
-        bracket = measure_bracket(region, fam, eps, budget=args.budget)
+        bracket = measure_bracket(region, fam, eps, budget=args.budget or DEFAULT_BUDGET)
         inner, outer = bracket.inner, bracket.outer
     _emit({"inner": inner, "outer": outer}, args)
     return EXIT_OK
 
 
 def _cmd_cantor(args) -> int:
+    from .cantor import DEFAULT_DEPTH_BUDGET, cantor_integrate, lebesgue_vitali_check, oscillation_cover
+    from .jsonio import parse_fn, parse_rational
+
     data = _load(args) if args.infile else {}
     fn_spec = json.loads(args.fn) if args.fn else data["fn"]
     fn = parse_fn(fn_spec, 1)
@@ -405,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", default=None, help="problem file (JSON), - for stdin")
         p.add_argument("--eps", default=None, help="tolerance (rational or decimal string)")
         p.add_argument("--depth", type=int, default=None, help="cylinder depth budget")
-        p.add_argument("--budget", type=_cell_budget, default=DEFAULT_BUDGET, help="cell budget (at least 1)")
+        # no default here: the handlers that take a budget fall back on
+        # integrate.DEFAULT_BUDGET, which only they may import
+        p.add_argument("--budget", type=_cell_budget, default=None, help="cell budget (at least 1)")
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--seed", type=int, default=None,
                        help="reserved for randomized test generators; solver paths ignore it")

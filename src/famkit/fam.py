@@ -34,6 +34,17 @@ def as_fraction(value: RationalLike) -> Fraction:
         raise InputError(f"bad rational {value!r}: {exc}") from None
 
 
+def as_table(f, ground) -> tuple[Fraction, ...]:
+    """Normalize a function on the ground set to a tuple of exact rationals."""
+    if isinstance(f, Mapping):
+        values = [f.get(i, f.get(ground.labels[i], 0)) for i in range(ground.size)]
+    else:
+        values = list(f)
+        if len(values) != ground.size:
+            raise InputError("table must have one value per ground element")
+    return tuple(as_fraction(v) for v in values)
+
+
 @dataclass(frozen=True)
 class Fam:
     """A finitely additive measure given by nonnegative atom weights."""

@@ -25,7 +25,7 @@ from . import _refine, _refine_py
 from .boolalg import Algebra, Partition, SetElem
 from .boxes import IN, STRADDLE, Box, BoxElem, VolumeFam, box_intersect, box_volume
 from .errors import InputError
-from .fam import Fam, as_fraction, pushforward
+from .fam import Fam, as_fraction, as_table, pushforward
 from .functions import PolynomialFn, RestrictedFn, region_of
 from .lattice import DyadicLattice, lattice_classifier
 
@@ -54,17 +54,6 @@ class IntegralReport:
 
 
 # -- finite backend ----------------------------------------------------
-
-
-def as_table(f, ground) -> tuple[Fraction, ...]:
-    """Normalize a function on the ground set to a tuple of exact rationals."""
-    if isinstance(f, Mapping):
-        values = [f.get(i, f.get(ground.labels[i], 0)) for i in range(ground.size)]
-    else:
-        values = list(f)
-        if len(values) != ground.size:
-            raise InputError("table must have one value per ground element")
-    return tuple(as_fraction(v) for v in values)
 
 
 def supsum(f, partition: Partition, fam: Fam) -> Fraction:
@@ -337,7 +326,8 @@ def _refine_grid(range_fn, lo0, hi0, eps, max_cells, poly=None):
 
     def sums(cells):
         terms = [(range_fn(lo, hi), math.prod(h - l for l, h in zip(lo, hi))) for lo, hi in cells]
-        return math.fsum(r[0] * v for r, v in terms), math.fsum(r[1] * v for r, v in terms)
+        return (_refine_py.darboux_sum((r[0] * v for r, v in terms), "lower"),
+                _refine_py.darboux_sum((r[1] * v for r, v in terms), "upper"))
 
     def split(cells):
         return [half for lo, hi in cells for half in _refine_py.split_widest(lo, hi)]

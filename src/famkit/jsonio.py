@@ -4,30 +4,20 @@ Rationals travel as "p/q" strings (plain integers and decimal strings are
 accepted on input), sets as sorted arrays of ground labels, algebras as
 {"generators": ...} or {"atoms": ...}, fams as atom-keyed weight maps or
 as a list of (set, value) pairs validated through the extension solver.
+
+The extension solver, the function DSL and boxes are imported by the codecs
+that use them, so that a subcommand loads only its own engine.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Any
 
 from .boolalg import Algebra, GroundSet, Partition, SetElem, generate_algebra
-from .boxes import BoxElem, make_box
 from .errors import InputError
-from .extend import Certificate, ExtensionResult, PartialAssignment, extend_assignment
 from .fam import Fam
-from .functions import (
-    DenseCodenseRegion,
-    HalfPlaneRegion,
-    IndicatorFn,
-    PiecewiseConstantFn,
-    PolynomialFn,
-    RegionComplement,
-    RegionIntersection,
-    RegionUnion,
-    add_term,
-    triangle_under_diagonal,
-)
 
 
 def parse_rational(value) -> Fraction:
@@ -105,6 +95,8 @@ def parse_fam(data) -> Fam:
     if not isinstance(data, dict):
         raise InputError("fam must be an object")
     if "values" in data:
+        from .extend import PartialAssignment, extend_assignment
+
         ground = parse_ground(data.get("ground"))
         pairs = [(parse_set(s, ground), parse_rational(v)) for s, v in data["values"]]
         if all(s.bits != ground.full_mask for s, _ in pairs):
@@ -162,6 +154,8 @@ def parse_target(data):
 
 def jsonable(value) -> Any:
     """Recursively render famkit values into plain JSON data."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     if isinstance(value, Fraction):
         return rational_str(value)
     if isinstance(value, SetElem):
@@ -170,16 +164,20 @@ def jsonable(value) -> Any:
         return fam_json(value)
     if isinstance(value, Algebra):
         return algebra_json(value)
-    if isinstance(value, Certificate):
-        return {"kind": value.kind, "payload": jsonable(value.payload)}
-    if isinstance(value, ExtensionResult):
-        out = {"status": value.status}
-        if value.witness is not None:
-            out["witness"] = fam_json(value.witness)
-        if value.certificate is not None:
-            out["certificate"] = jsonable(value.certificate)
-        return out
-    if isinstance(value, BoxElem):
+    # no value of these types exists before its module is imported
+    extend = sys.modules.get("famkit.extend")
+    if extend is not None:
+        if isinstance(value, extend.Certificate):
+            return {"kind": value.kind, "payload": jsonable(value.payload)}
+        if isinstance(value, extend.ExtensionResult):
+            out = {"status": value.status}
+            if value.witness is not None:
+                out["witness"] = fam_json(value.witness)
+            if value.certificate is not None:
+                out["certificate"] = jsonable(value.certificate)
+            return out
+    boxes = sys.modules.get("famkit.boxes")
+    if boxes is not None and isinstance(value, boxes.BoxElem):
         return [[[rational_str(lo), rational_str(hi)] for lo, hi in b] for b in value.boxes]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
@@ -202,6 +200,16 @@ def _form(data: dict, forms: tuple[str, ...], what: str):
 
 
 def parse_region(data, dimension: int):
+    from .boxes import BoxElem, make_box
+    from .functions import (
+        DenseCodenseRegion,
+        HalfPlaneRegion,
+        RegionComplement,
+        RegionIntersection,
+        RegionUnion,
+        triangle_under_diagonal,
+    )
+
     if isinstance(data, str):
         if data == "dirichlet":
             return DenseCodenseRegion()
@@ -231,6 +239,9 @@ def parse_region(data, dimension: int):
 
 def parse_fn(data, dimension: int):
     """The shared function DSL: poly, piecewise, indicator, or table."""
+    from .boxes import make_box
+    from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn, add_term
+
     if not isinstance(data, dict):
         raise InputError("function must be an object")
     form, spec = _form(data, ("poly", "piecewise", "indicator"), "function")

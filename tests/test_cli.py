@@ -255,11 +255,27 @@ class TestIntegrateCLI:
         assert (code, out) == (2, "")
         assert "Darboux gap is NaN" in err
 
-    def test_infinite_gap_converges(self, capsys):
-        code, out, _ = run(capsys, ["integrate", "--fn", '{"poly": [0, 1e308, -1e308]}', "--box", "[[0, 1]]",
-                                    "--eps", "1e306"])
-        assert code == 0
-        assert json.loads(out)["status"] == "integrable"
+    def test_infinite_gap_converges(self):
+        # a fresh interpreter, since pytest would catch numpy's warnings: the
+        # overflow is part of the enclosure arithmetic and prints nothing
+        proc = famkit_process(["-m", "famkit", "integrate", "--fn", '{"poly": [0, 1e308, -1e308]}',
+                               "--box", "[[0, 1]]", "--eps", "1e306"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["status"] == "integrable"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("fn, box, eps", [
+        # the batch engine: the cubic's two end cells give -inf and +inf terms
+        ('{"poly": [0, 0, 0, -3]}', "[[-1e100, 7e99]]", "1e148"),
+        # the scalar heap: each half is a constant cell with an infinite term
+        ('{"piecewise": {"pieces": [{"box": [[0, 2]], "value": -1e308}, {"box": [[2, 4]], "value": 1e308}]}}',
+         "[[0, 4]]", "1e-3"),
+    ], ids=["batch", "scalar"])
+    def test_overflowing_sum_exits_2(self, capsys, fn, box, eps):
+        # this used to be reported as ValueError('-inf + inf in fsum')
+        code, out, err = run(capsys, ["integrate", "--fn", fn, "--box", box, "--eps", eps, "--budget", "3000"])
+        assert (code, out) == (2, "")
+        assert err == "famkit: error: the lower Darboux sum overflows the float range\n"
 
     @pytest.mark.parametrize("fn", [
         # the value key was ignored: the plain indicator integrated to 0.5
@@ -604,5 +620,121 @@ class TestLazyNumpy:
             "print('ok')\n"
         )
         proc = famkit_process(["-c", script, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+
+# the run of one subcommand in a fresh interpreter: its exit code and every
+# famkit submodule (and numpy) it left loaded
+_LOADED_BY = (
+    "import contextlib, io, json, sys\n"
+    "import famkit.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = famkit.cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m.removeprefix('famkit.') for m in sys.modules\n"
+    "                               if m == 'numpy' or m.startswith('famkit.'))]))\n"
+)
+
+_NOT_FOR_EXTENSION = {"integrate", "functions", "cantor", "lattice", "_refine", "boxes", "approx", "numpy"}
+_FAM_HALVES = {"algebra": {"ground": {"n": 4}, "generators": [[0, 1]]}, "weights": {"0,1": "1/2", "2,3": "1/2"}}
+
+
+class TestImportClosure:
+    """A subcommand loads only the modules of the engine it runs."""
+
+    def test_import_loads_no_engine(self):
+        proc = famkit_process(["-c", "import sys, famkit, famkit.cli\n"
+                                     "print(sorted(m for m in sys.modules if m == 'numpy' or 'famkit' in m))"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['famkit', 'famkit.cli', 'famkit.errors']"
+
+    @pytest.mark.parametrize("command, payload, never", [
+        ("extend", {"ground": {"n": 4}, "pairs": [[[0, 1, 2, 3], "1"], [[0, 1], "1/2"], [[1, 2], "1/4"]],
+                    "value_range_of": [1]},
+         _NOT_FOR_EXTENSION),
+        ("constrain", {"ground": {"n": 4}, "sets": [[0, 1], [1, 2]],
+                       "targets": [["1/4", "1/2"], {"set": ["1/3", "1/2"]}], "delta": "1"}, _NOT_FOR_EXTENSION),
+        ("constrain", {"fam0": _FAM_HALVES, "fns": [["1", "0", "0", "0"]], "targets": [["0", "1/4"]]},
+         _NOT_FOR_EXTENSION),
+        ("constrain", {"ultra": {"algebra": {"ground": {"n": 3}, "generators": [[0], [1]]},
+                                 "weights": {"0": "1", "1": "0", "2": "0"}},
+                       "fns": [["1", "2", "3"]], "targets": [["1", "1"]]}, _NOT_FOR_EXTENSION),
+        ("integrate", {"fn": {"poly": [0, 0, 1]}, "box": [[0, 1]], "epsilon": "1e-3"},
+         {"extend", "simplex", "cantor", "approx"}),
+        ("integrate", {"fn": {"indicator": {"halfplane": {"normal": [1, 1], "offset": "2/3"}}},
+                       "box": [[0, 1], [0, 1]], "epsilon": "1e-2"}, {"extend", "simplex", "cantor", "approx"}),
+        ("jordan", {"region": "triangle-xy", "box": [[0, 1], [0, 1]], "epsilon": "1/256"},
+         {"extend", "simplex", "numpy"}),
+    ], ids=["extend", "constrain-sets", "constrain-fam0", "constrain-ultra", "integrate-poly",
+            "integrate-indicator", "jordan"])
+    def test_subcommand_loads_only_its_engine(self, tmp_path, command, payload, never):
+        path = write_json(tmp_path, "problem.json", payload)
+        proc = famkit_process(["-c", _LOADED_BY, command, "--in", path], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert not never & set(loaded), loaded
+
+
+# every public name of famkit when its __init__ imported all its submodules
+_PUBLIC = set("""
+Algebra BoxElem CantorClopen Certificate Cylinder DenseCodenseRegion ExtensionResult Fam
+FamkitError FiniteApprox GroundSet HalfPlaneRegion IndicatorFn InputError IntegralReport
+JordanReport LipschitzFn PartialAssignment Partition PiecewiseConstantFn PointRegion
+PolynomialFn RegionComplement RegionIntersection RegionUnion SetElem SupportWitness VolumeFam
+amalgamate approx approx_uniform approx_uniform_small approx_with_integrals backend_name boolalg
+boxes cantor cantor_integrate ceil_in classify clopen_measure compatible contains errors extend
+extend_assignment extend_one extend_preserving_range extend_with_filter extension_bounds fam
+fam_with_constraints fam_with_integral_constraints filter_fam floor_in functions
+generate_algebra has_uap infsum inner_measure integrate integrate_over integrate_simple
+iota2_image is_jordan is_refinement jordan_completion lattice lebesgue_vitali_check make_box
+measure_bracket meet_partitions oscillation oscillation_cover outer_measure point_mass
+pushforward pushforward_integral_check restrict simplex supsum three_way_extend
+triangle_under_diagonal uap_witness ultrafilter_integrate ultrafilter_with_limits uniform_fam
+uniformly_supported value_range xi_star_converges
+""".split())
+
+_API_CHECKS = (
+    "import importlib, sys, types\n"
+    "import famkit\n"
+    "public = set(sys.argv[1].split()) | {'__version__'}\n"
+    # the name is the function; its module comes from importlib (perfbench/tracing.py relies on both)
+    "assert famkit.integrate is sys.modules['famkit.integrate'].integrate, famkit.integrate\n"
+    "assert callable(famkit.integrate)\n"
+    "assert isinstance(importlib.import_module('famkit.integrate'), types.ModuleType)\n"
+    "star = {}\n"
+    "exec('from famkit import *', star)\n"
+    "assert public <= set(star), public - set(star)\n"
+    "assert public <= set(dir(famkit)), public - set(dir(famkit))\n"
+    "assert star['integrate'] is famkit.integrate\n"
+    "assert famkit.boolalg is sys.modules['famkit.boolalg']\n"
+    "try:\n"
+    "    famkit.no_such_name\n"
+    "except AttributeError:\n"
+    "    pass\n"
+    "else:\n"
+    "    raise AssertionError('famkit.no_such_name resolved')\n"
+    "print('ok')\n"
+)
+
+
+class TestLazyNamespace:
+    """``famkit.<name>`` resolves on first access, to what the eager
+    ``__init__`` bound, whatever was imported before."""
+
+    @pytest.mark.parametrize("before", [
+        "",
+        "import famkit.integrate",
+        "from famkit.integrate import integrate",
+        "import famkit.cantor",
+        "from famkit import *",
+        "import contextlib, io, famkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    famkit.cli.main(['integrate', '--fn', '{\"poly\": [0, 1]}', '--box', '[[0, 1]]', '--eps', '1e-2'])",
+    ], ids=["fresh", "import-module", "from-module", "importing-module", "star", "integrate-subcommand"])
+    def test_public_names(self, before):
+        proc = famkit_process(["-c", before + "\n" + _API_CHECKS, " ".join(sorted(_PUBLIC))],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"

@@ -649,6 +649,31 @@ class TestNanGap:
             "38a79c59fced0f190dbacc4112384a28edfae6cb11710cc6db3025eb04a3d740")
 
 
+def _steps():
+    # each half is a constant cell whose lower and upper terms are -inf or +inf
+    return PiecewiseConstantFn([(make_box([[0, 2]]), -1e308), (make_box([[2, 4]]), 1e308)])
+
+
+class TestOverflowingSums:
+    """A final Darboux sum that leaves the float range raises ``InputError``:
+    ``math.fsum`` refuses -inf + inf, and finite terms whose partial sums
+    overflow."""
+
+    @pytest.mark.parametrize("run", [
+        # the cubic's two end cells give -inf and +inf terms
+        lambda: integrate(PolynomialFn([0, 0, 0, -3]), VolumeFam([[-1e100, 7e99]]), 1e148, budget=3000),
+        lambda: integrate(PolynomialFn([0, 0, 0, -3]), VolumeFam([[-1e100, 7e99]]), 1e148, budget=3000,
+                          strategy="grid"),
+        # four cells of lower term 1e308 each
+        lambda: integrate(PolynomialFn([1e308, 1e292]), VolumeFam([[0, 4]]), 1e291),
+        lambda: integrate(_steps(), VolumeFam([[0, 4]]), 1e-3),
+        lambda: integrate(_steps(), VolumeFam([[0, 4]]), 1e-3, strategy="grid"),
+    ], ids=["batch", "batch-grid", "batch-finite-terms", "scalar-heap", "scalar-grid"])
+    def test_raises_input_error(self, run):
+        with pytest.raises(InputError, match="the lower Darboux sum overflows"):
+            run()
+
+
 class TestToleranceAndBudget:
     HALF = HalfPlaneRegion((1, 2), F(2, 3))
 
