@@ -2,10 +2,12 @@
 
 Times ``famkit.cantor`` on three fixtures of the regions benchmark: the
 Darboux integral of x^2 at 1e-4, a depth-8 oscillation cover of a step
-function and a Lebesgue-Vitali check of the same step function.  Prints
-cylinders swept, microseconds per cylinder and wall time (best of
-``--repeat`` runs) with the result.  Cylinders are counted in a separate
-untimed run.  The tests in ``tests/test_cantor.py`` hold the assertions;
+function and a Lebesgue-Vitali check of the same step function.  Three
+deep fixtures of that step function follow: its integral at 1e-5, a
+depth-16 cover and a Lebesgue-Vitali check at 1e-4, whose sweeps settle
+whole runs of cylinders with one lattice verdict.  Prints cylinders swept,
+microseconds per cylinder and wall time (best of ``--repeat`` runs) with
+the result.  Cylinders are counted in a separate untimed run.  The tests in ``tests/test_cantor.py`` hold the assertions;
 this script only times.
 
 Usage:
@@ -28,37 +30,48 @@ FIXTURES = {
     "x2-1e-4": lambda: cantor.cantor_integrate(PolynomialFn([0, 0, 1]), epsilon=1e-4),
     "step-cover-8": lambda: cantor.oscillation_cover(STEP, F(1, 4), 8),
     "step-vitali": lambda: cantor.lebesgue_vitali_check(STEP, epsilon=F(1, 50)),
+    "step-1e-5": lambda: cantor.cantor_integrate(STEP, epsilon=1e-5),
+    "step-cover-16": lambda: cantor.oscillation_cover(STEP, F(1, 4), 16),
+    "step-vitali-4": lambda: cantor.lebesgue_vitali_check(STEP, epsilon=1e-4),
 }
 
 
 def swept_cylinders(fn):
     """Cylinders ``fn`` sweeps: ``2**depth`` for each outermost call of
-    ``_depth_sums`` or ``_cylinder_ranges`` (depth sums of polynomials
-    sweep without the latter)."""
+    ``_depth_sums`` or ``_cylinder_runs``, which covers call, and for each
+    depth that a Lebesgue-Vitali check takes from ``_run_depths`` (depth
+    sums of polynomials sweep without the other two)."""
     count = 0
     inside = False
-    depth_sums, sweep = cantor._depth_sums, cantor._cylinder_ranges
+    depth_sums, sweep, depths = cantor._depth_sums, cantor._cylinder_runs, cantor._run_depths
 
-    def counted_sums(g, depth):
-        nonlocal count, inside
-        count += 2 ** depth
-        inside = True
-        try:
-            return depth_sums(g, depth)
-        finally:
-            inside = False
-
-    def counted_sweep(g, depth):
-        nonlocal count
-        if not inside:
+    def outermost(f):
+        def counted(g, depth):
+            nonlocal count, inside
+            if inside:
+                return f(g, depth)
             count += 2 ** depth
-        return sweep(g, depth)
+            inside = True
+            try:
+                return f(g, depth)
+            finally:
+                inside = False
 
-    cantor._depth_sums, cantor._cylinder_ranges = counted_sums, counted_sweep
+        return counted
+
+    def counted_depths(g):
+        nonlocal count
+        for depth, runs in enumerate(depths(g)):
+            if not inside:
+                count += 2 ** depth
+            yield runs
+
+    cantor._depth_sums, cantor._cylinder_runs = outermost(depth_sums), outermost(sweep)
+    cantor._run_depths = counted_depths
     try:
         fn()
     finally:
-        cantor._depth_sums, cantor._cylinder_ranges = depth_sums, sweep
+        cantor._depth_sums, cantor._cylinder_runs, cantor._run_depths = depth_sums, sweep, depths
     return count
 
 

@@ -23,6 +23,7 @@ from .errors import InputError
 
 # a NaN gap never falls below epsilon, nor does it clear as cells shrink
 NAN_GAP = "the Darboux gap is NaN at {} cells: the range enclosures overflow"
+OVERFLOW = "the {} Darboux sum overflows the float range"
 
 
 def darboux_sum(terms, which: str) -> float:
@@ -33,7 +34,17 @@ def darboux_sum(terms, which: str) -> float:
     try:
         return math.fsum(terms)
     except (ValueError, OverflowError):
-        raise InputError(f"the {which} Darboux sum overflows the float range") from None
+        raise InputError(OVERFLOW.format(which)) from None
+
+
+def finite_sum(total: float, which: str) -> float:
+    """``total``, a final ``which`` Darboux sum about to be reported.
+    Raises ``InputError`` unless it is finite.  A refinement round may
+    pass an infinite sum on, since a finer partition can still clear it,
+    but a report cannot state one."""
+    if not math.isfinite(total):
+        raise InputError(OVERFLOW.format(which))
+    return total
 
 
 def _ipow(x: float, e: int) -> float:

@@ -10,16 +10,17 @@ so range oracles from the box backend drive the Darboux sums here too.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from operator import add, mul
 from typing import Iterable, Iterator
 
 from ._refine_py import refine_uniform
-from .boxes import IN, OUT, BoxElem
+from .boxes import IN, OUT, STRADDLE, BoxElem
 from .errors import CapExceededError, InputError
 from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn
 from .integrate import INTEGRABLE, NOT_INTEGRABLE, UNDECIDED, IntegralReport, _darboux_report, _exact_eps, _float_eps
@@ -138,14 +139,6 @@ def _check_depth(depth: int) -> None:
         raise CapExceededError(f"cylinder depth {depth} is above the cap of {MAX_DEPTH}")
 
 
-def _unit_verdicts(region, depth: int):
-    """``cell -> IN / OUT / STRADDLE`` for ``region`` on the depth-``depth``
-    cells of [0, 1], the cylinder images."""
-    lattice = DyadicLattice(UNIT)
-    lattice.axis(depth)
-    return lattice_classifier(region, lattice)(depth)
-
-
 def _is_swept_poly(g) -> bool:
     """Polynomials in one variable, whose ranges :func:`_poly_blocks`
     encloses in float blocks."""
@@ -195,48 +188,133 @@ def _poly_blocks(g, depth: int) -> Iterator[tuple[list[float], list[float]]]:
         yield lows, highs
 
 
-def _cylinder_ranges(g, depth: int) -> Iterator[tuple[float, float]]:
-    """``g``'s range on each depth-``depth`` cylinder image, left to right:
-    exactly ``g.range_on`` of the image, without building its box.
+def _lattice_partitions(regions) -> Iterator[list[tuple[int, int, list[int]]]]:
+    """The partitions of [0, 1] that the verdicts of ``regions`` settle,
+    at depth 0, 1, 2, ... in turn: lists, left to right, of the lattice
+    cells ``(level, index, verdicts)``, with one verdict per region.
 
-    Polynomials are enclosed a block of cylinders at a time by
-    :func:`_poly_blocks`.  Indicators and 1-D step functions read verdicts
-    on the integer lattice of [0, 1], whose depth-``depth`` cells are the
-    images.  Any other oracle is asked on each image's box.
+    Each depth splits the cells of the last one that some verdict
+    straddles, as ``integrate.measure_bracket`` does, and asks the halves
+    only for the verdicts that straddled.  Verdicts are exact, so IN or
+    OUT on a cell holds on each of its halves: a cell of level ``j`` that
+    nothing straddles settles its ``2**(depth - j)`` cylinders of a depth,
+    and only cells of that depth can straddle.
     """
-    count = 1 << depth
+    lattice = DyadicLattice(UNIT)
+    classifiers = [lattice_classifier(region, lattice) for region in regions]
+    cells = [(0, 0, [at(0)((0,)) for at in classifiers])]
+    for depth in itertools.count(1):
+        yield cells
+        lattice.axis(depth)
+        verdicts_at = [at(depth) for at in classifiers]
+        deeper = []
+        for cell in cells:
+            _, index, verdicts = cell
+            if STRADDLE not in verdicts:
+                deeper.append(cell)
+                continue
+            for half in (2 * index, 2 * index + 1):
+                asked = (half,)
+                deeper.append((depth, half, [
+                    verdict(asked) if known == STRADDLE else known
+                    for known, verdict in zip(verdicts, verdicts_at)
+                ]))
+        cells = deeper
+
+
+def _partition_runs(cells, depth: int, ranges) -> Iterator[tuple[int, float, float]]:
+    """The runs of a depth-``depth`` partition from
+    :func:`_lattice_partitions`: ``ranges(verdicts)`` is the range on a
+    cell, given its verdicts."""
+    for level, _, verdicts in cells:
+        yield (1 << (depth - level), *ranges(verdicts))
+
+
+def _lattice_runs(g) -> Iterator[Iterator[tuple[int, float, float]]] | None:
+    """The runs of an indicator or a 1-D step function at depth 0, 1, 2,
+    ... in turn, from the lattice of [0, 1], whose level-``j`` cells are the
+    images of the cylinders of length ``j``; ``None`` for other oracles.
+
+    An indicator asks for its region's verdict.  A dense-codense region
+    straddles every cell, so its indicator is one run that asks for none,
+    the short cut of ``measure_bracket``.  A step function asks for the
+    verdict on each piece and on the pieces' union: as ``range_on`` sees
+    them, a value counts where its piece meets the image, the default
+    where the union misses some of it.
+    """
     kind = type(g)
+    if kind is IndicatorFn:
+        region, ranges = g.region, g.ranges
+        if getattr(region, "dense", False) and getattr(region, "codense", False):
+            return ([(1 << depth, *ranges[STRADDLE])] for depth in itertools.count())
+        regions = [region]
+
+        def range_of(verdicts):
+            return ranges[verdicts[0]]
+    elif kind is PiecewiseConstantFn and all(len(box) == 1 for box, _ in g.pieces):
+        regions = [*(BoxElem([box]) for box, _ in g.pieces), g.support]
+        values = [v for _, v in g.pieces]
+        default = g.default
+
+        def range_of(verdicts):
+            *pieces, support = verdicts
+            seen = [v for verdict, v in zip(pieces, values) if verdict != OUT]
+            if support != IN:
+                seen.append(default)
+            return min(seen), max(seen)
+    else:
+        return None
+    return (_partition_runs(cells, depth, range_of) for depth, cells in enumerate(_lattice_partitions(regions)))
+
+
+def _oracle_runs(g, depth: int) -> Iterator[tuple[int, float, float]]:
+    """The runs of one cylinder each of an oracle without lattice verdicts:
+    polynomials are enclosed a block of cylinders at a time by
+    :func:`_poly_blocks`, and any other oracle is asked on each image's
+    box."""
     if _is_swept_poly(g):
         for lows, highs in _poly_blocks(g, depth):
-            yield from zip(lows, highs)
-    elif kind is IndicatorFn:
-        verdict = _unit_verdicts(g.region, depth)
-        ranges = g.ranges
-        for k in range(count):
-            yield ranges[verdict((k,))]
-    elif kind is PiecewiseConstantFn and all(len(box) == 1 for box, _ in g.pieces):
-        # the pieces as range_on sees them: a value counts where its box
-        # meets the image, the default where the pieces' union misses some
-        pieces = [(_unit_verdicts(BoxElem([box]), depth), v) for box, v in g.pieces]
-        support = _unit_verdicts(g.support, depth)
-        default = g.default
-        for k in range(count):
-            cell = (k,)
-            values = [v for verdict, v in pieces if verdict(cell) != OUT]
-            if support(cell) != IN:
-                values.append(default)
-            yield min(values), max(values)
+            yield from zip(repeat(1), lows, highs)
     else:
-        yield from map(g.range_on, _cylinder_images(depth))
+        for image in _cylinder_images(depth):
+            yield (1, *g.range_on(image))
+
+
+def _run_depths(g) -> Iterator[Iterator[tuple[int, float, float]]]:
+    """``g``'s range on the cylinder images of depth 0, 1, 2, ... in turn,
+    each depth's left to right, as runs ``(count, lo, hi)`` of ``count``
+    consecutive cylinders whose images share the range ``(lo, hi)``:
+    exactly ``g.range_on`` of each image, without building its box.
+
+    Indicators and 1-D step functions settle whole runs with one verdict
+    per region, each depth deepening the last one's partition
+    (:func:`_lattice_runs`), and each run is one lattice cell: its count is
+    a power of two that divides the index of its first cylinder.  Other
+    oracles give runs of one cylinder (:func:`_oracle_runs`).
+    """
+    return _lattice_runs(g) or (_oracle_runs(g, depth) for depth in itertools.count())
+
+
+def _cylinder_runs(g, depth: int) -> Iterator[tuple[int, float, float]]:
+    """The runs of :func:`_run_depths` at depth ``depth``."""
+    return next(islice(_run_depths(g), depth, None))
+
+
+def _cylinder_ranges(g, depth: int) -> Iterator[tuple[float, float]]:
+    """``g``'s range on each depth-``depth`` cylinder image, left to right:
+    the runs of :func:`_cylinder_runs`, one entry per cylinder."""
+    for count, lo, hi in _cylinder_runs(g, depth):
+        yield from repeat((lo, hi), count)
 
 
 def _depth_sums(g, depth: int) -> tuple[float, float]:
     """The lower and upper Darboux sums of ``g`` on the depth-``depth``
     cylinders: the range ends added left to right, then scaled.
 
-    Polynomial blocks fold in with ``reduce(add, ...)``, the same sequential
-    addition as the loop; ``sum`` would not do, since it compensates float
-    sums from Python 3.12 on.
+    Polynomial blocks fold in with ``reduce(add, ...)``, and a run of
+    ``count`` cylinders with ``reduce(add, repeat(end, count), ...)``: the
+    same sequential additions as a loop over the cylinders.  ``sum`` would
+    not do, since it compensates float sums from Python 3.12 on.
     """
     scale = 0.5 ** depth
     lower = 0.0
@@ -246,9 +324,9 @@ def _depth_sums(g, depth: int) -> tuple[float, float]:
             lower = reduce(add, lows, lower)
             upper = reduce(add, highs, upper)
     else:
-        for rlo, rhi in _cylinder_ranges(g, depth):
-            lower += rlo
-            upper += rhi
+        for count, rlo, rhi in _cylinder_runs(g, depth):
+            lower = reduce(add, repeat(rlo, count), lower)
+            upper = reduce(add, repeat(rhi, count), upper)
     return lower * scale, upper * scale
 
 
@@ -289,11 +367,16 @@ def oscillation_cover(g, threshold, depth: int) -> OscillationCover:
     if thr <= 0:
         raise InputError("threshold must be positive")
     _check_depth(depth)
-    words = [
-        format(k, f"0{depth}b") if depth else ""
-        for k, (rlo, rhi) in enumerate(_cylinder_ranges(g, depth))
-        if rhi - rlo >= thr
-    ]
+    # a run is one lattice cell, so the word of its level names all its
+    # cylinders, and the canonical cover is the one their words give
+    words = []
+    start = 0
+    for count, rlo, rhi in _cylinder_runs(g, depth):
+        if rhi - rlo >= thr:
+            shift = count.bit_length() - 1  # count is 2**shift
+            level = depth - shift
+            words.append(format(start >> shift, f"0{level}b") if level else "")
+        start += count
     cover = CantorClopen(words)
     return OscillationCover(cover=cover, measure=clopen_measure(cover))
 
@@ -327,20 +410,25 @@ def lebesgue_vitali_check(
     thresholds = [Fraction(1, 2 ** k) for k in range(1, threshold_levels + 1)]
     settled: list[tuple[Fraction, int, Fraction] | None] = [None] * len(thresholds)
     measures = [Fraction(1)] * len(thresholds)
-    for depth in range(depth_budget + 1):
-        pending = [i for i, s in enumerate(settled) if s is None]
-        if not pending:
-            break
-        # the widths that reach some pending threshold, sorted, so the
-        # cylinders at or above each threshold are one bisection away
+    pending = list(range(len(thresholds)))
+    for depth, runs in zip(range(depth_budget + 1), _run_depths(g)):
+        # the runs whose width reaches some pending threshold, sorted by
+        # width, so the cylinders at or above each threshold are one
+        # bisection away: the count of the runs from there on
         low = min(float(thresholds[i]) for i in pending)
-        wide = sorted(w for rlo, rhi in _cylinder_ranges(g, depth) if (w := rhi - rlo) >= low)
+        wide = sorted((w, count) for count, rlo, rhi in runs if (w := rhi - rlo) >= low)
+        widths = [w for w, _ in wide]
+        before = list(accumulate((count for _, count in wide), initial=0))
         for i in pending:
             threshold = thresholds[i]
-            measure = measures[i] = Fraction(len(wide) - bisect_left(wide, float(threshold)), 1 << depth)
+            above = before[-1] - before[bisect_left(widths, float(threshold))]
+            measure = measures[i] = Fraction(above, 1 << depth)
             # a certified floor above the threshold can never vanish
             if measure < eps or floor >= threshold:
                 settled[i] = (threshold, depth, measure)
+        pending = [i for i in pending if settled[i] is None]
+        if not pending:
+            break
     profile = tuple(
         s or (threshold, depth_budget, measure)
         for s, threshold, measure in zip(settled, thresholds, measures)

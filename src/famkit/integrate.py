@@ -302,16 +302,20 @@ def _require_oracle(fn):
     return fn
 
 
+def _box_sum(fn, cells, end: int, which: str) -> float:
+    _require_oracle(fn)
+    terms = (fn.range_on(c)[end] * float(box_volume(c)) for c in cells)
+    return _refine_py.finite_sum(_refine_py.darboux_sum(terms, which), which)
+
+
 def box_supsum(fn, cells, fam: VolumeFam) -> float:
     """Oracle-driven upper Darboux sum over a partition into boxes."""
-    _require_oracle(fn)
-    return math.fsum(fn.range_on(c)[1] * float(box_volume(c)) for c in cells)
+    return _box_sum(fn, cells, 1, "upper")
 
 
 def box_infsum(fn, cells, fam: VolumeFam) -> float:
     """Oracle-driven lower Darboux sum over a partition into boxes."""
-    _require_oracle(fn)
-    return math.fsum(fn.range_on(c)[0] * float(box_volume(c)) for c in cells)
+    return _box_sum(fn, cells, 0, "lower")
 
 
 def _refine_grid(range_fn, lo0, hi0, eps, max_cells, poly=None):
@@ -349,7 +353,8 @@ def _scaled_outward(x: float, total: Fraction, toward: float) -> float:
 def _darboux_report(fn, bounding: Box, total: Fraction, eps: float, refine, backend: str) -> IntegralReport:
     """The verdict on ``fn`` over ``bounding``, of measure ``total``: by its
     oscillation floor when that reaches ``eps``, else by ``refine()``, which
-    returns ``(lower, upper, ncells, converged, trace)``."""
+    returns ``(lower, upper, ncells, converged, trace)``.  Raises
+    ``InputError`` when a final sum is not finite."""
     floor = float(getattr(fn, "oscillation_floor", 0.0))
     if floor > 0.0 and floor * float(total) >= eps:
         # no partition can beat the certified oscillation floor
@@ -363,12 +368,21 @@ def _darboux_report(fn, bounding: Box, total: Fraction, eps: float, refine, back
             backend=backend,
         )
     lower, upper, _, converged, trace = refine()
+    lower = _refine_py.finite_sum(lower, "lower")
+    upper = _refine_py.finite_sum(upper, "upper")
+    value = None
+    if converged:
+        value = 0.5 * (lower + upper)
+        if math.isinf(value):
+            # lower + upper overflows, so both are far above the subnormals
+            # and halving each is exact
+            value = 0.5 * lower + 0.5 * upper
     status = INTEGRABLE if converged else NOT_INTEGRABLE if floor > 0.0 else UNDECIDED
     return IntegralReport(
         status=status,
         lower=lower,
         upper=upper,
-        value=0.5 * (lower + upper) if converged else None,
+        value=value,
         epsilon=eps,
         trace=tuple(trace),
         backend=backend,

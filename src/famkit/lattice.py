@@ -156,11 +156,14 @@ def _halfplane(region: HalfPlaneRegion, lattice: DyadicLattice) -> Verdicts:
 
 
 def _axis_scaled(xs, lo: Fraction, w: Fraction) -> tuple[list[int], int]:
-    """Rationals ``xs`` as numerators over one denominator ``q``, in cell
-    widths of level 0 measured from ``lo``."""
-    rel = [(x - lo) / w for x in xs]
-    q = math.lcm(*(r.denominator for r in rel)) if rel else 1
-    return [r.numerator * (q // r.denominator) for r in rel], q
+    """Rationals ``xs`` as numerators ``n`` over one denominator ``q``, in
+    cell widths of level 0 measured from ``lo``: ``(x - lo)/w = n/q``, for
+    a width ``w > 0``.  ``q`` need not be the least such denominator, so
+    the points are scaled in integers, without a ``Fraction`` (and its
+    gcd) per point."""
+    den = math.lcm(lo.denominator, *(x.denominator for x in xs))
+    base = lo.numerator * (den // lo.denominator)
+    return [(x.numerator * (den // x.denominator) - base) * w.denominator for x in xs], den * w.numerator
 
 
 def _boxes(region: BoxElem, lattice: DyadicLattice) -> Verdicts:

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from famkit._refine_py import poly_range
-from famkit.boxes import BoxElem, VolumeFam, make_box
+from famkit.boxes import IN, OUT, BoxElem, VolumeFam, make_box
 from famkit.cantor import (
     BLOCK,
     DEFAULT_DEPTH_BUDGET,
     MAX_DEPTH,
+    UNIT,
     CantorClopen,
     Cylinder,
     _cylinder_ranges,
+    _cylinder_runs,
     _depth_sums,
     cantor_integrate,
     clopen_measure,
@@ -28,12 +30,14 @@ from famkit.functions import (
     IndicatorFn,
     LipschitzFn,
     PiecewiseConstantFn,
+    PointRegion,
     PolynomialFn,
     RegionComplement,
     RegionIntersection,
     RegionUnion,
 )
 from famkit.integrate import integrate
+from famkit.lattice import DyadicLattice, lattice_classifier
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -361,6 +365,157 @@ class TestVitaliSweep:
         g = VITALI_FUNCTIONS[name]
         report = lebesgue_vitali_check(g, epsilon=eps, depth_budget=budget)
         assert (report.verdict, report.oscillation_profile) == reference_vitali(g, eps, budget)
+
+
+# 1-D regions of every kind that lattice verdicts combine: half-lines of both
+# signs, box unions, points and the dense-codense fixture, under complements
+# and nested unions and intersections; the breaks fall on dyadic points, on 0
+# and 1, between them and outside [0, 1]
+RUN_REGIONS = st.recursive(
+    HALFPLANES
+    | st.lists(intervals(), min_size=1, max_size=3).map(BoxElem)
+    | CUTS.map(lambda x: PointRegion([x]))
+    | st.just(DenseCodenseRegion()),
+    lambda parts: (
+        parts.map(RegionComplement)
+        | st.lists(parts, min_size=2, max_size=3).map(lambda ps: RegionUnion(*ps))
+        | st.lists(parts, min_size=2, max_size=3).map(lambda ps: RegionIntersection(*ps))
+    ),
+    max_leaves=4,
+)
+RUN_ORACLES = st.builds(IndicatorFn, RUN_REGIONS, VALUES) | ORACLES["piecewise"]
+
+
+def lattice_ranges(g, depth):
+    """``g``'s range on each depth-``depth`` cylinder, from the lattice
+    verdicts on that cylinder alone."""
+    lattice = DyadicLattice(UNIT)
+    lattice.axis(depth)
+
+    def verdicts(region):
+        at = lattice_classifier(region, lattice)(depth)
+        return [at((k,)) for k in range(2 ** depth)]
+
+    if isinstance(g, IndicatorFn):
+        return [g.ranges[v] for v in verdicts(g.region)]
+    pieces = [verdicts(BoxElem([box])) for box, _ in g.pieces]
+    support = verdicts(g.support)
+    ranges = []
+    for k in range(2 ** depth):
+        values = [v for piece, (_, v) in zip(pieces, g.pieces) if piece[k] != OUT]
+        if support[k] != IN:
+            values.append(g.default)
+        ranges.append((min(values), max(values)))
+    return ranges
+
+
+def image_ranges(g, depth):
+    """``range_on`` of each depth-``depth`` cylinder's image, one call each."""
+    return [g.range_on((iota2_image(w),)) for w in TestCylinderImages.words(depth)]
+
+
+def per_cylinder_vitali(g, eps, depth_budget, threshold_levels=8):
+    """The Lebesgue-Vitali check on one range per cylinder: each threshold
+    deepens until the share of cylinders at least that wide is below eps."""
+    floor = float(getattr(g, "oscillation_floor", 0.0))
+    widths = {}
+    profile = []
+    for k in range(1, threshold_levels + 1):
+        threshold = F(1, 2 ** k)
+        for depth in range(depth_budget + 1):
+            if depth not in widths:
+                widths[depth] = [hi - lo for lo, hi in image_ranges(g, depth)]
+            measure = F(sum(w >= threshold for w in widths[depth]), 2 ** depth)
+            if measure < eps or floor >= threshold:
+                break
+        profile.append((threshold, depth, measure))
+    if all(m < eps for _, _, m in profile):
+        verdict = "integrable"
+    elif floor > 0.0:
+        verdict = "not_integrable"
+    else:
+        verdict = "undecided"
+    return verdict, tuple(profile)
+
+
+def hexed(ranges):
+    return [(lo.hex(), hi.hex()) for lo, hi in ranges]
+
+
+class TestCylinderRuns:
+    """Runs of cylinders that share one range, found by descending the
+    lattice of [0, 1], and the sweeps that fold them."""
+
+    @SETTINGS
+    @given(g=RUN_ORACLES, depth=st.integers(0, 12))
+    def test_runs_expand_to_the_lattice_verdicts(self, g, depth):
+        runs = list(_cylinder_runs(g, depth))
+        start = 0
+        for count, _, _ in runs:
+            # each run is one lattice cell
+            assert count & (count - 1) == 0 and start % count == 0
+            start += count
+        assert start == 2 ** depth
+        expanded = [(lo, hi) for count, lo, hi in runs for _ in range(count)]
+        assert hexed(expanded) == hexed(lattice_ranges(g, depth))
+
+    @SETTINGS
+    @given(g=RUN_ORACLES, depth=st.integers(0, 12),
+           threshold=st.sampled_from([F(1, 2), F(1, 4), F(3, 2), F(4)]))
+    def test_sweeps_match_one_range_per_cylinder(self, g, depth, threshold):
+        ranges = image_ranges(g, depth)
+        lower = upper = 0.0
+        for rlo, rhi in ranges:
+            lower += rlo
+            upper += rhi
+        scale = 0.5 ** depth
+        assert [x.hex() for x in _depth_sums(g, depth)] == [(lower * scale).hex(), (upper * scale).hex()]
+        covered = [w for w, (rlo, rhi) in zip(TestCylinderImages.words(depth), ranges) if rhi - rlo >= threshold]
+        assert oscillation_cover(g, threshold, depth).cover == CantorClopen(covered)
+
+    @SETTINGS
+    @given(g=RUN_ORACLES, budget=st.integers(0, 8), eps=st.sampled_from([F(1, 50), F(1, 8), F(1, 2)]))
+    def test_vitali_matches_one_range_per_cylinder(self, g, budget, eps):
+        report = lebesgue_vitali_check(g, epsilon=eps, depth_budget=budget)
+        assert (report.verdict, report.oscillation_profile) == per_cylinder_vitali(g, eps, budget)
+
+    @staticmethod
+    def counted_verdicts(monkeypatch):
+        """Counts every lattice verdict that the Cantor sweeps ask for."""
+        calls = [0]
+
+        def counting(region, lattice):
+            at = lattice_classifier(region, lattice)
+
+            def counted_at(depth):
+                verdict = at(depth)
+
+                def counted(cell):
+                    calls[0] += 1
+                    return verdict(cell)
+
+                return counted
+
+            return counted_at
+
+        monkeypatch.setattr("famkit.cantor.lattice_classifier", counting)
+        return calls
+
+    def test_step_cover_asks_verdicts_per_level(self, monkeypatch):
+        calls = self.counted_verdicts(monkeypatch)
+        depth = 16
+        cover = oscillation_cover(VITALI_FUNCTIONS["step"], F(1, 4), depth)
+        assert cover.measure == F(2, 2 ** depth)
+        # two pieces and their union, on the root and on at most four cells
+        # per level below it: two breaks, each inside one cell of a level,
+        # whose halves are visited; sweeping each cylinder took 3 * 2**16
+        assert 0 < calls[0] <= 3 * (1 + 4 * depth)
+
+    def test_dirichlet_sweep_asks_no_verdict(self, monkeypatch):
+        calls = self.counted_verdicts(monkeypatch)
+        assert oscillation_cover(IndicatorFn(DenseCodenseRegion()), F(1, 2), 16).cover.is_everything
+        assert lebesgue_vitali_check(IndicatorFn(DenseCodenseRegion()), epsilon=1e-2).verdict == "not_integrable"
+        assert calls[0] == 0
 
 
 class TestDepthCap:

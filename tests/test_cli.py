@@ -270,9 +270,12 @@ class TestIntegrateCLI:
         # the scalar heap: each half is a constant cell with an infinite term
         ('{"piecewise": {"pieces": [{"box": [[0, 2]], "value": -1e308}, {"box": [[2, 4]], "value": 1e308}]}}',
          "[[0, 4]]", "1e-3"),
-    ], ids=["batch", "scalar"])
+        # four end cells of lower term 1e308: this used to print "lower":
+        # Infinity with status integrable and exit 0
+        ('{"poly": [1e308, 1e292]}', "[[0, 4]]", "1e293"),
+    ], ids=["batch", "scalar", "infinite"])
     def test_overflowing_sum_exits_2(self, capsys, fn, box, eps):
-        # this used to be reported as ValueError('-inf + inf in fsum')
+        # the first two used to be reported as ValueError('-inf + inf in fsum')
         code, out, err = run(capsys, ["integrate", "--fn", fn, "--box", box, "--eps", eps, "--budget", "3000"])
         assert (code, out) == (2, "")
         assert err == "famkit: error: the lower Darboux sum overflows the float range\n"

@@ -674,6 +674,53 @@ class TestOverflowingSums:
             run()
 
 
+    def test_box_sums_of_mixed_infinite_terms(self):
+        # these used to raise ValueError('-inf + inf in fsum') from math.fsum
+        from famkit.integrate import box_infsum, box_supsum
+
+        cells = [make_box([[0, 2]]), make_box([[2, 4]])]
+        for sums in (box_infsum, box_supsum):
+            with pytest.raises(InputError, match="Darboux sum overflows"):
+                sums(_steps(), cells, VolumeFam([[0, 4]]))
+
+    def test_infinite_final_sums_are_rejected(self):
+        # the lower sums of the four end cells are 1e308 each: the final
+        # lower sum is +inf, which used to be reported with status integrable
+        with pytest.raises(InputError, match="the lower Darboux sum overflows"):
+            integrate(PolynomialFn([1e308, 1e292]), VolumeFam([[0, 4]]), 1e293)
+        # one cylinder of range [0, 1.7e308] beside one of 1.7e308: the
+        # upper sum at depth 1 is +inf, which used to be reported as undecided
+        step = PiecewiseConstantFn([(make_box([[0, F(2, 3)]]), 1.7e308)])
+        with pytest.raises(InputError, match="the upper Darboux sum overflows"):
+            cantor_integrate(step, depth_budget=1, epsilon=1e-3)
+
+
+class TestReportedValue:
+    """The value of a converged report is the midpoint of its sums, also
+    where their sum overflows, and bit for bit ``0.5 * (lower + upper)``
+    wherever that is finite."""
+
+    BACKENDS = {
+        "box": lambda v: integrate(PiecewiseConstantFn([], default=v), UNIT, 1e300),
+        "cantor": lambda v: cantor_integrate(
+            PiecewiseConstantFn([(make_box([[0, F(1, 3)]]), v)], default=v), epsilon=1e300),
+    }
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_value_of_huge_sums_is_finite(self, backend):
+        # 0.5 * (lower + upper) was Infinity here
+        report = self.BACKENDS[backend](1.7e308)
+        assert (report.status, report.lower, report.upper, report.value) == (
+            "integrable", 1.7e308, 1.7e308, 1.7e308)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("v", [5e-324, -5e-324, 0.1, -3.0, 8.9e307])
+    def test_finite_values_stay_bit_for_bit(self, backend, v):
+        # 0.5 * lower + 0.5 * upper alone would give 0.0 for the subnormals
+        report = self.BACKENDS[backend](v)
+        assert report.value.hex() == (0.5 * (report.lower + report.upper)).hex() == v.hex()
+
+
 class TestToleranceAndBudget:
     HALF = HalfPlaneRegion((1, 2), F(2, 3))
 
