@@ -60,7 +60,22 @@ return an enclosure of what was not computed.  A NaN gap never falls below
 epsilon and never clears, since the cell that makes it always keeps a NaN
 child, so ``refine_poly`` and the uniform loop raise ``InputError`` on it
 at once.  An infinite gap is allowed: it can still fall below epsilon as
-the cells shrink.
+the cells shrink.  A round whose gap is inf splits every cell that
+contributes inf (see ``_largest_first``).
+
+Where the two engines still differ:
+
+- The heap keeps a running sum of its finite contributions, and that sum
+  can overflow by itself.  On ``0.9e308 * x`` over [-1, 1] the root's two
+  halves contribute 0.9e308 each, the running sum becomes inf and never
+  comes back, so the heap splits until its budget runs out.  This engine
+  re-sums its contributions every round and converges in 404 cells.
+- On runs stopped by the budget the sums can differ in the last bits: the
+  last round here takes the ``limit`` largest cells, where the heap may
+  split a child first.  On ``1e308 * x`` over [-1, 1] at 1e300 with a
+  budget of 200,000, the lower sums are -1.124665141104844e+303 here and
+  -1.1246651411048436e+303 in the heap.  The tests compare the engines on
+  converged runs and pin this engine's budget stops.
 
 ``refine_grid`` is the ``grid`` strategy on the same cells: it hands
 ``_sums`` and ``_split`` to the uniform loop ``_refine_py.refine_uniform``,
@@ -256,7 +271,16 @@ def _largest_first(contrib, excess, limit, guess, start=math.inf):
     ``start=None`` at the first partition.  While the candidates fall short
     of the excess, the threshold drops to the ``m``-th largest
     contribution, ``m`` growing fourfold from ``guess``.
+
+    An infinite excess takes every cell whose contribution is inf, in
+    creation order: no finite sum covers it, and each of them must split
+    before the gap can become finite.  The heap splits them one by one in
+    the same order, so the cells that follow are the same.
     """
+    if excess == math.inf:
+        infinite = (contrib == math.inf).nonzero()[0][:limit]
+        if len(infinite):
+            return infinite, contrib[infinite].cumsum()
     n = len(contrib)
     threshold = start
     found = 0

@@ -127,18 +127,28 @@ def refine_generic(
     # range lo, range hi, volume); ids are unique, so lists are never compared
     heap: list[tuple] = []
     ids = itertools.count()
+    # the running gap is the sum of the finite contributions, or inf while
+    # ``infinite`` live cells contribute inf: splitting one of them then
+    # takes nothing from the sum, where adding -inf to inf would make it NaN.
+    # The sum starts at -0.0, since -0.0 + x is x for every float x.
+    finite = -0.0
+    infinite = 0
 
     def push(lo: list[float], hi: list[float]) -> float:
+        nonlocal finite, infinite
         vol = 1.0
         for l, h in zip(lo, hi):
             vol *= h - l
         rlo, rhi = range_fn(lo, hi)
         contrib = (rhi - rlo) * vol
         heapq.heappush(heap, (-contrib, next(ids), lo, hi, rlo, rhi, vol))
+        if contrib == math.inf:
+            infinite += 1
+        else:
+            finite += contrib
         return contrib
 
-    gap_est = push([float(x) for x in lo0], [float(x) for x in hi0])
-    trace = [(1, gap_est)]
+    trace = [(1, push([float(x) for x in lo0], [float(x) for x in hi0]))]
     next_trace = 2
     converged = False
 
@@ -146,12 +156,12 @@ def refine_generic(
         return math.fsum((c[5] - c[4]) * c[6] for c in heap)
 
     while True:
-        if gap_est < eps:
+        if not infinite and finite < eps:
             exact = certified_gap()
             if exact < eps:
                 converged = True
                 break
-            gap_est = exact
+            finite = exact
             continue
         if len(heap) >= max_cells:
             break
@@ -159,11 +169,14 @@ def refine_generic(
             converged = certified_gap() < eps
             break
         key, _, lo, hi, _, _, _ = heapq.heappop(heap)
-        gap_est += key  # key is minus the parent's contribution
+        if key == -math.inf:
+            infinite -= 1
+        else:
+            finite += key  # key is minus the parent's contribution
         for half in split_widest(lo, hi):
-            gap_est += push(*half)
+            push(*half)
         if len(heap) >= next_trace:
-            trace.append((len(heap), gap_est))
+            trace.append((len(heap), math.inf if infinite else finite))
             next_trace *= 2
 
     lower = darboux_sum((c[4] * c[6] for c in heap), "lower")

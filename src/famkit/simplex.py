@@ -1,7 +1,12 @@
 """Exact rational linear feasibility and optimization.
 
-A dense two-phase simplex over ``Fraction`` entries with Bland's pivoting
-rule (guaranteed termination, deterministic output).  The independent
+A two-phase simplex over ``Fraction`` entries with Bland's pivoting rule
+(guaranteed termination, deterministic output).  A pivot updates only the
+columns where the normalised pivot row is nonzero, and only the rows with a
+nonzero in the pivot column.  The artificial block is implicit: no
+artificial column ever enters, so none is stored, and the Farkas vector of
+an infeasible system comes from one exact solve of ``y B = c_B`` for the
+final phase-1 basis.  The independent
 Fourier-Motzkin verifier lives in :mod:`famkit.oracle` and shares no
 pivoting code with this module.
 """
@@ -54,7 +59,14 @@ class SimplexOutcome:
 
 
 class _Tableau:
-    """Phase-1/phase-2 simplex tableau (rows of Fractions)."""
+    """Phase-1/phase-2 simplex tableau (rows of Fractions).
+
+    Columns are ``vars | slacks | rhs``.  Each row also has an artificial
+    variable, with unit column ``e_i``, that starts basic; basis index
+    ``art0 + i`` stands for row ``i``'s artificial.  No artificial column
+    ever enters (both phases let only columns below ``art0`` in), so their
+    entries are never read and are not stored.
+    """
 
     def __init__(self, system: FeasibilitySystem):
         self.n = system.n_vars
@@ -77,48 +89,56 @@ class _Tableau:
                 rhs.append(Fraction(hi))
                 kinds.append(-1)
 
-        # interval rows arrive as inequalities c.w <= rhs; add slack columns
+        self.m = len(rows)
         self.n_slacks = sum(1 for k in kinds if k == -1)
+        self.art0 = self.n + self.n_slacks
+        self.width = self.art0 + 1
+        # the cap counts the artificial block as well, as if it were stored
+        if self.m * (self.width + self.m) > TABLEAU_CAP:
+            raise CapExceededError("feasibility system exceeds the solver size cap")
+
+        # interval rows arrive as inequalities c.w <= rhs; add slack columns
         slack_at = 0
         for i, k in enumerate(kinds):
             rows[i].extend([Fraction(0)] * self.n_slacks)
             if k == -1:
                 rows[i][self.n + slack_at] = Fraction(1)
                 slack_at += 1
+            rows[i].append(rhs[i])
 
         # normalize b >= 0, remembering orientation for the certificate
-        for i in range(len(rows)):
+        for i in range(self.m):
             if rhs[i] < 0:
                 rows[i] = [-c for c in rows[i]]
-                rhs[i] = -rhs[i]
                 signs.append(-1)
             else:
                 signs.append(1)
 
-        self.m = len(rows)
-        self.width = self.n + self.n_slacks + self.m + 1
-        if self.m * self.width > TABLEAU_CAP:
-            raise CapExceededError("feasibility system exceeds the solver size cap")
-        # columns: vars | slacks | artificials | rhs
-        self.rows = [
-            rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(self.m)] + [rhs[i]]
-            for i in range(self.m)
-        ]
-        self.basis = [self.n + self.n_slacks + i for i in range(self.m)]
+        self.rows = rows
+        #: the rows before any pivot, for the Farkas solve; pivots replace
+        #: rows and never mutate one, so this shares the lists
+        self.start = list(rows)
+        self.basis = [self.art0 + i for i in range(self.m)]
         self.signs = signs
         self.kinds = kinds
-        self.art0 = self.n + self.n_slacks
 
     def _pivot(self, row: int, col: int, obj: list[Fraction]) -> None:
-        piv = self.rows[row][col]
-        self.rows[row] = [c / piv for c in self.rows[row]]
-        for i in range(self.m):
-            if i != row and self.rows[i][col]:
-                f = self.rows[i][col]
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], self.rows[row])]
+        rows = self.rows
+        piv = rows[row][col]
+        pivot_row = [c / piv for c in rows[row]]
+        rows[row] = pivot_row
+        nonzeros = [(j, b) for j, b in enumerate(pivot_row) if b]
+        for i, r in enumerate(rows):
+            if i != row and r[col]:
+                f = r[col]
+                r = list(r)
+                for j, b in nonzeros:
+                    r[j] -= f * b
+                rows[i] = r
         if obj[col]:
             f = obj[col]
-            obj[:] = [a - f * b for a, b in zip(obj, self.rows[row])]
+            for j, b in nonzeros:
+                obj[j] -= f * b
         self.basis[row] = col
 
     def _run(self, obj: list[Fraction], allowed: int) -> None:
@@ -146,22 +166,28 @@ class _Tableau:
             self._pivot(leave, enter, obj)
 
     def phase1(self) -> Fraction:
-        # reduced costs for min sum(artificials) with artificial basis
+        # reduced costs for min sum(artificials) with artificial basis: each
+        # artificial costs 1, so a column's reduced cost is minus its sum
         obj = [Fraction(0)] * self.width
-        for j in range(self.art0, self.art0 + self.m):
-            obj[j] = Fraction(1)
-        for i in range(self.m):
-            obj = [a - b for a, b in zip(obj, self.rows[i])]
-        self._obj1 = None
+        for row in self.rows:
+            obj = [a - b for a, b in zip(obj, row)]
         self._run(obj, self.art0)
-        self._obj1 = obj
         return -obj[-1]
 
     def farkas(self) -> tuple[Fraction, ...]:
-        # y_i = 1 - reduced cost of artificial column i, unnegating flipped rows;
-        # then y.A <= 0 on variable columns while y.b equals the positive optimum
-        obj = self._obj1
-        raw = [Fraction(1) - obj[self.art0 + i] for i in range(self.m)]
+        # the phase-1 duals y = c_B B^-1 of the final basis, from the starting
+        # rows: y.e_i = 1 for a basic artificial i, y.A_j = 0 for a basic
+        # column j < art0.  Then y.A <= 0 on variable columns while y.b equals
+        # the positive optimum; unnegate flipped rows.
+        eqs = []
+        for j in self.basis:
+            if j >= self.art0:
+                eq = [Fraction(0)] * self.m + [Fraction(1)]
+                eq[j - self.art0] = Fraction(1)
+            else:
+                eq = [row[j] for row in self.start] + [Fraction(0)]
+            eqs.append(eq)
+        raw = _solve(eqs)
         per_row = [self.signs[i] * raw[i] for i in range(self.m)]
         out = []
         for i, k in enumerate(self.kinds):
@@ -182,17 +208,21 @@ class _Tableau:
         obj = [Fraction(0)] * self.width
         for j, c in enumerate(objective):
             obj[j] = Fraction(c)
-        for i in range(self.m):
-            c = obj[self.basis[i]]
+        for i, j in enumerate(self.basis):
+            # a basic artificial costs 0 in phase 2
+            c = obj[j] if j < self.art0 else 0
             if c:
                 obj = [a - c * b for a, b in zip(obj, self.rows[i])]
-                obj[self.basis[i]] = Fraction(0)
+                obj[j] = Fraction(0)
         self._run(obj, self.art0)
         return -obj[-1]
 
     def fork(self) -> _Tableau:
-        """An independent copy; ``_pivot`` replaces rows and never mutates
-        one, so the two may share row lists."""
+        """An independent copy that shares row lists with this tableau.
+
+        Sharing is safe because ``_pivot`` replaces a row with a new list and
+        never mutates one in place; every other method only reads rows.
+        """
         twin = copy.copy(self)
         twin.rows = list(self.rows)
         twin.basis = list(self.basis)
@@ -204,6 +234,23 @@ class _Tableau:
             if j < self.n:
                 x[j] = self.rows[i][-1]
         return tuple(x)
+
+
+def _solve(eqs: list[list[Fraction]]) -> list[Fraction]:
+    """The solution of a square nonsingular system, rows ``[a_1 .. a_m | b]``,
+    by exact Gauss-Jordan elimination."""
+    m = len(eqs)
+    for c in range(m):
+        p = next(i for i in range(c, m) if eqs[i][c])
+        eqs[c], eqs[p] = eqs[p], eqs[c]
+        piv = eqs[c][c]
+        pivot_eq = [v / piv for v in eqs[c]]
+        eqs[c] = pivot_eq
+        for i in range(m):
+            if i != c and eqs[i][c]:
+                f = eqs[i][c]
+                eqs[i] = [a - f * b for a, b in zip(eqs[i], pivot_eq)]
+    return [eq[-1] for eq in eqs]
 
 
 def solve_feasibility(system: FeasibilitySystem) -> SimplexOutcome:

@@ -24,7 +24,8 @@ def famkit_process(args, **kwargs):
     """Run ``python <args>`` in a fresh interpreter that imports famkit from ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+    kwargs.setdefault("timeout", 120)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
 
 
 def write_json(tmp_path, name, payload):
@@ -279,6 +280,15 @@ class TestIntegrateCLI:
         code, out, err = run(capsys, ["integrate", "--fn", fn, "--box", box, "--eps", eps, "--budget", "3000"])
         assert (code, out) == (2, "")
         assert err == "famkit: error: the lower Darboux sum overflows the float range\n"
+
+    def test_infinite_batch_rounds_exit_2_at_once(self):
+        # every cell of infinite contribution splits in one round: with one
+        # per round, the whole budget ran for more than a minute
+        proc = famkit_process(["-m", "famkit", "integrate", "--fn", '{"poly": [0, 0, 0, -3]}',
+                               "--box", "[[-1e100, 7e99]]", "--eps", "1e148", "--budget", "100000"],
+                              capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "famkit: error: the lower Darboux sum overflows the float range\n"
 
     @pytest.mark.parametrize("fn", [
         # the value key was ignored: the plain indicator integrated to 0.5

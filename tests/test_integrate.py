@@ -649,6 +649,28 @@ class TestNanGap:
             "38a79c59fced0f190dbacc4112384a28edfae6cb11710cc6db3025eb04a3d740")
 
 
+class TestInfiniteGap:
+    """A cell that contributes inf leaves the gap infinite until it splits;
+    splitting it must not turn the heap's running gap into NaN."""
+
+    @pytest.mark.parametrize("value, box, second", [
+        # only the root contributes inf: the trace at two cells was NaN
+        (0.8e308, [[0, 2]], 1.6e308),
+        # the root and its left half contribute inf: that trace entry was NaN
+        (0.5e308, [[0, 4]], math.inf),
+    ])
+    @pytest.mark.parametrize("budget", [1_000, 20_000, 200_000])
+    def test_heap_converges_after_infinite_cells(self, value, box, second, budget):
+        # the heap's running gap used to become inf - inf = NaN, so it split
+        # until the budget and reported undecided
+        fn = parse_fn({"piecewise": {"pieces": [{"box": [[0, "1/3"]], "value": -value}],
+                                     "default": value}}, 1)
+        report = integrate(fn, VolumeFam(box), 1e293, budget=budget)
+        assert report.status == "integrable"
+        assert report.trace[-1][0] == 53
+        assert report.trace[:2] == ((1, math.inf), (2, second))
+
+
 def _steps():
     # each half is a constant cell whose lower and upper terms are -inf or +inf
     return PiecewiseConstantFn([(make_box([[0, 2]]), -1e308), (make_box([[2, 4]]), 1e308)])

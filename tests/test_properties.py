@@ -25,7 +25,9 @@ from famkit.extend import PartialAssignment, extend_assignment, extend_one, valu
 from famkit.fam import Fam, has_uap, uniformly_supported
 from famkit.integrate import infsum, integrate, supsum
 from famkit.oracle import exhaustive_integral_bounds, fm_feasible, set_partitions
-from famkit.simplex import FeasibilitySystem, optimize, solve_feasibility
+from famkit.errors import CapExceededError
+from famkit import simplex
+from famkit.simplex import FeasibilitySystem, _Tableau, optimize, solve_feasibility
 
 from genutil import random_fam, random_rational, random_table
 
@@ -296,6 +298,117 @@ class TestExtendProperties:
         assert 10 <= feasible < 40
 
 
+# sha256 of repr() of the Farkas vectors of ``infeasible_equality_systems(71)``,
+# pinned while farkas() still read the phase-1 reduced costs of a stored
+# artificial block
+PINNED_FARKAS = "bb46185d916616053a50f071aabcbc99d88f3e296733151beb0e8cd28a17da4b"
+
+
+class TestSimplexTableau:
+    @staticmethod
+    def infeasible_equality_systems(seed, count=80):
+        """``count`` infeasible pure-equality systems over ``w >= 0``, with
+        right-hand sides of both signs, so that phase 1 flips some rows;
+        about half repeat a row, scaled with its right-hand side, so that
+        one artificial of the pair can stay basic at zero."""
+        rng = Random(seed)
+        found = 0
+        while found < count:
+            n = rng.randint(1, 6)
+            rows = []
+            for _ in range(rng.randint(1, 4)):
+                coeffs = tuple(F(rng.randint(-2, 3)) for _ in range(n))
+                rows.append((coeffs, random_rational(rng, 4, 6) * rng.choice((1, -1))))
+            if rng.random() < 0.5:
+                coeffs, rhs = rng.choice(rows)
+                k = rng.choice((F(1), F(2), F(-1), F(1, 2)))
+                rows.insert(rng.randrange(len(rows) + 1), (tuple(k * c for c in coeffs), k * rhs))
+            system = FeasibilitySystem(n_vars=n, equalities=tuple(rows))
+            outcome = solve_feasibility(system)
+            if not outcome.feasible:
+                found += 1
+                yield system, outcome.farkas
+
+    def test_farkas_vectors_refute_infeasible_equalities(self):
+        # y.A <= 0 on every variable column while y.b > 0: no w >= 0 solves
+        # A w = b.  The vectors themselves are pinned byte for byte.
+        vectors = []
+        flipped = redundant = 0
+        for system, y in self.infeasible_equality_systems(71):
+            rows = system.equalities
+            assert len(y) == len(rows)
+            for j in range(system.n_vars):
+                assert sum((yi * coeffs[j] for yi, (coeffs, _) in zip(y, rows)), F(0)) <= 0
+            assert sum((yi * b for yi, (_, b) in zip(y, rows)), F(0)) > 0
+            vectors.append(y)
+            flipped += any(b < 0 for _, b in rows)
+            tab = _Tableau(system)
+            tab.phase1()
+            redundant += any(j >= tab.art0 and tab.rows[i][-1] == 0 for i, j in enumerate(tab.basis))
+        assert flipped >= 40 and redundant >= 10
+        assert hashlib.sha256(repr(vectors).encode()).hexdigest() == PINNED_FARKAS
+
+    def test_forks_run_in_either_order(self):
+        # forks share row lists with the tableau they came from; a pivot
+        # replaces a row and never mutates one, so neither fork's run can
+        # change what the other finds
+        solved = 0
+        for system, objectives in TestExtendProperties.objective_systems(47):
+            tab = _Tableau(system)
+            if tab.phase1() != 0:
+                continue
+            tab.drive_out_artificials()
+            before = [list(row) for row in tab.rows]
+            first, second = objectives[:2]
+            results = []
+            for order in ((first, second), (second, first)):
+                runs = [tab.fork(), tab.fork()]
+                values = [run.phase2(objective) for run, objective in zip(runs, order)]
+                results.append([(value, run.solution()) for value, run in zip(values, runs)])
+            assert results[0] == results[1][::-1]
+            assert tab.rows == before
+            assert optimize(system, [first])[0] == results[0][0]
+            solved += 1
+        assert solved >= 15
+
+    def test_cap_counts_the_dense_tableau(self, monkeypatch):
+        # the cap bounds m * (n + slacks + m + 1): the size of a dense tableau
+        # with one artificial column per row, whether or not it is stored
+        monkeypatch.setattr(simplex, "TABLEAU_CAP", 30)
+        rng = Random(73)
+        rejected = 0
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            eqs = tuple((tuple(F(rng.randint(0, 2)) for _ in range(n)), F(rng.randint(-2, 3)))
+                        for _ in range(rng.randint(0, 3)))
+            ivs = []
+            for _ in range(rng.randint(0, 2)):
+                lo, hi = rng.choice(((F(0), None), (None, F(2)), (F(-1), F(1))))
+                ivs.append((tuple(F(rng.randint(-1, 1)) for _ in range(n)), lo, hi))
+            system = FeasibilitySystem(n_vars=n, equalities=eqs, intervals=tuple(ivs))
+            slacks = sum((lo is not None) + (hi is not None) for _, lo, hi in ivs)
+            m = len(eqs) + slacks
+            if m * (n + slacks + m + 1) > 30:
+                rejected += 1
+                with pytest.raises(CapExceededError):
+                    solve_feasibility(system)
+            else:
+                solve_feasibility(system)
+        assert 40 <= rejected <= 80
+
+    def test_default_cap_boundary(self):
+        # two rows: 2 * (n + 2 + 1) entries, at most 2,000,000
+        assert simplex.TABLEAU_CAP == 2_000_000
+        for n, fits in ((999_997, True), (999_998, False)):
+            row = (F(1),) * n
+            system = FeasibilitySystem(n_vars=n, equalities=((row, F(1)), (row, F(1))))
+            if fits:
+                assert _Tableau(system).m == 2
+            else:
+                with pytest.raises(CapExceededError):
+                    _Tableau(system)
+
+
 class TestThreeWayCrossCheck:
     def test_verdict_matches_direct_feasibility(self):
         # the bullet conditions must agree with one joint solve over the
@@ -529,6 +642,19 @@ class TestBatchedRefinement:
             heap = _heap_refine(*fixture, 2_000_000)
             assert batched[:4] == heap[:4]  # lower, upper, cells, converged
             assert batched[3]
+
+    @pytest.mark.parametrize("eps, cells", [(1e306, 359), (3e305, 1106)])
+    def test_infinite_root_gap_matches_the_heap(self, eps, cells):
+        # the root cell of 0.8e308 * x on [-1, 1] contributes inf; the heap's
+        # running gap used to turn NaN at its first split and ran to the
+        # budget, while the batch converged
+        from famkit._refine import refine_poly
+
+        fixture = ([(1,)], [0.8e308], [-1.0], [1.0], eps)
+        batched = refine_poly(*fixture, 200_000)
+        heap = _heap_refine(*fixture, 200_000)
+        assert batched[:4] == heap[:4]
+        assert batched[2:4] == (cells, True)
 
     @SETTINGS
     @given(dyadic_polynomials())
