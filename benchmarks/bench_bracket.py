@@ -1,4 +1,5 @@
-"""Benchmark: exact Jordan brackets on the integer dyadic lattice.
+"""Benchmark: exact Jordan brackets and indicator integrals on the integer
+dyadic lattice.
 
 Times ``famkit.integrate.measure_bracket`` and ``is_jordan`` on the three
 half-plane fixtures of the regions benchmark and on criterion 7's triangle
@@ -8,6 +9,14 @@ only when it is read, so the ``is_jordan+witness`` row, which reads it,
 shows what the witness boxes cost.  Cells are counted in a separate
 untimed run.  The exact brackets of these fixtures are pinned by
 ``tests/test_lattice.py``; this script only times them.
+
+The ``integrate`` rows time the box integral of an indicator shaped like
+the ``box-indicator`` problems of the regions benchmark (half-planes with
+offsets of denominator 3, 5 or 7 on the unit square), once on the scalar
+heap ``famkit._refine_py.refine_generic`` over float cells and once on
+the lattice queue ``famkit._refine_py.refine_lattice``, and print the
+cells (the live cells at the end) and the float bracket.  The script exits
+1 when the two results, trace included, differ in any bit.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_bracket.py [--full] [--repeat N]
@@ -26,9 +35,9 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
-from famkit import lattice
+from famkit import _refine_py, lattice
 from famkit.boxes import VolumeFam
-from famkit.functions import HalfPlaneRegion, triangle_under_diagonal
+from famkit.functions import HalfPlaneRegion, IndicatorFn, RegionIntersection, triangle_under_diagonal
 
 # the package rebinds the name ``famkit.integrate`` to the function
 integrate = importlib.import_module("famkit.integrate")
@@ -41,6 +50,25 @@ FIXTURES = {
     "halfplane-fine": (HalfPlaneRegion((1, 2), F(2, 3)), SQUARE, F(1, 3000)),
     "triangle-1e-4": (triangle_under_diagonal(), SQUARE, F(1, 10000)),
 }
+
+INDICATORS = {
+    "box-indicator-1": (HalfPlaneRegion((2, -1), F(4, 7)), 3.2e-3),
+    "box-indicator-2": (RegionIntersection(HalfPlaneRegion((1, -2), F(1, 5)),
+                                           HalfPlaneRegion((-1, -1), F(-3, 7))), 1e-3),
+}
+
+
+def heap_integral(fn, fam, eps):
+    lo0 = [float(lo) for lo, _ in fam.bounding]
+    hi0 = [float(hi) for _, hi in fam.bounding]
+    return _refine_py.refine_generic(lambda lo, hi: fn.range_on(tuple(zip(lo, hi))), lo0, hi0, eps,
+                                     integrate.DEFAULT_BUDGET)
+
+
+def lattice_integral(fn, fam, eps):
+    grid = lattice.DyadicLattice(fam.bounding)
+    return _refine_py.refine_lattice(lattice.lattice_classifier(fn.region, grid), grid, fn.ranges, eps,
+                                     integrate.DEFAULT_BUDGET)
 
 
 def classified_cells(region, fam, eps):
@@ -100,6 +128,18 @@ def main(argv=None):
         for call, seconds in rows:
             print(f"{name:15} {call:>17} {cells:>8} {seconds / cells * 1e6:>8.2f} {seconds:>8.4f}"
                   f"  [{bracket.inner}, {bracket.outer}]")
+    differ = []
+    for name, (region, eps) in INDICATORS.items():
+        fn = IndicatorFn(region)
+        results = {}
+        for call, engine in (("integrate heap", heap_integral), ("integrate lattice", lattice_integral)):
+            seconds, result = best_time(lambda: engine(fn, SQUARE, eps), args.repeat)
+            results[call] = result
+            lower, upper, cells = result[:3]
+            print(f"{name:15} {call:>17} {cells:>8} {seconds / cells * 1e6:>8.2f} {seconds:>8.4f}"
+                  f"  [{lower!r}, {upper!r}]")
+        if len(set(map(repr, results.values()))) > 1:
+            differ.append(name)
     if args.full:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         test = "tests/test_acceptance.py::test_criterion_7_jordan_suite"
@@ -107,6 +147,9 @@ def main(argv=None):
         subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
                        cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
         print(f"\ncriterion 7: {time.perf_counter() - started:.2f} s (one pytest run)")
+    if differ:
+        print(f"\nthe heap and the lattice differ on {', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -63,19 +63,19 @@ at once.  An infinite gap is allowed: it can still fall below epsilon as
 the cells shrink.  A round whose gap is inf splits every cell that
 contributes inf (see ``_largest_first``).
 
-Where the two engines still differ:
+This engine re-sums its contributions every round.  The heap keeps a
+running sum of its finite contributions, which can overflow by itself (on
+``0.9e308 * x`` over [-1, 1] the root's two halves contribute 0.9e308
+each), and takes it afresh over the live cells when it does; both engines
+converge there in 404 cells.
 
-- The heap keeps a running sum of its finite contributions, and that sum
-  can overflow by itself.  On ``0.9e308 * x`` over [-1, 1] the root's two
-  halves contribute 0.9e308 each, the running sum becomes inf and never
-  comes back, so the heap splits until its budget runs out.  This engine
-  re-sums its contributions every round and converges in 404 cells.
-- On runs stopped by the budget the sums can differ in the last bits: the
-  last round here takes the ``limit`` largest cells, where the heap may
-  split a child first.  On ``1e308 * x`` over [-1, 1] at 1e300 with a
-  budget of 200,000, the lower sums are -1.124665141104844e+303 here and
-  -1.1246651411048436e+303 in the heap.  The tests compare the engines on
-  converged runs and pin this engine's budget stops.
+Where the two engines still differ: on runs stopped by the budget the sums
+can differ in the last bits.  The last round here takes the ``limit``
+largest cells, where the heap may split a child first.  On ``1e308 * x``
+over [-1, 1] at 1e300 with a budget of 200,000, the lower sums are
+-1.124665141104844e+303 here and -1.1246651411048436e+303 in the heap.
+The tests compare the engines on converged runs and pin this engine's
+budget stops.
 
 ``refine_grid`` is the ``grid`` strategy on the same cells: it hands
 ``_sums`` and ``_split`` to the uniform loop ``_refine_py.refine_uniform``,
@@ -89,11 +89,10 @@ its start-up time and memory.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Sequence
 
-from ._refine_py import NAN_GAP, darboux_sum, refine_uniform
+from ._refine_py import NAN_GAP, darboux_sum, exact_sum, refine_uniform
 from .errors import InputError
 
 # cells per vectorized pass over cell terms; about a dozen temporaries of
@@ -222,15 +221,12 @@ def _contributions(plan, cells):
 def _sums(plan, cells) -> tuple[float, float]:
     """The exactly rounded lower and upper Darboux sums over ``cells``,
     from one enclosure of each cell."""
-    terms = [ends * vol for ends, vol in _blocks(plan, cells)]
-    lower = darboux_sum(_floats(t[0] for t in terms), "lower")
-    return lower, darboux_sum(_floats(t[1] for t in terms), "upper")
+    import numpy as np
 
-
-def _floats(arrays):
-    # memoryviews yield Python floats, twice as fast as numpy scalars and
-    # without a list copy of the arrays
-    return itertools.chain.from_iterable(map(memoryview, arrays))
+    terms = np.concatenate([ends * vol for ends, vol in _blocks(plan, cells)], axis=1)
+    # memoryviews yield Python floats, twice as fast as numpy scalars, and
+    # can be read again where fsum's partial sums overflow
+    return darboux_sum(memoryview(terms[0]), "lower"), darboux_sum(memoryview(terms[1]), "upper")
 
 
 def _split(cells):
@@ -345,7 +341,7 @@ def refine_poly(
     midpoint of its widest axis (lowest axis index on ties).
 
     Returns ``(lower, upper, ncells, converged, trace)``.  The sums are
-    exactly rounded (math.fsum) over the live cells.  ``trace`` holds
+    exactly rounded (``exact_sum``) over the live cells.  ``trace`` holds
     ``(ncells, gap)`` at the start, at each power-of-two cell count, and at
     the end.  Raises ``InputError`` when the gap is NaN or a final sum
     overflows.
@@ -372,7 +368,7 @@ def refine_poly(
             raise InputError(NAN_GAP.format(n))
         exact = None
         if gap < eps:
-            exact = gap = math.fsum(memoryview(contrib))
+            exact = gap = exact_sum(memoryview(contrib))
             if gap < eps:
                 converged = True
                 break
@@ -412,7 +408,7 @@ def refine_poly(
         store[:, n:n + k] = halves[:, k:]
 
     n = len(contrib)
-    trace.append((n, math.fsum(memoryview(contrib)) if exact is None else exact))
+    trace.append((n, exact_sum(memoryview(contrib)) if exact is None else exact))
     # exactly rounded sums do not depend on the order of the cells
     lower, upper = _sums(plan, store[:, :n])
     return lower, upper, n, converged, trace

@@ -7,6 +7,10 @@ widest axis (lowest axis index on ties).  It serves the scalar oracles
 is the reference that the batched polynomial engine in ``famkit._refine``
 is tested against.
 
+``refine_lattice`` is the same heap for indicators, on the integer dyadic
+lattice of ``famkit.lattice``: there it is a FIFO queue (see its
+docstring).
+
 ``refine_uniform`` splits every cell each round instead: the ``grid``
 strategy runs it on lists and on numpy rows of float cells, and Cantor
 integrals on cylinder depths.
@@ -17,8 +21,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from typing import Callable, Sequence
 
+from .boxes import IN, OUT, STRADDLE
 from .errors import InputError
 
 # a NaN gap never falls below epsilon, nor does it clear as cells shrink
@@ -26,14 +32,54 @@ NAN_GAP = "the Darboux gap is NaN at {} cells: the range enclosures overflow"
 OVERFLOW = "the {} Darboux sum overflows the float range"
 
 
-def darboux_sum(terms, which: str) -> float:
-    """The exactly rounded sum of ``terms``, the ``which`` ("lower" or
-    "upper") Darboux sum.  Raises ``InputError`` where it overflows:
-    ``math.fsum`` refuses a sum of -inf and +inf, and finite terms whose
-    partial sums leave the float range."""
+def counted_sum(pairs) -> float:
+    """The sum of ``n`` copies of ``x`` over the ``(n, x)`` pairs, rounded
+    once: ``math.fsum`` of the terms written out, in time that does not
+    grow with the counts, and without fsum's intermediate overflow.
+
+    A sum beyond the float range is ``±inf``.  Where a term is not finite
+    the sum is fsum's sum of those terms alone (``inf``, ``-inf`` or NaN),
+    and a sum of ``-inf`` and ``+inf`` raises ``ValueError``, as fsum
+    does."""
+    pairs = [(n, x) for n, x in pairs if n]
+    specials = [x for _, x in pairs if not math.isfinite(x)]
+    if specials:
+        return math.fsum(specials)
+    # each float is m / 2**k: the sum is an integer over the largest 2**k
+    ratios = [(n, x.as_integer_ratio()) for n, x in pairs]
+    den = max((q for _, (_, q) in ratios), default=1)
+    num = sum(n * p * (den // q) for n, (p, q) in ratios)
+    if not num:
+        # fsum's zero: +0.0 where nonzero terms cancel, and the sum of the
+        # zeros, with their signs, where every term is a zero
+        return math.fsum(x for _, x in pairs) if all(x == 0.0 for _, x in pairs) else 0.0
+    try:
+        return num / den  # correctly rounded, as int / int always is
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def exact_sum(terms) -> float:
+    """``math.fsum(terms)``, the sum of a sequence of floats rounded once.
+    Where fsum's partial sums overflow, the sum is taken exactly, as
+    :func:`counted_sum` takes it, so a sum inside the float range is
+    returned and one beyond it is ``±inf``.  Raises ``ValueError`` on a
+    sum of ``-inf`` and ``+inf``."""
     try:
         return math.fsum(terms)
-    except (ValueError, OverflowError):
+    except OverflowError:
+        return counted_sum((1, x) for x in terms)
+
+
+def darboux_sum(terms, which: str) -> float:
+    """The exactly rounded sum of the sequence ``terms``, the ``which``
+    ("lower" or "upper") Darboux sum; ``±inf`` where it leaves the float
+    range, which a refinement round may pass on and :func:`finite_sum`
+    refuses to report.  Raises ``InputError`` on a sum of ``-inf`` and
+    ``+inf`` terms, which has no value."""
+    try:
+        return exact_sum(terms)
+    except ValueError:
         raise InputError(OVERFLOW.format(which)) from None
 
 
@@ -120,8 +166,9 @@ def refine_generic(
     is certified below ``eps`` or the cell budget runs out.
 
     Returns ``(lower, upper, ncells, converged, trace)`` where the final
-    sums are exactly-rounded (math.fsum) over the live cells.  Raises
-    ``InputError`` when one of them overflows.
+    sums are exactly rounded (``exact_sum``) over the live cells, and
+    ``±inf`` where they leave the float range.  Raises ``InputError`` on a
+    sum of ``-inf`` and ``+inf`` terms.
     """
     # every live cell is in the heap once, as (-contribution, id, lo, hi,
     # range lo, range hi, volume); ids are unique, so lists are never compared
@@ -130,9 +177,14 @@ def refine_generic(
     # the running gap is the sum of the finite contributions, or inf while
     # ``infinite`` live cells contribute inf: splitting one of them then
     # takes nothing from the sum, where adding -inf to inf would make it NaN.
-    # The sum starts at -0.0, since -0.0 + x is x for every float x.
+    # The sum starts at -0.0, since -0.0 + x is x for every float x.  Finite
+    # contributions can still overflow the sum by themselves, and inf never
+    # comes back down, so an overflowed sum is taken afresh over the live
+    # cells; after each fresh sum the next waits until the cells have
+    # doubled, which bounds the work of all of them by twice the cells.
     finite = -0.0
     infinite = 0
+    resum_at = 0
 
     def push(lo: list[float], hi: list[float]) -> float:
         nonlocal finite, infinite
@@ -153,9 +205,12 @@ def refine_generic(
     converged = False
 
     def certified_gap() -> float:
-        return math.fsum((c[5] - c[4]) * c[6] for c in heap)
+        return exact_sum([(c[5] - c[4]) * c[6] for c in heap])
 
     while True:
+        if finite == math.inf and not infinite and len(heap) >= resum_at:
+            finite = certified_gap()
+            resum_at = 2 * len(heap)
         if not infinite and finite < eps:
             exact = certified_gap()
             if exact < eps:
@@ -179,10 +234,153 @@ def refine_generic(
             trace.append((len(heap), math.inf if infinite else finite))
             next_trace *= 2
 
-    lower = darboux_sum((c[4] * c[6] for c in heap), "lower")
-    upper = darboux_sum((c[5] * c[6] for c in heap), "upper")
+    lower = darboux_sum([c[4] * c[6] for c in heap], "lower")
+    upper = darboux_sum([c[5] * c[6] for c in heap], "upper")
     trace.append((len(heap), certified_gap()))
     return lower, upper, len(heap), converged, trace
+
+
+def refine_lattice(verdicts, lattice, ranges, eps: float, max_cells: int):
+    """``refine_generic`` for an indicator: an oracle whose range on a cell
+    is ``ranges[verdict]``, for ``verdicts(depth)(cell)`` on the integer
+    dyadic ``lattice`` (``famkit.lattice``), with IN and OUT ranges of
+    width 0.
+
+    A straddling cell of depth ``d`` then contributes
+    ``c_d = (hi - lo) * vol_d`` and every other cell 0, so contributions
+    never grow with depth, and cells of one depth are made, oldest first,
+    before any cell of the next.  The heap's order, largest contribution
+    first and oldest first among equals, is therefore FIFO order by depth,
+    and the heap becomes a queue of straddling cells.  The loop replays the
+    heap's float bookkeeping step for step: the running gap (minus the
+    parent, plus each child), its fresh sums, the budget counted in live
+    cells, and the trace at powers of two.  The certified gap and the
+    final sums are taken from per-depth counts in one exactly rounded sum,
+    the number ``math.fsum`` gives over the cells.
+
+    ``vol_d`` is ``lattice.volume(d)``, the float volume of a cell whose
+    float corners are its exact corners.  Where every float cell of the
+    heap is exact (a bounding box of floats whose midpoints stay floats, as
+    dyadic boxes do), the results, trace included, are bit for bit those
+    of ``refine_generic``.  Elsewhere the heap's float cells drift from the
+    lattice's, and the two differ in the last bits.
+    """
+    inf = math.inf
+    vols = [lattice.volume(0)]
+    span = ranges[STRADDLE][1] - ranges[STRADDLE][0]
+    contrib = [span * vols[0]]  # contrib[d]: a straddling cell of depth d
+    root = (0,) * lattice.dimension
+    queue: deque[tuple[int, ...]] = deque()
+    # the queue holds ``remaining`` cells of depth ``depth``, then cells of
+    # depth + 1; ``ins[d]`` and ``outs[d]`` count the IN and OUT cells of
+    # each depth up to ``depth``, ``n_in`` and ``n_out`` those of depth + 1
+    ins: list[int] = []
+    outs: list[int] = []
+    n_in = n_out = 0
+    depth = -1
+    remaining = 0
+    finite = -0.0  # as in refine_generic
+    infinite = 0
+    resum_at = 0
+    verdict = verdicts(0)(root)
+    if verdict == STRADDLE:
+        queue.append(root)
+        first = contrib[0]
+        if first == inf:
+            infinite = 1
+        else:
+            finite += first
+    else:
+        n_in, n_out = (1, 0) if verdict == IN else (0, 1)
+        first = 0.0
+        finite += first
+    trace = [(1, first)]
+    ncells = 1
+    next_trace = 2
+    converged = False
+
+    def certified_gap() -> float:
+        live = [(len(queue) - remaining, contrib[depth + 1])]
+        if depth >= 0:
+            live.append((remaining, contrib[depth]))
+        return counted_sum(live)
+
+    while True:
+        if finite == inf and not infinite and ncells >= resum_at:
+            finite = certified_gap()
+            resum_at = 2 * ncells
+        if not infinite and finite < eps:
+            exact = certified_gap()
+            if exact < eps:
+                converged = True
+                break
+            finite = exact
+            continue
+        if ncells >= max_cells:
+            break
+        if not remaining:
+            if not queue:  # no cell contributes
+                converged = certified_gap() < eps
+                break
+            depth += 1
+            remaining = len(queue)
+            axis = lattice.axis(depth)
+            classify = verdicts(depth + 1)
+            ins.append(n_in)
+            outs.append(n_out)
+            n_in = n_out = 0
+            vols.append(lattice.volume(depth + 1))
+            contrib.append(span * vols[-1])
+            parent, child = contrib[depth], contrib[depth + 1]
+        if not parent > 0.0:  # no cell contributes
+            converged = certified_gap() < eps
+            break
+        cell = queue.popleft()
+        remaining -= 1
+        if parent == inf:
+            infinite -= 1
+        else:
+            finite -= parent
+        halves = list(cell)
+        i = halves[axis] = 2 * halves[axis]
+        left = tuple(halves)
+        halves[axis] = i + 1
+        for half in (left, tuple(halves)):
+            verdict = classify(half)
+            if verdict == STRADDLE:
+                queue.append(half)
+                if child == inf:
+                    infinite += 1
+                else:
+                    finite += child
+            else:
+                if verdict == IN:
+                    n_in += 1
+                else:
+                    n_out += 1
+                finite += 0.0  # the heap adds the cell's zero
+        ncells += 1
+        if ncells >= next_trace:
+            trace.append((ncells, inf if infinite else finite))
+            next_trace *= 2
+
+    ins.append(n_in)
+    outs.append(n_out)
+    straddles = [0] * len(vols)
+    straddles[depth + 1] = len(queue) - remaining
+    if depth >= 0:
+        straddles[depth] = remaining
+
+    def final_sum(end: int, which: str) -> float:
+        pairs = [(n, ranges[k][end] * vol) for counts, k in ((ins, IN), (outs, OUT), (straddles, STRADDLE))
+                 for n, vol in zip(counts, vols)]
+        try:
+            return counted_sum(pairs)
+        except ValueError:
+            raise InputError(OVERFLOW.format(which)) from None
+
+    trace.append((ncells, certified_gap()))
+    return final_sum(0, "lower"), final_sum(1, "upper"), ncells, converged, trace
 
 
 def refine_uniform(sums, split, cells, eps: float, max_cells: int):

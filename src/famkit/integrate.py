@@ -7,9 +7,9 @@ integrability are decided exactly.
 
 Box backend: functions carry certified range oracles over half-open boxes;
 the adaptive refinement loop (batched over numpy arrays for polynomials)
-certifies the Darboux gap below a requested tolerance, and the Jordan
-machinery splits cells of the integer dyadic lattice (``famkit.lattice``)
-with exact rational volumes.
+certifies the Darboux gap below a requested tolerance.  Indicator integrals
+and the Jordan machinery split cells of the integer dyadic lattice
+(``famkit.lattice``); Jordan brackets keep its exact rational volumes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .boolalg import Algebra, Partition, SetElem
 from .boxes import IN, STRADDLE, Box, BoxElem, VolumeFam, box_intersect, box_volume
 from .errors import InputError
 from .fam import Fam, as_fraction, as_table, pushforward
-from .functions import PolynomialFn, RestrictedFn, region_of
+from .functions import IndicatorFn, PolynomialFn, RestrictedFn, region_of
 from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_BUDGET = 2_000_000
@@ -304,7 +304,7 @@ def _require_oracle(fn):
 
 def _box_sum(fn, cells, end: int, which: str) -> float:
     _require_oracle(fn)
-    terms = (fn.range_on(c)[end] * float(box_volume(c)) for c in cells)
+    terms = [fn.range_on(c)[end] * float(box_volume(c)) for c in cells]
     return _refine_py.finite_sum(_refine_py.darboux_sum(terms, which), which)
 
 
@@ -330,8 +330,8 @@ def _refine_grid(range_fn, lo0, hi0, eps, max_cells, poly=None):
 
     def sums(cells):
         terms = [(range_fn(lo, hi), math.prod(h - l for l, h in zip(lo, hi))) for lo, hi in cells]
-        return (_refine_py.darboux_sum((r[0] * v for r, v in terms), "lower"),
-                _refine_py.darboux_sum((r[1] * v for r, v in terms), "upper"))
+        return (_refine_py.darboux_sum([r[0] * v for r, v in terms], "lower"),
+                _refine_py.darboux_sum([r[1] * v for r, v in terms], "upper"))
 
     def split(cells):
         return [half for lo, hi in cells for half in _refine_py.split_widest(lo, hi)]
@@ -404,6 +404,10 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
         if strategy == "adaptive":
             if isinstance(fn, PolynomialFn):
                 return _refine.refine_poly(fn.exps, fn.coeffs, lo0, hi0, eps, budget)
+            if type(fn) is IndicatorFn:
+                lattice = DyadicLattice(fam.bounding)
+                return _refine_py.refine_lattice(lattice_classifier(fn.region, lattice), lattice,
+                                                 fn.ranges, eps, budget)
             return _refine_py.refine_generic(range_fn, lo0, hi0, eps, budget)
         if strategy == "grid":
             poly = (fn.exps, fn.coeffs) if isinstance(fn, PolynomialFn) else None

@@ -17,6 +17,7 @@ exact and equal ``region.classify`` on the cell's ``Fraction`` box.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import mul
 from typing import Callable
@@ -28,6 +29,9 @@ from .functions import (
     RegionIntersection,
     RegionUnion,
 )
+
+#: The least positive normal float.
+_NORMAL = sys.float_info.min
 
 #: A cell's index per axis; its levels are ``lattice.levels[depth]``.
 Cell = tuple[int, ...]
@@ -44,9 +48,10 @@ class DyadicLattice:
         self.flat = any(w == 0 for w in self.width)  # every cell has zero volume
         self.levels: list[tuple[int, ...]] = [(0,) * self.dimension]
         self.axes: list[int] = []  # axes[S]: the axis that cells of depth S split
-        # float widths of the deepest level, halved exactly as a per-cell
-        # width tuple would be, so ties between axes break the same way
-        self._widths = [float(w) for w in self.width]
+        self._root = [self._exact_width(d, 0) for d in range(self.dimension)]
+        # float widths of the deepest level, as the float cells' corners
+        # give them, so ties between axes break the same way
+        self._widths = self._root[:]
         self._ends: dict[tuple[int, int, int], Fraction] = {}
         self._sides: dict[tuple[int, int], dict[int, tuple[Fraction, Fraction]]] = {}
 
@@ -55,12 +60,34 @@ class DyadicLattice:
         while len(self.axes) <= depth:
             widths = self._widths
             axis = max(range(self.dimension), key=widths.__getitem__)  # first of equals
-            widths[axis] *= 0.5
             levels = list(self.levels[-1])
             levels[axis] += 1
+            widths[axis] = self._width(axis, levels[axis])
             self.axes.append(axis)
             self.levels.append(tuple(levels))
         return self.axes[depth]
+
+    def volume(self, depth: int) -> float:
+        """The float volume of a cell of ``depth``: its widths rounded to
+        nearest and multiplied in axis order, which is ``prod(hi - lo)``
+        over the cell's corners wherever those are floats."""
+        vol = 1.0
+        for axis, level in enumerate(self.levels[depth]):
+            vol *= self._width(axis, level)
+        return vol
+
+    def _width(self, axis: int, level: int) -> float:
+        """A cell's width on ``axis`` at ``level``, rounded to nearest."""
+        w = math.ldexp(self._root[axis], -level)
+        if _NORMAL <= w < math.inf:  # a power-of-two scaling, exact in this range
+            return w
+        return self._exact_width(axis, level)
+
+    def _exact_width(self, axis: int, level: int) -> float:
+        try:
+            return float(self.width[axis] / (1 << level))
+        except OverflowError:  # wider than the float range
+            return math.inf
 
     def point(self, axis: int, level: int, index: int) -> Fraction:
         """``lo + width*index/2**level`` on ``axis``."""
@@ -139,11 +166,24 @@ def _halfplane(region: HalfPlaneRegion, lattice: DyadicLattice) -> Verdicts:
         inside = T - sum(w for w in W if w > 0)
         outside = T - sum(w for w in W if w < 0)
 
-        if len(W) == 2:  # the planar case, without the generic dot product
+        # one, two and three axes without the generic dot product
+        if len(W) == 1:
+            w0, = W
+
+            def verdict(cell):
+                s = w0 * cell[0]
+                return IN if s <= inside else OUT if s > outside else STRADDLE
+        elif len(W) == 2:
             w0, w1 = W
 
             def verdict(cell):
                 s = w0 * cell[0] + w1 * cell[1]
+                return IN if s <= inside else OUT if s > outside else STRADDLE
+        elif len(W) == 3:
+            w0, w1, w2 = W
+
+            def verdict(cell):
+                s = w0 * cell[0] + w1 * cell[1] + w2 * cell[2]
                 return IN if s <= inside else OUT if s > outside else STRADDLE
         else:
             def verdict(cell):

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -280,6 +282,28 @@ class TestIntegrateCLI:
         code, out, err = run(capsys, ["integrate", "--fn", fn, "--box", box, "--eps", eps, "--budget", "3000"])
         assert (code, out) == (2, "")
         assert err == "famkit: error: the lower Darboux sum overflows the float range\n"
+
+    def test_partial_sums_that_overflow_answer(self, capsys, monkeypatch):
+        # fsum's partial sums of the 20,000 lower terms overflow, though
+        # their sum does not: this exited 2 with "the lower Darboux sum
+        # overflows the float range"
+        from famkit import _refine_py
+
+        terms = {}
+        darboux_sum = _refine_py.darboux_sum
+
+        def recording(summands, which):
+            summands = terms[which] = list(summands)
+            return darboux_sum(summands, which)
+
+        monkeypatch.setattr(_refine_py, "darboux_sum", recording)
+        fn = '{"piecewise": {"pieces": [{"box": [[0, "1/3"]], "value": -0.5e308}], "default": 0.5e308}}'
+        code, out, err = run(capsys, ["integrate", "--fn", fn, "--box", "[[0, 4]]", "--eps", "1e-3",
+                                      "--budget", "20000"])
+        assert (code, err) == (4, "")
+        with pytest.raises(OverflowError):
+            math.fsum(terms["lower"])
+        assert json.loads(out)["lower"] == float(sum(map(F, terms["lower"])))
 
     def test_infinite_batch_rounds_exit_2_at_once(self):
         # every cell of infinite contribution splits in one round: with one

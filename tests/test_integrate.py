@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famkit._refine_py import counted_sum, darboux_sum, poly_range
 from famkit.boolalg import Algebra, GroundSet, Partition, SetElem, generate_algebra
 from famkit.boxes import IN, OUT, STRADDLE, BoxElem, VolumeFam, make_box
 from famkit.cantor import cantor_integrate
@@ -503,10 +504,11 @@ class TestScalarRefinementPins:
         ("grid", lambda: integrate(PolynomialFn({(2, 1): 1.0, (0, 3): -1.0}), SQUARE, 1e-2, strategy="grid"),
          ("-0x1.63feac0000000p-4", "-0x1.46a9540000000p-4", 65536, True,
           "31bfde7f2771a258eb57d2f161509a6297d323372b48308258ee2d04c64cd382")),
-        # off the dyadic grid, so midpoints and cell bounds round
+        # off the dyadic grid: the lattice cells are exact where float
+        # midpoints and cell bounds would round (see test_offgrid_contains)
         ("offgrid", lambda: integrate(IndicatorFn(HalfPlaneRegion((-3, 2), F(-1, 2)), value=-2.5), OFFGRID, 1e-3),
-         ("-0x1.12cb32bcf3cf4p+2", "-0x1.12bad0b0c30c3p+2", 10222, True,
-          "fc3fb31cd6547f9f2c7c995e4257076120ecb49d8b59424f985bf73c8be6a8da")),
+         ("-0x1.12cb64bcf3cf4p+2", "-0x1.12bb02b0c30c3p+2", 10200, True,
+          "98f7c916e39d6f6e6e1fea40f9f85028f0377c6d1640ec4f2e60fa98caed306d")),
         ("offgrid-grid", lambda: integrate(PolynomialFn({(1, 1): 1.0, (0, 2): 0.5}), OFFGRID, 4e-2,
                                            strategy="grid"),
          ("0x1.36368d24e7345p+0", "0x1.401210168e789p+0", 16384, True,
@@ -514,6 +516,11 @@ class TestScalarRefinementPins:
     ])
     def test_pinned(self, name, run, pinned):
         assert _pin(run()) == pinned, name
+
+    def test_offgrid_contains(self):
+        # -2.5 times the area of {-3x + 2y <= -1/2} in [1/3, 2] x [-1/7, 1]
+        report = integrate(IndicatorFn(HalfPlaneRegion((-3, 2), F(-1, 2)), value=-2.5), OFFGRID, 1e-3)
+        assert F(report.lower) <= F(-2885, 672) <= F(report.upper)
 
 
 def _cantor_poly(depth_budget, epsilon):
@@ -671,6 +678,35 @@ class TestInfiniteGap:
         assert report.trace[:2] == ((1, math.inf), (2, second))
 
 
+class _Linear:
+    """``slope * x`` through its enclosure but not a ``PolynomialFn``, so
+    that the scalar heap integrates it."""
+
+    oscillation_floor = 0.0
+
+    def __init__(self, slope):
+        self.slope = slope
+
+    def range_on(self, box):
+        return poly_range([(1,)], [self.slope], [float(box[0][0])], [float(box[0][1])])
+
+
+def test_heap_running_sum_overflows_and_recovers():
+    # the root's halves contribute 0.9e308 each: their running sum was inf
+    # for good, and the heap reported undecided at the whole budget
+    report = integrate(_Linear(0.9e308), VolumeFam([[-1, 1]]), 1e306, budget=20_000)
+    assert (report.status, report.trace[-1][0]) == ("integrable", 404)
+    # the sum is taken afresh at four cells, after the trace entry there
+    assert [gap for _, gap in report.trace[:4]] == [math.inf] * 3 + [4.500000000000003e+307]
+
+
+def test_batch_trace_of_a_gap_beyond_the_float_range():
+    # the gap 0.9e308 + 0.9e308 at two cells made math.fsum raise
+    # OverflowError out of integrate
+    report = integrate(PolynomialFn([0, 0.9e308]), VolumeFam([[-1, 1]]), 1e306, budget=2)
+    assert (report.status, report.trace[-1]) == ("undecided", (2, math.inf))
+
+
 def _steps():
     # each half is a constant cell whose lower and upper terms are -inf or +inf
     return PiecewiseConstantFn([(make_box([[0, 2]]), -1e308), (make_box([[2, 4]]), 1e308)])
@@ -678,8 +714,9 @@ def _steps():
 
 class TestOverflowingSums:
     """A final Darboux sum that leaves the float range raises ``InputError``:
-    ``math.fsum`` refuses -inf + inf, and finite terms whose partial sums
-    overflow."""
+    a sum of -inf and +inf terms, and finite terms whose exact sum
+    overflows.  Finite terms whose partial sums overflow are summed
+    exactly, and a refinement round may pass an infinite sum on."""
 
     @pytest.mark.parametrize("run", [
         # the cubic's two end cells give -inf and +inf terms
@@ -695,6 +732,49 @@ class TestOverflowingSums:
         with pytest.raises(InputError, match="the lower Darboux sum overflows"):
             run()
 
+
+    def test_partial_sums_that_overflow_are_summed_exactly(self):
+        # math.fsum raises on the partial sum 2e308 of the first two terms
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308, -1e308])
+        assert darboux_sum([1e308, 1e308, -1e308], "lower") == 1e308
+        assert darboux_sum([1e308, 1e308, -1e292], "upper") == math.inf
+        assert darboux_sum([-1e308, -1e308, 5e-324], "upper") == -math.inf
+        with pytest.raises(InputError, match="the lower Darboux sum overflows"):
+            darboux_sum([math.inf, -math.inf], "lower")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, 1e308, -1e308])))))
+    def test_counted_sum_is_fsum(self, pairs):
+        terms = [x for n, x in pairs for _ in range(n)]
+        try:
+            expected = math.fsum(terms)
+        except OverflowError:
+            exact = sum(map(F, terms), F(0))
+            try:
+                expected = float(exact)
+            except OverflowError:
+                expected = math.inf if exact > 0 else -math.inf
+        # repr tells the signs of zeros apart
+        assert repr(counted_sum(pairs)) == repr(expected)
+
+    def test_grid_round_passes_an_overflowing_sum_on(self):
+        # two cells of upper term 1.5e308 each: the round's upper sum is
+        # beyond the float range, but the next round's is 1.5e308
+        fn = parse_fn({"piecewise": {"pieces": [{"box": [[0, 1]], "value": 1e308},
+                                                {"box": [[1, 2]], "value": 1e308}], "default": -1e308}}, 1)
+        fam = VolumeFam([[0, 3]])
+        adaptive = integrate(fn, fam, 1e-3)
+        assert (adaptive.status, adaptive.value) == ("integrable", 1e308)
+        grid = integrate(fn, fam, 1e-3, budget=5000, strategy="grid")
+        assert grid.status == "undecided"
+        assert grid.trace[:3] == ((1, math.inf), (2, math.inf), (4, 1.5e308))
+        assert grid.lower <= adaptive.value <= grid.upper
+        coarse = integrate(fn, fam, 1e305, strategy="grid")
+        assert coarse.status == "integrable"
+        assert abs(coarse.value - adaptive.value) <= 1e305
 
     def test_box_sums_of_mixed_infinite_terms(self):
         # these used to raise ValueError('-inf + inf in fsum') from math.fsum

@@ -1,12 +1,15 @@
-"""The integer dyadic lattice behind Jordan brackets.
+"""The integer dyadic lattice behind Jordan brackets and indicator integrals.
 
 Lattice verdicts must equal ``region.classify`` on the cell's rational box,
 and ``measure_bracket`` must give what the Fraction-box heap it replaced
-gave: the same brackets and the same cells in the same order.
+gave: the same brackets and the same cells in the same order.  Indicator
+integrals on the lattice must give what the scalar heap gives on float
+cells, bit for bit, wherever those float cells are exact.
 """
 
 import hashlib
 import heapq
+import math
 from fractions import Fraction as F
 from random import Random
 
@@ -14,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famkit._refine_py import refine_generic, refine_lattice
 from famkit.boxes import IN, OUT, STRADDLE, BoxElem, VolumeFam, box_volume, make_box
 from famkit.functions import (
     DenseCodenseRegion,
     HalfPlaneRegion,
+    IndicatorFn,
     PointRegion,
     RegionComplement,
     RegionIntersection,
@@ -89,7 +94,8 @@ def rationals():
 
 @st.composite
 def bounding_boxes(draw):
-    dim = draw(st.integers(1, 3))
+    # four axes take the generic half-space verdict, fewer the unrolled ones
+    dim = draw(st.integers(1, 4))
     widths = st.builds(F, st.integers(1, 12), st.sampled_from([3, 5, 7, 1]))
     # widths a power of two apart tie at some depth: the lower axis splits first
     base = draw(widths)
@@ -208,6 +214,72 @@ class TestLatticeVerdicts:
                        DenseCodenseRegion(), HalfPlaneRegion((0, 1), F(1, 2))):
             verdicts = lattice_classifier(region, DyadicLattice(fam.bounding))
             assert verdicts(0)((0, 0)) == region.classify(fam.bounding)
+
+
+# -- indicator integrals: the lattice queue against the float heap ----------
+
+@st.composite
+def float_exact_problems(draw):
+    """Regions on boxes of small dyadic corners: every float cell that the
+    heap splits down to a few dozen levels is exactly a lattice cell."""
+    bounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = F(draw(st.integers(-8, 8)), 4)
+        width = F(draw(st.integers(1, 12)), draw(st.sampled_from([1, 4, 16])))
+        bounds.append([lo, lo + width])
+    return bounds, draw(regions(bounds))
+
+
+def lattice_integral(fn, fam, eps, budget):
+    lattice = DyadicLattice(fam.bounding)
+    return refine_lattice(lattice_classifier(fn.region, lattice), lattice, fn.ranges, eps, budget)
+
+
+def heap_integral(fn, fam, eps, budget):
+    lo0 = [float(lo) for lo, _ in fam.bounding]
+    hi0 = [float(hi) for _, hi in fam.bounding]
+    return refine_generic(lambda lo, hi: fn.range_on(tuple(zip(lo, hi))), lo0, hi0, eps, budget)
+
+
+class TestLatticeIndicatorIntegral:
+    @SETTINGS
+    @given(float_exact_problems(), st.sampled_from([1.0, -2.5, 0.1, -3e-3, 0.0, -0.0]),
+           st.sampled_from([F(1, 8), F(1, 40), F(1, 200)]), st.integers(1, 2000))
+    def test_equals_the_heap(self, problem, value, tolerance, budget):
+        bounds, region = problem
+        fam = VolumeFam(bounds)
+        fn = IndicatorFn(region, value)
+        eps = float(fam.total * tolerance) * max(abs(value), 1.0)
+        # lower, upper, cells, convergence and trace, signed zeros included
+        assert repr(lattice_integral(fn, fam, eps, budget)) == repr(heap_integral(fn, fam, eps, budget))
+
+    @pytest.mark.parametrize("name", ["triangle-xy", "halfspace-3d", "halfplane-fine"])
+    @pytest.mark.parametrize("budget", [50, 333, 10**6])
+    def test_fixtures_equal_the_heap(self, name, budget):
+        region, fam, eps = FIXTURES[name]
+        fn = IndicatorFn(region, -1.5)
+        eps = float(eps)
+        assert repr(lattice_integral(fn, fam, eps, budget)) == repr(heap_integral(fn, fam, eps, budget))
+
+    def test_wider_than_the_float_range(self):
+        # the root's float volume is inf and its contribution too; its
+        # halves are finite, as in the heap (corners of 2**1023 are floats)
+        fam = VolumeFam([[-2 ** 1023, 2 ** 1023], [0, 1]])
+        fn = IndicatorFn(HalfPlaneRegion((1, 0), 0))
+        lattice = lattice_integral(fn, fam, 1e300, 10**4)
+        assert repr(lattice) == repr(heap_integral(fn, fam, 1e300, 10**4))
+        assert lattice[4][0] == (1, math.inf)
+        assert lattice[2:4] == (29, True)
+        # halves that are IN and OUT: the running gap is the heap's +0.0,
+        # not -0.0, at two cells
+        halves = IndicatorFn(BoxElem([make_box([[-2 ** 1023, 0]])]))
+        line = VolumeFam([[-2 ** 1023, 2 ** 1023]])
+        lattice = lattice_integral(halves, line, 1e-3, 100)
+        assert repr(lattice) == repr(heap_integral(halves, line, 1e-3, 100))
+        assert repr(lattice[4]) == repr([(1, math.inf), (2, 0.0), (2, 0.0)])
+        # the lattice itself used to raise OverflowError on the float width
+        bracket = measure_bracket(HalfPlaneRegion((1, 0), 0), fam, F(10) ** 300)
+        assert (bracket.inner, bracket.converged) == (F(2) ** 1023, True)
 
 
 # -- exact results pinned before the lattice replaced the Fraction-box heap --

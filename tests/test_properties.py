@@ -656,6 +656,19 @@ class TestBatchedRefinement:
         assert batched[:4] == heap[:4]
         assert batched[2:4] == (cells, True)
 
+    @pytest.mark.parametrize("eps, cells", [(1e306, 404), (3e305, 1325)])
+    def test_overflowing_running_sum_matches_the_heap(self, eps, cells):
+        # the two halves of 0.9e308 * x on [-1, 1] contribute 0.9e308 each:
+        # the heap's running sum overflowed by itself, never came back, and
+        # the heap ran to the budget
+        from famkit._refine import refine_poly
+
+        fixture = ([(1,)], [0.9e308], [-1.0], [1.0], eps)
+        batched = refine_poly(*fixture, 200_000)
+        heap = _heap_refine(*fixture, 200_000)
+        assert batched[:4] == heap[:4]
+        assert batched[2:4] == (cells, True)
+
     @SETTINGS
     @given(dyadic_polynomials())
     def test_agrees_with_the_heap(self, case):
