@@ -12,11 +12,12 @@ untimed run.  The exact brackets of these fixtures are pinned by
 
 The ``integrate`` rows time the box integral of an indicator shaped like
 the ``box-indicator`` problems of the regions benchmark (half-planes with
-offsets of denominator 3, 5 or 7 on the unit square), once on the scalar
-heap ``famkit._refine_py.refine_generic`` over float cells and once on
-the lattice queue ``famkit._refine_py.refine_lattice``, and print the
-cells (the live cells at the end) and the float bracket.  The script exits
-1 when the two results, trace included, differ in any bit.
+offsets of denominator 3, 5 or 7 on the unit square) on the two cell
+stores of ``famkit._refine_py.split_largest``: once on the heap of float
+cells, ``refine_generic``, and once on the lattice queue,
+``refine_lattice``.  They print the cells (the live cells at the end) and
+the float bracket.  The script exits 1 when the two results, trace
+included, differ in any bit.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_bracket.py [--full] [--repeat N]

@@ -238,6 +238,10 @@ def _split(cells):
     dim, k = cells.shape[0] // 2, cells.shape[1]
     halves = np.concatenate((cells, cells), axis=1)
     mids = 0.5 * (cells[:dim] + cells[dim:])
+    over = np.isinf(mids)
+    if over.any():
+        # as in split_widest: where lo + hi overflows, halving each is exact
+        mids[over] = 0.5 * cells[:dim][over] + 0.5 * cells[dim:][over]
     # in 1-D every cell's widest axis is its only one
     widest = True if dim == 1 else np.arange(dim)[:, None] == (cells[dim:] - cells[:dim]).argmax(0)
     np.copyto(halves[dim:, :k], mids, where=widest)

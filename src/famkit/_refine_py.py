@@ -1,15 +1,18 @@
 """Scalar refinement for box-backend Darboux sums.
 
-``refine_generic`` drives any range oracle with a heap: split the cell with
-the largest oscillation contribution by ``split_widest``, which bisects its
-widest axis (lowest axis index on ties).  It serves the scalar oracles
-(indicators, restrictions, piecewise-constant and Lipschitz functions) and
-is the reference that the batched polynomial engine in ``famkit._refine``
-is tested against.
+``split_largest`` is the largest-contribution-first policy: split the live
+cell that contributes most to the Darboux gap (oldest first among equals)
+until the gap is certified below epsilon or the cell budget runs out.  It
+keeps the running gap, the budget and the trace once, for two cell stores:
 
-``refine_lattice`` is the same heap for indicators, on the integer dyadic
-lattice of ``famkit.lattice``: there it is a FIFO queue (see its
-docstring).
+- ``refine_generic``, a heap of float cells split by ``split_widest``,
+  which bisects the widest axis (lowest axis index on ties).  It serves the
+  scalar oracles other than indicators (restrictions, piecewise-constant
+  and Lipschitz functions) and is the reference that the batched
+  polynomial engine in ``famkit._refine`` and ``refine_lattice`` are
+  tested against;
+- ``refine_lattice``, a FIFO queue of cells of the integer dyadic lattice
+  of ``famkit.lattice``, which serves indicators (see its docstring).
 
 ``refine_uniform`` splits every cell each round instead: the ``grid``
 strategy runs it on lists and on numpy rows of float cells, and Cantor
@@ -148,6 +151,10 @@ def split_widest(lo: list[float], hi: list[float]):
             width = w
             axis = d
     mid = 0.5 * (lo[axis] + hi[axis])
+    if math.isinf(mid):
+        # lo + hi overflows, so both ends are far above the subnormals and
+        # halving each is exact
+        mid = 0.5 * lo[axis] + 0.5 * hi[axis]
     left_hi = hi[:]
     left_hi[axis] = mid
     right_lo = lo[:]
@@ -155,25 +162,20 @@ def split_widest(lo: list[float], hi: list[float]):
     return (lo, left_hi), (right_lo, hi)
 
 
-def refine_generic(
-    range_fn: Callable[[Sequence[float], Sequence[float]], tuple[float, float]],
-    lo0: Sequence[float],
-    hi0: Sequence[float],
-    eps: float,
-    max_cells: int,
-) -> tuple[float, float, int, bool, list[tuple[int, float]]]:
-    """Adaptive largest-contribution-first refinement until the Darboux gap
-    is certified below ``eps`` or the cell budget runs out.
+def split_largest(first: float, split, certified_gap, eps: float, max_cells: int):
+    """The largest-contribution-first policy of the scalar engines: split
+    until the Darboux gap is certified below ``eps`` or the live cells reach
+    ``max_cells``.
 
-    Returns ``(lower, upper, ncells, converged, trace)`` where the final
-    sums are exactly rounded (``exact_sum``) over the live cells, and
-    ``±inf`` where they leave the float range.  Raises ``InputError`` on a
-    sum of ``-inf`` and ``+inf`` terms.
+    ``first`` is the contribution of the root cell.  Each ``split()`` splits
+    the live cell of largest contribution (oldest first among equals) and
+    returns the contributions ``(parent, left, right)``, or ``None`` when no
+    cell contributes.  ``certified_gap()`` is the exactly rounded sum of the
+    live contributions.  Returns ``(ncells, converged, trace)``, with the
+    running gap traced as ``(ncells, gap)`` when the cells reach a power of
+    two, and the certified gap at the end.
     """
-    # every live cell is in the heap once, as (-contribution, id, lo, hi,
-    # range lo, range hi, volume); ids are unique, so lists are never compared
-    heap: list[tuple] = []
-    ids = itertools.count()
+    inf = math.inf
     # the running gap is the sum of the finite contributions, or inf while
     # ``infinite`` live cells contribute inf: splitting one of them then
     # takes nothing from the sum, where adding -inf to inf would make it NaN.
@@ -184,33 +186,18 @@ def refine_generic(
     # doubled, which bounds the work of all of them by twice the cells.
     finite = -0.0
     infinite = 0
+    if first == inf:
+        infinite = 1
+    else:
+        finite += first
     resum_at = 0
-
-    def push(lo: list[float], hi: list[float]) -> float:
-        nonlocal finite, infinite
-        vol = 1.0
-        for l, h in zip(lo, hi):
-            vol *= h - l
-        rlo, rhi = range_fn(lo, hi)
-        contrib = (rhi - rlo) * vol
-        heapq.heappush(heap, (-contrib, next(ids), lo, hi, rlo, rhi, vol))
-        if contrib == math.inf:
-            infinite += 1
-        else:
-            finite += contrib
-        return contrib
-
-    trace = [(1, push([float(x) for x in lo0], [float(x) for x in hi0]))]
+    trace = [(1, first)]
     next_trace = 2
-    converged = False
-
-    def certified_gap() -> float:
-        return exact_sum([(c[5] - c[4]) * c[6] for c in heap])
-
+    ncells = 1
     while True:
-        if finite == math.inf and not infinite and len(heap) >= resum_at:
+        if finite == inf and not infinite and ncells >= resum_at:
             finite = certified_gap()
-            resum_at = 2 * len(heap)
+            resum_at = 2 * ncells
         if not infinite and finite < eps:
             exact = certified_gap()
             if exact < eps:
@@ -218,26 +205,79 @@ def refine_generic(
                 break
             finite = exact
             continue
-        if len(heap) >= max_cells:
+        if ncells >= max_cells:
+            converged = False
             break
-        if heap[0][0] >= 0.0:  # no cell contributes
+        contribs = split()
+        if contribs is None:
             converged = certified_gap() < eps
             break
-        key, _, lo, hi, _, _, _ = heapq.heappop(heap)
-        if key == -math.inf:
+        parent, left, right = contribs
+        if parent == inf:
             infinite -= 1
         else:
-            finite += key  # key is minus the parent's contribution
-        for half in split_widest(lo, hi):
-            push(*half)
-        if len(heap) >= next_trace:
-            trace.append((len(heap), math.inf if infinite else finite))
+            finite -= parent
+        if left == inf:
+            infinite += 1
+        else:
+            finite += left
+        if right == inf:
+            infinite += 1
+        else:
+            finite += right
+        ncells += 1
+        if ncells >= next_trace:
+            trace.append((ncells, inf if infinite else finite))
             next_trace *= 2
+    trace.append((ncells, certified_gap()))
+    return ncells, converged, trace
 
+
+def refine_generic(
+    range_fn: Callable[[Sequence[float], Sequence[float]], tuple[float, float]],
+    lo0: Sequence[float],
+    hi0: Sequence[float],
+    eps: float,
+    max_cells: int,
+) -> tuple[float, float, int, bool, list[tuple[int, float]]]:
+    """Adaptive largest-contribution-first refinement (``split_largest``)
+    until the Darboux gap is certified below ``eps`` or the cell budget runs
+    out.
+
+    Returns ``(lower, upper, ncells, converged, trace)`` where the final
+    sums are exactly rounded (``exact_sum``) over the live cells, and
+    ``±inf`` where they leave the float range.  Raises ``InputError`` on a
+    sum of ``-inf`` and ``+inf`` terms.
+    """
+    # every live cell is in the heap once, as (-contribution, id, lo, hi,
+    # range lo, range hi, volume); ids are unique, so lists are never compared
+    heap: list[tuple] = []
+    ids = itertools.count()
+
+    def push(lo: list[float], hi: list[float]) -> float:
+        vol = 1.0
+        for l, h in zip(lo, hi):
+            vol *= h - l
+        rlo, rhi = range_fn(lo, hi)
+        contrib = (rhi - rlo) * vol
+        heapq.heappush(heap, (-contrib, next(ids), lo, hi, rlo, rhi, vol))
+        return contrib
+
+    def split():
+        if heap[0][0] >= 0.0:  # no cell contributes
+            return None
+        key, _, lo, hi, _, _, _ = heapq.heappop(heap)
+        left, right = split_widest(lo, hi)
+        return -key, push(*left), push(*right)
+
+    def certified_gap() -> float:
+        return exact_sum([(c[5] - c[4]) * c[6] for c in heap])
+
+    first = push([float(x) for x in lo0], [float(x) for x in hi0])
+    ncells, converged, trace = split_largest(first, split, certified_gap, eps, max_cells)
     lower = darboux_sum([c[4] * c[6] for c in heap], "lower")
     upper = darboux_sum([c[5] * c[6] for c in heap], "upper")
-    trace.append((len(heap), certified_gap()))
-    return lower, upper, len(heap), converged, trace
+    return lower, upper, ncells, converged, trace
 
 
 def refine_lattice(verdicts, lattice, ranges, eps: float, max_cells: int):
@@ -251,12 +291,10 @@ def refine_lattice(verdicts, lattice, ranges, eps: float, max_cells: int):
     never grow with depth, and cells of one depth are made, oldest first,
     before any cell of the next.  The heap's order, largest contribution
     first and oldest first among equals, is therefore FIFO order by depth,
-    and the heap becomes a queue of straddling cells.  The loop replays the
-    heap's float bookkeeping step for step: the running gap (minus the
-    parent, plus each child), its fresh sums, the budget counted in live
-    cells, and the trace at powers of two.  The certified gap and the
-    final sums are taken from per-depth counts in one exactly rounded sum,
-    the number ``math.fsum`` gives over the cells.
+    and the heap becomes a queue of straddling cells that ``split_largest``
+    drives as it drives the heap.  The certified gap and the final sums are
+    taken from per-depth counts in one exactly rounded sum, the number
+    ``math.fsum`` gives over the cells.
 
     ``vol_d`` is ``lattice.volume(d)``, the float volume of a cell whose
     float corners are its exact corners.  Where every float cell of the
@@ -265,121 +303,78 @@ def refine_lattice(verdicts, lattice, ranges, eps: float, max_cells: int):
     of ``refine_generic``.  Elsewhere the heap's float cells drift from the
     lattice's, and the two differ in the last bits.
     """
-    inf = math.inf
+    # a straddling cell of depth d contributes span * vols[d]; level holds
+    # the straddling cells of the depth being split, oldest first, and
+    # deeper those of the next depth; settled[d][v] counts the cells of
+    # depth d with the verdict v, IN or OUT
     vols = [lattice.volume(0)]
     span = ranges[STRADDLE][1] - ranges[STRADDLE][0]
-    contrib = [span * vols[0]]  # contrib[d]: a straddling cell of depth d
+    level: deque[tuple[int, ...]] = deque()
+    deeper: deque[tuple[int, ...]] = deque()
+    settled = [{IN: 0, OUT: 0}]
     root = (0,) * lattice.dimension
-    queue: deque[tuple[int, ...]] = deque()
-    # the queue holds ``remaining`` cells of depth ``depth``, then cells of
-    # depth + 1; ``ins[d]`` and ``outs[d]`` count the IN and OUT cells of
-    # each depth up to ``depth``, ``n_in`` and ``n_out`` those of depth + 1
-    ins: list[int] = []
-    outs: list[int] = []
-    n_in = n_out = 0
-    depth = -1
-    remaining = 0
-    finite = -0.0  # as in refine_generic
-    infinite = 0
-    resum_at = 0
     verdict = verdicts(0)(root)
     if verdict == STRADDLE:
-        queue.append(root)
-        first = contrib[0]
-        if first == inf:
-            infinite = 1
-        else:
-            finite += first
+        deeper.append(root)
     else:
-        n_in, n_out = (1, 0) if verdict == IN else (0, 1)
-        first = 0.0
-        finite += first
-    trace = [(1, first)]
-    ncells = 1
-    next_trace = 2
-    converged = False
+        settled[0][verdict] += 1
 
-    def certified_gap() -> float:
-        live = [(len(queue) - remaining, contrib[depth + 1])]
-        if depth >= 0:
-            live.append((remaining, contrib[depth]))
-        return counted_sum(live)
-
-    while True:
-        if finite == inf and not infinite and ncells >= resum_at:
-            finite = certified_gap()
-            resum_at = 2 * ncells
-        if not infinite and finite < eps:
-            exact = certified_gap()
-            if exact < eps:
-                converged = True
+    def splits():
+        for depth in itertools.count():
+            if not deeper:  # no cell contributes
                 break
-            finite = exact
-            continue
-        if ncells >= max_cells:
-            break
-        if not remaining:
-            if not queue:  # no cell contributes
-                converged = certified_gap() < eps
-                break
-            depth += 1
-            remaining = len(queue)
+            level.extend(deeper)
+            deeper.clear()
             axis = lattice.axis(depth)
             classify = verdicts(depth + 1)
-            ins.append(n_in)
-            outs.append(n_out)
-            n_in = n_out = 0
             vols.append(lattice.volume(depth + 1))
-            contrib.append(span * vols[-1])
-            parent, child = contrib[depth], contrib[depth + 1]
-        if not parent > 0.0:  # no cell contributes
-            converged = certified_gap() < eps
-            break
-        cell = queue.popleft()
-        remaining -= 1
-        if parent == inf:
-            infinite -= 1
-        else:
-            finite -= parent
-        halves = list(cell)
-        i = halves[axis] = 2 * halves[axis]
-        left = tuple(halves)
-        halves[axis] = i + 1
-        for half in (left, tuple(halves)):
-            verdict = classify(half)
-            if verdict == STRADDLE:
-                queue.append(half)
-                if child == inf:
-                    infinite += 1
+            tally = {IN: 0, OUT: 0}
+            settled.append(tally)
+            parent, child = span * vols[depth], span * vols[depth + 1]
+            if not parent > 0.0:  # no cell contributes
+                break
+            while level:
+                halves = list(level.popleft())
+                i = halves[axis] = 2 * halves[axis]
+                left = tuple(halves)
+                halves[axis] = i + 1
+                right = tuple(halves)
+                # a settled cell contributes 0.0, which the heap adds too
+                verdict = classify(left)
+                if verdict == STRADDLE:
+                    deeper.append(left)
+                    a = child
                 else:
-                    finite += child
-            else:
-                if verdict == IN:
-                    n_in += 1
+                    tally[verdict] += 1
+                    a = 0.0
+                verdict = classify(right)
+                if verdict == STRADDLE:
+                    deeper.append(right)
+                    b = child
                 else:
-                    n_out += 1
-                finite += 0.0  # the heap adds the cell's zero
-        ncells += 1
-        if ncells >= next_trace:
-            trace.append((ncells, inf if infinite else finite))
-            next_trace *= 2
+                    tally[verdict] += 1
+                    b = 0.0
+                yield parent, a, b
+        yield None
 
-    ins.append(n_in)
-    outs.append(n_out)
-    straddles = [0] * len(vols)
-    straddles[depth + 1] = len(queue) - remaining
-    if depth >= 0:
-        straddles[depth] = remaining
+    def straddling(x: float):
+        # (count, x * volume) for the cells of the deepest depth, then for
+        # those of the depth above
+        return [(n, x * vol) for n, vol in zip((len(deeper), len(level)), reversed(vols))]
+
+    def certified_gap() -> float:
+        return counted_sum(straddling(span))
 
     def final_sum(end: int, which: str) -> float:
-        pairs = [(n, ranges[k][end] * vol) for counts, k in ((ins, IN), (outs, OUT), (straddles, STRADDLE))
-                 for n, vol in zip(counts, vols)]
+        pairs = straddling(ranges[STRADDLE][end])
+        pairs += [(counts[k], ranges[k][end] * vol) for counts, vol in zip(settled, vols) for k in (IN, OUT)]
         try:
             return counted_sum(pairs)
         except ValueError:
             raise InputError(OVERFLOW.format(which)) from None
 
-    trace.append((ncells, certified_gap()))
+    first = span * vols[0] if deeper else 0.0
+    ncells, converged, trace = split_largest(first, splits().__next__, certified_gap, eps, max_cells)
     return final_sum(0, "lower"), final_sum(1, "upper"), ncells, converged, trace
 
 

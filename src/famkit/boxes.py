@@ -50,10 +50,6 @@ def box_intersect(a: Box, b: Box) -> Box | None:
     return tuple(out)
 
 
-def box_contains(outer: Box, inner: Box) -> bool:
-    return all(olo <= ilo and ihi <= ohi for (olo, ohi), (ilo, ihi) in zip(outer, inner))
-
-
 def box_subtract(a: Box, b: Box) -> list[Box]:
     """``a`` minus ``b`` as disjoint boxes (axis-by-axis slicing)."""
     if box_intersect(a, b) is None:

@@ -415,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         # integrate.DEFAULT_BUDGET, which only they may import
         p.add_argument("--budget", type=_cell_budget, default=None, help="cell budget (at least 1)")
         p.add_argument("--format", choices=["json", "table"], default="json")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved for randomized test generators; solver paths ignore it")
         p.add_argument("--fn", default=None, help="function DSL (JSON)")
         p.add_argument("--box", default=None, help="bounding box (JSON)")
         p.add_argument("--region", default=None, help="region DSL (JSON)")

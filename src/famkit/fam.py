@@ -114,10 +114,6 @@ class SupportWitness:
     support: Partition
 
 
-def evaluate(fam: Fam, b: SetElem) -> Fraction:
-    return fam.value(b)
-
-
 def uniform_fam(ground: GroundSet, u: SetElem) -> Fam:
     """The uniform probability measure with support ``u`` on the full power set."""
     if u.ground != ground:

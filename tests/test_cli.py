@@ -314,6 +314,22 @@ class TestIntegrateCLI:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "famkit: error: the lower Darboux sum overflows the float range\n"
 
+    @pytest.mark.parametrize("flags,status,code", [
+        (["--eps", "1e305"], "integrable", 0),
+        (["--eps", "1e-3", "--budget", "2000"], "undecided", 4),
+    ])
+    def test_cells_at_the_edge_of_the_float_range(self, flags, status, code):
+        # the midpoint of [-1e308, -8.75e307] overflowed to -inf, and
+        # classifying the cell [-1e308, -inf] ended in an OverflowError
+        # traceback (exit 1)
+        fn = '{"piecewise": {"pieces": [{"box": [[-1e308, 0]], "value": 1}]}}'
+        proc = famkit_process(["-m", "famkit", "integrate", "--fn", fn, "--box", "[[-1e308, 1e308]]", *flags],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        report = json.loads(proc.stdout)
+        assert report["status"] == status
+        assert F(report["lower"]) <= 10**308 <= F(report["upper"])
+
     @pytest.mark.parametrize("fn", [
         # the value key was ignored: the plain indicator integrated to 0.5
         '{"indicator": {"halfplane": {"normal": [1], "offset": "1/2"}}, "value": 2}',

@@ -4,6 +4,7 @@ small-scale checks."""
 import hashlib
 import itertools
 import math
+import sys
 from fractions import Fraction as F
 from random import Random
 
@@ -851,6 +852,42 @@ class TestBatchedRefinement:
             assert (cells, converged) == (budget, False)
             assert trace[-1][0] == budget
             assert lower <= 4 / 3 <= upper
+
+    def test_split_matches_split_widest_at_the_edge_of_the_float_range(self):
+        import numpy as np
+
+        from famkit._refine import _split
+        from famkit._refine_py import split_widest
+
+        # near the edge of the float range lo + hi overflows, and the
+        # midpoint 0.5 * (lo + hi) was -inf or +inf, a corner of no cell
+        rng = Random(19)
+        overflowed = 0
+        for dim in (1, 2, 3):
+            lo, hi = [], []
+            for _ in range(60):
+                ends = []
+                for _ in range(dim):
+                    sign = rng.choice([-1.0, 1.0])
+                    if rng.random() < 0.6:
+                        # both ends above half the largest float, of one sign
+                        ends.append(sorted(sign * rng.uniform(0.5, 1.0) * sys.float_info.max for _ in range(2)))
+                    else:
+                        ends.append(sorted(rng.uniform(-1.0, 1.0) * 1e308 for _ in range(2)))
+                lo.append([a for a, _ in ends])
+                hi.append([b for _, b in ends])
+            cells = np.array([[*l, *h] for l, h in zip(lo, hi)]).T
+            with np.errstate(over="ignore"):
+                halves = _split(cells)
+                overflowed += int(np.isinf(0.5 * (cells[:dim] + cells[dim:])).sum())
+            assert np.isfinite(halves).all()
+            for i, (l, h) in enumerate(zip(lo, hi)):
+                (llo, lhi), (rlo, rhi) = split_widest(l, h)
+                left, right = halves[:, i].tolist(), halves[:, len(lo) + i].tolist()
+                assert [x.hex() for x in left] == [x.hex() for x in llo + lhi]
+                assert [x.hex() for x in right] == [x.hex() for x in rlo + rhi]
+                assert all(a < m < b for a, m, b in zip(l, lhi, h) if m != b)
+        assert overflowed >= 50
 
 
 class TestExperimentHarness:
