@@ -11,6 +11,7 @@ so range oracles from the box backend drive the Darboux sums here too.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -307,14 +308,45 @@ def _cylinder_ranges(g, depth: int) -> Iterator[tuple[float, float]]:
         yield from repeat((lo, hi), count)
 
 
+def _fold(acc: float, x: float, count: int) -> float:
+    """``reduce(add, repeat(x, count), acc)``, bit for bit, in O(1) where
+    every partial sum is a float.
+
+    With ``acc`` and ``x`` multiples of ``2**g``, every partial sum
+    ``acc + i*x`` is one too, and lies between ``acc`` and the last; when
+    neither exceeds ``2**(53 + g)`` (nor the float range), each is a float,
+    every addition is exact and the fold is the exact sum.  When ``x`` is a
+    zero, or ``acc + x`` an infinity or a NaN, adding ``x`` again leaves
+    ``acc + x`` as it is.  Any other fold is left to ``reduce``.
+    """
+    if count < 1:
+        return acc
+    first = acc + x
+    if not x or not math.isfinite(first):
+        return first
+    a, p = acc.as_integer_ratio()
+    b, q = x.as_integer_ratio()
+    den = max(p, q)  # both powers of two
+    a *= den // p
+    b *= den // q
+    last = a + count * b
+    bits = a | b
+    if max(abs(a), abs(last)) <= (bits & -bits) << 53:
+        try:
+            return last / den  # exact
+        except OverflowError:  # the last partial sum is beyond the float range
+            pass
+    return reduce(add, repeat(x, count), acc)
+
+
 def _depth_sums(g, depth: int) -> tuple[float, float]:
     """The lower and upper Darboux sums of ``g`` on the depth-``depth``
     cylinders: the range ends added left to right, then scaled.
 
     Polynomial blocks fold in with ``reduce(add, ...)``, and a run of
-    ``count`` cylinders with ``reduce(add, repeat(end, count), ...)``: the
-    same sequential additions as a loop over the cylinders.  ``sum`` would
-    not do, since it compensates float sums from Python 3.12 on.
+    ``count`` cylinders with ``_fold``: the same sequential additions as a
+    loop over the cylinders.  ``sum`` would not do, since it compensates
+    float sums from Python 3.12 on.
     """
     scale = 0.5 ** depth
     lower = 0.0
@@ -325,8 +357,8 @@ def _depth_sums(g, depth: int) -> tuple[float, float]:
             upper = reduce(add, highs, upper)
     else:
         for count, rlo, rhi in _cylinder_runs(g, depth):
-            lower = reduce(add, repeat(rlo, count), lower)
-            upper = reduce(add, repeat(rhi, count), upper)
+            lower = _fold(lower, rlo, count)
+            upper = _fold(upper, rhi, count)
     return lower * scale, upper * scale
 
 

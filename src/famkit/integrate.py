@@ -14,9 +14,7 @@ and the Jordan machinery split cells of the integer dyadic lattice
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -30,6 +28,10 @@ from .functions import IndicatorFn, PolynomialFn, RestrictedFn, region_of
 from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_BUDGET = 2_000_000
+
+#: Most cells that ``measure_bracket`` splits in one chunk; it bounds the
+#: halves held beside the straddling cells.
+CHUNK = 1024
 
 INTEGRABLE = "integrable"
 NOT_INTEGRABLE = "not_integrable"
@@ -330,8 +332,10 @@ def _refine_grid(range_fn, lo0, hi0, eps, max_cells, poly=None):
 
     def sums(cells):
         terms = [(range_fn(lo, hi), math.prod(h - l for l, h in zip(lo, hi))) for lo, hi in cells]
-        return (_refine_py.darboux_sum([r[0] * v for r, v in terms], "lower"),
-                _refine_py.darboux_sum([r[1] * v for r, v in terms], "upper"))
+        # a range end of 0 adds 0 (of its sign), also where the float volume
+        # overflowed to inf: the exact volume of a cell is finite
+        return (_refine_py.darboux_sum([r[0] * v if r[0] else r[0] for r, v in terms], "lower"),
+                _refine_py.darboux_sum([r[1] * v if r[1] else r[1] for r, v in terms], "upper"))
 
     def split(cells):
         return [half for lo, hi in cells for half in _refine_py.split_widest(lo, hi)]
@@ -514,9 +518,23 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
 
     Cells live on the integer dyadic lattice of ``fam.bounding``: a cell is
     one index per axis, and every cell at depth ``S`` has volume
-    ``total/2**S``.  Straddling cells wait in a FIFO queue, which pops them
-    largest first and oldest first among equals (children are always one
-    level deeper than their parent), bisecting each along its widest axis.
+    ``total/2**S``.  Straddling cells are split in FIFO order, largest
+    first and oldest first among equals (children are always one level
+    deeper than their parent), each bisected along its widest axis, while
+    the straddling volume is at least ``epsilon`` and fewer than ``budget``
+    cells have been split.
+
+    The cells of one depth are split in chunks: one list of halves, one
+    ``map`` of their verdicts, and the IN and straddling halves kept in
+    order, left half then right half.  The stop test before a cell reads
+    the straddling volume as a count of cells one level deeper; splitting
+    a cell lowers that count by at most 2 (the cell goes, its straddling
+    halves come), so with ``slack`` the count's excess over the stop
+    threshold, the test passes before each of the next ``slack//2 + 1``
+    cells.  A chunk of at most that many cells (and at most the budget left
+    and ``CHUNK``) therefore splits the cells that a one-cell-at-a-time
+    FIFO splits, in its order: the bracket, the counts, ``converged`` and
+    the witness boxes are the FIFO's, bit for bit.
     """
     region = region_of(E)
     eps = _exact_eps(epsilon)
@@ -534,62 +552,62 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
         )
     lattice = DyadicLattice(fam.bounding)
     verdicts = lattice_classifier(region, lattice)
+    p, q = (eps / total).as_integer_ratio() if total else (1, 0)
 
     def need(depth):
         # fewest straddling cells of depth ``depth`` whose volume reaches eps
-        if total == 0:
-            return math.inf
-        return math.ceil(eps * (1 << depth) / total)
+        return -(-(p << depth) // q) if q else math.inf
 
     root = (0,) * lattice.dimension
     inner: list[list[tuple[int, ...]]] = [[]]  # inner[S]: IN cells of depth S, in order
-    queue: deque[tuple[int, ...]] = deque()
+    todo: list[tuple[int, ...]] = []  # straddling cells of depth ``depth`` not yet split, last first
+    queue: list[tuple[int, ...]] = []  # straddling cells of depth + 1, in order
     verdict = verdicts(0)(root)
     if verdict == IN:
         inner[0].append(root)
     elif verdict == STRADDLE:
         queue.append(root)
-    # the queue holds ``remaining`` cells of depth ``depth`` and then cells of
-    # depth + 1, so its volume is (remaining + len(queue)) * total/2**(depth+1)
+    # the straddling volume is (2*len(todo) + len(queue)) * total/2**(depth+1)
     depth = -1
-    remaining = 0
     threshold = need(0)
     processed = 0
-    while queue and remaining + len(queue) >= threshold and processed < budget:
-        if not remaining:
+    while processed < budget:
+        if not todo:
+            if not queue or len(queue) < threshold:
+                break
             depth += 1
-            remaining = len(queue)
-            axis = lattice.axis(depth)
+            todo, queue = queue, []
+            todo.reverse()
+            split = lattice.halves(depth)
             classify = verdicts(depth + 1)
             found = []
             inner.append(found)
             threshold = need(depth + 1)
-        cell = queue.popleft()
-        remaining -= 1
-        halves = list(cell)
-        i = halves[axis] = 2 * halves[axis]
-        left = tuple(halves)
-        halves[axis] = i + 1
-        for child in (left, tuple(halves)):
-            verdict = classify(child)
+        # splitting a cell lowers 2*len(todo) + len(queue) by at most 2, so
+        # the stop test passes before each of the next slack//2 + 1 cells
+        slack = 2 * len(todo) + len(queue) - threshold
+        if slack < 0:
+            break
+        n = min(slack // 2 + 1, budget - processed, len(todo), CHUNK)
+        halves = split(todo[:-n - 1:-1])  # the next n cells, oldest first
+        del todo[-n:]
+        for cell, verdict in zip(halves, map(classify, halves)):
             if verdict == IN:
-                found.append(child)
+                found.append(cell)
             elif verdict == STRADDLE:
-                queue.append(child)
-        processed += 1
+                queue.append(cell)
+        processed += n
     deepest = len(inner) - 1
     inner_units = sum(len(cells) << (deepest - s) for s, cells in enumerate(inner))
     inner_vol = total * Fraction(inner_units, 1 << deepest)
-    gap = total * Fraction(remaining + len(queue), 1 << (depth + 1))
+    gap = total * Fraction(2 * len(todo) + len(queue), 1 << (depth + 1))
 
     def witness():
         boxes = lattice.boxes
-        straddle = boxes(depth, itertools.islice(queue, remaining))
-        straddle += boxes(depth + 1, itertools.islice(queue, remaining, None))
+        straddle = boxes(depth, reversed(todo)) + boxes(depth + 1, queue)
         return tuple(box for s, cells in enumerate(inner) for box in boxes(s, cells)), tuple(straddle)
 
-    # the queue holds every straddling cell, the ``remaining`` ones included
-    counts = (sum(map(len, inner)), len(queue))
+    counts = (sum(map(len, inner)), len(todo) + len(queue))
     return MeasureBracket._deferred(inner_vol, inner_vol + gap, gap < eps, witness, counts)
 
 

@@ -67,6 +67,31 @@ class DyadicLattice:
             self.levels.append(tuple(levels))
         return self.axes[depth]
 
+    def halves(self, depth: int) -> Callable[[list[Cell]], list[Cell]]:
+        """``cells -> [left, right, left, right, ...]``: the two halves of
+        each cell of ``depth`` on its split axis, in the cells' order, left
+        first; unrolled for one to three axes."""
+        axis = self.axis(depth)
+        if self.dimension == 1:
+            return lambda cells: _interleave([(2 * i,) for i, in cells], [(2 * i + 1,) for i, in cells])
+        if self.dimension == 2:
+            if axis == 0:
+                return lambda cells: _interleave([(2 * i, j) for i, j in cells],
+                                                 [(2 * i + 1, j) for i, j in cells])
+            return lambda cells: _interleave([(i, 2 * j) for i, j in cells],
+                                             [(i, 2 * j + 1) for i, j in cells])
+        if self.dimension == 3:
+            if axis == 0:
+                return lambda cells: _interleave([(2 * i, j, k) for i, j, k in cells],
+                                                 [(2 * i + 1, j, k) for i, j, k in cells])
+            if axis == 1:
+                return lambda cells: _interleave([(i, 2 * j, k) for i, j, k in cells],
+                                                 [(i, 2 * j + 1, k) for i, j, k in cells])
+            return lambda cells: _interleave([(i, j, 2 * k) for i, j, k in cells],
+                                             [(i, j, 2 * k + 1) for i, j, k in cells])
+        return lambda cells: _interleave([c[:axis] + (2 * c[axis],) + c[axis + 1:] for c in cells],
+                                         [c[:axis] + (2 * c[axis] + 1,) + c[axis + 1:] for c in cells])
+
     def volume(self, depth: int) -> float:
         """The float volume of a cell of ``depth``: its widths rounded to
         nearest and multiplied in axis order, which is ``prod(hi - lo)``
@@ -123,6 +148,14 @@ class DyadicLattice:
                 box.append(side)
             out.append(tuple(box))
         return out
+
+
+def _interleave(lefts: list, rights: list) -> list:
+    """``[lefts[0], rights[0], lefts[1], rights[1], ...]``."""
+    out = [None] * (2 * len(lefts))
+    out[::2] = lefts
+    out[1::2] = rights
+    return out
 
 
 def lattice_classifier(region, lattice: DyadicLattice) -> Verdicts:

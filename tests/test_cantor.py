@@ -1,5 +1,9 @@
+import math
 import tracemalloc
 from fractions import Fraction as F
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from famkit.cantor import (
     _cylinder_ranges,
     _cylinder_runs,
     _depth_sums,
+    _fold,
     cantor_integrate,
     clopen_measure,
     iota2_image,
@@ -516,6 +521,42 @@ class TestCylinderRuns:
         assert oscillation_cover(IndicatorFn(DenseCodenseRegion()), F(1, 2), 16).cover.is_everything
         assert lebesgue_vitali_check(IndicatorFn(DenseCodenseRegion()), epsilon=1e-2).verdict == "not_integrable"
         assert calls[0] == 0
+
+
+# floats of few significant bits, which the O(1) fold takes, from the
+# subnormals to near overflow; and any float, zeros and infinities included
+DYADIC_FLOATS = st.builds(math.ldexp, st.integers(-2 ** 20, 2 ** 20), st.integers(-1074, 1000))
+FOLD_FLOATS = st.one_of(
+    DYADIC_FLOATS,
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1.7e308, -1.7e308,
+                     2.0 ** 1023, math.inf, -math.inf]),
+)
+
+
+class TestFold:
+    """``_fold`` is ``reduce(add, repeat(x, count), acc)``, bit for bit."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(acc=FOLD_FLOATS, x=FOLD_FLOATS, count=st.integers(0, 3000))
+    def test_equals_the_sequential_sum(self, acc, x, count):
+        # hex tells the signs of zeros apart
+        assert _fold(acc, x, count).hex() == reduce(add, repeat(x, count), acc).hex()
+
+    @pytest.mark.parametrize("acc,x,count", [
+        (0.0, -0.0, 5), (-0.0, -0.0, 5), (-0.0, 0.0, 1), (-3.0, 1.0, 3), (5e-324, -5e-324, 1),
+        (1.7e308, 1e292, 3), (2.0 ** 1023, 2.0 ** 1022, 2), (-1.7e308, -1.7e308, 2),
+        (math.inf, -1.0, 7), (-math.inf, math.inf, 2), (0.5, 0.1, 1000), (0.0, 2.0 ** -1074, 4096),
+        # a partial sum of 54 significant bits rounds, at the first or the last
+        (2.0 ** 53 + 2, -1.0, 4), (2.0 ** 53 - 2, 1.0, 4), (-2.0 ** 53 + 2, -1.0, 4),
+    ])
+    def test_edges(self, acc, x, count):
+        assert _fold(acc, x, count).hex() == reduce(add, repeat(x, count), acc).hex()
+
+    def test_exact_folds_take_one_step(self):
+        # 2**40 additions would take hours
+        assert _fold(0.0, 1.0, 2 ** 40) == 2.0 ** 40
+        assert _fold(-0.5, 0.25, 2 ** 41) == 2.0 ** 39 - 0.5
 
 
 class TestDepthCap:

@@ -330,6 +330,21 @@ class TestIntegrateCLI:
         assert report["status"] == status
         assert F(report["lower"]) <= 10**308 <= F(report["upper"])
 
+    def test_grid_on_a_box_wider_than_the_float_range(self, tmp_path, capsys):
+        # the grid's root cell has a float volume of inf, and its lower term
+        # 0 * inf made it exit 2 with "the Darboux gap is NaN at 1 cells"
+        problem = {"fn": {"piecewise": {"pieces": [{"box": [[-1e308, 0]], "value": 1}]}},
+                   "box": [[-1e308, 1e308]], "epsilon": "1e305"}
+        reports = {}
+        for strategy in ("grid", "adaptive"):
+            path = write_json(tmp_path, f"{strategy}.json", dict(problem, strategy=strategy))
+            code, out, err = run(capsys, ["integrate", "--in", path])
+            assert (code, err) == (0, "")
+            reports[strategy] = json.loads(out)
+        grid, adaptive = reports["grid"], reports["adaptive"]
+        assert (grid["status"], adaptive["status"]) == ("integrable", "integrable")
+        assert grid["lower"] <= adaptive["upper"] and adaptive["lower"] <= grid["upper"]
+
     @pytest.mark.parametrize("fn", [
         # the value key was ignored: the plain indicator integrated to 0.5
         '{"indicator": {"halfplane": {"normal": [1], "offset": "1/2"}}, "value": 2}',

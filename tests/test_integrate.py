@@ -776,6 +776,17 @@ class TestOverflowingSums:
         assert coarse.status == "integrable"
         assert abs(coarse.value - adaptive.value) <= 1e305
 
+    def test_grid_on_a_box_wider_than_the_float_range(self):
+        # the root's float volume is inf, and its lower term 0 * inf was a
+        # NaN gap: the grid raised "the Darboux gap is NaN at 1 cells"
+        fn = parse_fn({"piecewise": {"pieces": [{"box": [[-1e308, 0]], "value": 1}]}}, 1)
+        fam = VolumeFam(make_box([[-1e308, 1e308]]))
+        adaptive = integrate(fn, fam, 1e305)
+        grid = integrate(fn, fam, 1e305, strategy="grid")
+        assert (adaptive.status, grid.status) == ("integrable", "integrable")
+        assert grid.trace[0] == (1, math.inf)
+        assert grid.lower <= adaptive.upper and adaptive.lower <= grid.upper
+
     def test_box_sums_of_mixed_infinite_terms(self):
         # these used to raise ValueError('-inf + inf in fsum') from math.fsum
         from famkit.integrate import box_infsum, box_supsum

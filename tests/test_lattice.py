@@ -9,6 +9,7 @@ cells, bit for bit, wherever those float cells are exact.
 
 import hashlib
 import heapq
+import importlib
 import math
 from fractions import Fraction as F
 from random import Random
@@ -41,6 +42,9 @@ from famkit.integrate import (
 from famkit.lattice import DyadicLattice, lattice_classifier
 
 from genutil import random_jordan_region
+
+# the package rebinds the name ``famkit.integrate`` to the function
+integrate_module = importlib.import_module("famkit.integrate")
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 SQUARE = VolumeFam([[0, 1], [0, 1]])
@@ -367,6 +371,63 @@ def test_measures_build_no_boxes(monkeypatch):
         bracket.inner_cells
     with pytest.raises(AssertionError, match="built witness boxes"):
         report.witness
+
+
+# -- chunked splitting stops where the one-cell-at-a-time heap stops ---------
+
+STOP_REGIONS = {
+    "halfplane": (HalfPlaneRegion((1, 2), F(2, 3)), SQUARE),
+    "halfspace-3d": FIXTURES["halfspace-3d"][:2],
+    "intersection": (RegionIntersection(HalfPlaneRegion((1, -2), F(1, 5)),
+                                        HalfPlaneRegion((-1, -1), F(-3, 7))), SQUARE),
+}
+
+
+def full_depth_straddles(region, fam, depths):
+    """Straddling cells of each depth once every shallower cell is split."""
+    lattice = DyadicLattice(fam.bounding)
+    verdicts = lattice_classifier(region, lattice)
+    cells = [(0,) * lattice.dimension]
+    counts = []
+    for depth in range(depths):
+        classify = verdicts(depth)
+        cells = [c for c in cells if classify(c) == STRADDLE]
+        counts.append(len(cells))
+        axis = lattice.axis(depth)
+        cells = [c[:axis] + (2 * c[axis] + k,) + c[axis + 1:] for c in cells for k in (0, 1)]
+    return counts
+
+
+# chunks of at most 3 cells end at many more places than chunks of 1024
+CHUNKS = (integrate_module.CHUNK, 3)
+
+
+def assert_chunks_replay_the_heap(region, fam, eps, budget, monkeypatch):
+    expected = heap_bracket(region, fam, eps, budget)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(integrate_module, "CHUNK", chunk)
+        bracket = measure_bracket(region, fam, eps, budget)
+        assert bracket == expected
+        assert bracket.cell_counts == expected.cell_counts
+
+
+@pytest.mark.parametrize("name", sorted(STOP_REGIONS))
+def test_every_budget_stops_where_the_heap_does(name, monkeypatch):
+    region, fam = STOP_REGIONS[name]
+    for budget in range(1, 257):
+        assert_chunks_replay_the_heap(region, fam, fam.total / 10 ** 6, budget, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(STOP_REGIONS))
+def test_stops_around_each_depth_boundary(name, monkeypatch):
+    # eps of one straddling cell more or fewer than a whole depth holds:
+    # the last stop test of a depth, or the first of the next, decides
+    region, fam = STOP_REGIONS[name]
+    for depth, straddling in enumerate(full_depth_straddles(region, fam, 11)):
+        for cells in (straddling - 1, straddling, straddling + 1):
+            if cells > 0:
+                eps = fam.total * F(cells, 2 ** depth)
+                assert_chunks_replay_the_heap(region, fam, eps, 10 ** 6, monkeypatch)
 
 
 def assert_sizes_match_witness(report):
