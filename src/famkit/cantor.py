@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import accumulate, islice, repeat
 from operator import add, mul
 from typing import Iterable, Iterator
@@ -24,7 +24,8 @@ from ._refine_py import refine_uniform
 from .boxes import IN, OUT, STRADDLE, BoxElem
 from .errors import CapExceededError, InputError
 from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn
-from .integrate import INTEGRABLE, NOT_INTEGRABLE, UNDECIDED, IntegralReport, _darboux_report, _exact_eps, _float_eps
+from .integrate import (INTEGRABLE, NOT_INTEGRABLE, UNDECIDED, IntegralReport, _darboux_report, _exact_eps,
+                        _finite_float, _float_eps)
 from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_DEPTH_BUDGET = 20
@@ -296,18 +297,6 @@ def _run_depths(g) -> Iterator[Iterator[tuple[int, float, float]]]:
     return _lattice_runs(g) or (_oracle_runs(g, depth) for depth in itertools.count())
 
 
-def _cylinder_runs(g, depth: int) -> Iterator[tuple[int, float, float]]:
-    """The runs of :func:`_run_depths` at depth ``depth``."""
-    return next(islice(_run_depths(g), depth, None))
-
-
-def _cylinder_ranges(g, depth: int) -> Iterator[tuple[float, float]]:
-    """``g``'s range on each depth-``depth`` cylinder image, left to right:
-    the runs of :func:`_cylinder_runs`, one entry per cylinder."""
-    for count, lo, hi in _cylinder_runs(g, depth):
-        yield from repeat((lo, hi), count)
-
-
 def _fold(acc: float, x: float, count: int) -> float:
     """``reduce(add, repeat(x, count), acc)``, bit for bit, in O(1) where
     every partial sum is a float.
@@ -339,14 +328,16 @@ def _fold(acc: float, x: float, count: int) -> float:
     return reduce(add, repeat(x, count), acc)
 
 
-def _depth_sums(g, depth: int) -> tuple[float, float]:
+def _depth_sums(g, runs, depth: int) -> tuple[float, float]:
     """The lower and upper Darboux sums of ``g`` on the depth-``depth``
-    cylinders: the range ends added left to right, then scaled.
+    cylinders, whose runs are ``runs``: the range ends added left to right,
+    then scaled.
 
-    Polynomial blocks fold in with ``reduce(add, ...)``, and a run of
-    ``count`` cylinders with ``_fold``: the same sequential additions as a
-    loop over the cylinders.  ``sum`` would not do, since it compensates
-    float sums from Python 3.12 on.
+    A run of ``count`` cylinders folds in with ``_fold``, and a swept
+    polynomial, whose runs hold one cylinder each, folds its blocks with
+    ``reduce(add, ...)`` instead: the same sequential additions as a loop
+    over the cylinders.  ``sum`` would not do, since it compensates float
+    sums from Python 3.12 on.
     """
     scale = 0.5 ** depth
     lower = 0.0
@@ -356,7 +347,7 @@ def _depth_sums(g, depth: int) -> tuple[float, float]:
             lower = reduce(add, lows, lower)
             upper = reduce(add, highs, upper)
     else:
-        for count, rlo, rhi in _cylinder_runs(g, depth):
+        for count, rlo, rhi in runs:
             lower = _fold(lower, rlo, count)
             upper = _fold(upper, rhi, count)
     return lower * scale, upper * scale
@@ -371,14 +362,21 @@ def cantor_integrate(
 
     Uniform-depth cylinder partitions keep the cells aligned with dyadic
     interval grids, so sup/inf on a cylinder are ``g``'s range over its
-    interval image.  A depth stands for its ``2**depth`` cylinders in the
-    grid strategy's loop, and the verdict is the box backend's.
+    interval image.  A depth's runs stand for its ``2**depth`` cylinders
+    in the grid strategy's loop, which takes the depths in turn from one
+    sweep, and the verdict is the box backend's.
     """
     eps = _float_eps(epsilon)
     _check_depth(depth_budget)
-    # _depth_sums is looked up at each depth, where a wrapper around it sees every call
-    refine = partial(refine_uniform, lambda depth: _depth_sums(g, depth), lambda depth: depth + 1,
-                     0, eps, 2 ** depth_budget)
+
+    def refine():
+        # a cell is a depth's runs and the depth, and each split takes the
+        # next depth from the one sweep; _depth_sums is looked up at each
+        # depth, where a wrapper around it sees every call
+        depths = _run_depths(g)
+        return refine_uniform(lambda cell: _depth_sums(g, *cell), lambda cell: (next(depths), cell[1] + 1),
+                              (next(depths), 0), eps, 2 ** depth_budget)
+
     return _darboux_report(g, UNIT, Fraction(1), eps, refine, "cantor")
 
 
@@ -395,7 +393,7 @@ def oscillation_cover(g, threshold, depth: int) -> OscillationCover:
     measure; non-increasing in both depth and threshold when the oracle's
     enclosures nest under subdivision.
     """
-    thr = float(threshold)
+    thr = _finite_float(threshold, "threshold")
     if thr <= 0:
         raise InputError("threshold must be positive")
     _check_depth(depth)
@@ -403,7 +401,7 @@ def oscillation_cover(g, threshold, depth: int) -> OscillationCover:
     # cylinders, and the canonical cover is the one their words give
     words = []
     start = 0
-    for count, rlo, rhi in _cylinder_runs(g, depth):
+    for count, rlo, rhi in next(islice(_run_depths(g), depth, None)):
         if rhi - rlo >= thr:
             shift = count.bit_length() - 1  # count is 2**shift
             level = depth - shift

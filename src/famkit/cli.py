@@ -69,9 +69,9 @@ def _emit(report: dict, args) -> None:
 
     if getattr(args, "format", "json") == "table":
         for key, value in report.items():
-            print(f"{key}: {json.dumps(jsonable(value), sort_keys=True)}")
+            print(f"{key}: {json.dumps(jsonable(value), allow_nan=False, sort_keys=True)}")
     else:
-        print(json.dumps(jsonable(report), indent=2, sort_keys=True))
+        print(json.dumps(jsonable(report), allow_nan=False, indent=2, sort_keys=True))
 
 
 def _report_integral(rep, args) -> int:

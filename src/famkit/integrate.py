@@ -291,8 +291,20 @@ def _exact_eps(epsilon) -> Fraction:
     return eps
 
 
+def _finite_float(value, name: str) -> float:
+    """``float(value)``, which must be finite: a rational beyond the float
+    range, an infinity and a NaN raise ``InputError``."""
+    try:
+        x = float(value)
+    except OverflowError:
+        raise InputError(f"{name} must be finite, got a rational beyond the float range") from None
+    if not math.isfinite(x):
+        raise InputError(f"{name} must be finite, got {value}")
+    return x
+
+
 def _float_eps(epsilon) -> float:
-    eps = float(_exact_eps(epsilon))
+    eps = _finite_float(_exact_eps(epsilon), "epsilon")
     if eps == 0.0:  # positive, but below the least float
         raise InputError("epsilon must be positive")
     return eps

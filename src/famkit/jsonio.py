@@ -11,6 +11,7 @@ that use them, so that a subcommand loads only its own engine.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from typing import Any
@@ -153,8 +154,14 @@ def parse_target(data):
 
 
 def jsonable(value) -> Any:
-    """Recursively render famkit values into plain JSON data."""
-    if value is None or isinstance(value, (str, int, float)):
+    """Recursively render famkit values into plain JSON data; a non-finite
+    float, which JSON has no number for, becomes the string "Infinity",
+    "-Infinity" or "NaN"."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if value is None or isinstance(value, (str, int)):
         return value
     if isinstance(value, Fraction):
         return rational_str(value)

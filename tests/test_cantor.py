@@ -2,14 +2,15 @@ import math
 import tracemalloc
 from fractions import Fraction as F
 from functools import reduce
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famkit._refine_py import poly_range
+from famkit import cantor
+from famkit._refine_py import poly_range, refine_uniform
 from famkit.boxes import IN, OUT, BoxElem, VolumeFam, make_box
 from famkit.cantor import (
     BLOCK,
@@ -18,10 +19,9 @@ from famkit.cantor import (
     UNIT,
     CantorClopen,
     Cylinder,
-    _cylinder_ranges,
-    _cylinder_runs,
     _depth_sums,
     _fold,
+    _run_depths,
     cantor_integrate,
     clopen_measure,
     iota2_image,
@@ -45,6 +45,17 @@ from famkit.integrate import integrate
 from famkit.lattice import DyadicLattice, lattice_classifier
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def runs_at(g, depth):
+    """The runs of ``g`` at depth ``depth``, from a sweep of its own."""
+    return next(islice(_run_depths(g), depth, None))
+
+
+def cylinder_ranges(g, depth):
+    """``g``'s range on each depth-``depth`` cylinder image, left to right:
+    the runs at that depth, one entry per cylinder."""
+    return [(lo, hi) for count, lo, hi in runs_at(g, depth) for _ in range(count)]
 
 
 class TestClopen:
@@ -134,6 +145,51 @@ class TestCantorIntegrate:
         assert [w.hex() for _, w in report.trace[-3:]] == [
             "0x1.4cccccccccd00p-12", "0x1.4cccccccccc00p-13", "0x1.4ccccccccd000p-14"]
 
+    ONE_SWEEP = {
+        "step": PiecewiseConstantFn(
+            [(make_box([[0, F(1, 3)]]), 1.0), (make_box([[F(1, 3), F(5, 7)]]), 3.0)], default=-1.0
+        ),
+        # x >= 2/3, whose integral at 3e-6 reaches depth 19
+        "indicator": IndicatorFn(HalfPlaneRegion([-1], F(-2, 3))),
+        # dense-codense on [0, 1/3], where every cell straddles at every depth
+        "dense": IndicatorFn(RegionIntersection(DenseCodenseRegion(), BoxElem([[[0, F(1, 3)]]]))),
+        # asked on each image's box
+        "lipschitz": LipschitzFn(lambda p: abs(p[0] - 0.3), 1.0),
+        "x2": PolynomialFn([0, 0, 1]),
+    }
+
+    @pytest.mark.parametrize("name,eps,depth_budget", [
+        *((name, eps, DEFAULT_DEPTH_BUDGET)
+          for name in ("step", "indicator") for eps in (1e-2, 2.93e-3, 1e-4, 3e-6)),
+        ("step", 3e-6, 10), ("indicator", 1e-5, 0),
+        ("dense", 1e-3, 12), ("dense", 0.5, DEFAULT_DEPTH_BUDGET),
+        ("lipschitz", 1e-2, DEFAULT_DEPTH_BUDGET), ("lipschitz", 1e-3, 6),
+        ("x2", 1e-2, DEFAULT_DEPTH_BUDGET), ("x2", 1e-4, DEFAULT_DEPTH_BUDGET), ("x2", 1e-6, 12),
+    ])
+    def test_one_sweep_matches_a_sweep_per_depth(self, name, eps, depth_budget):
+        # the reference restarts the sweep from the root at every depth
+        g = self.ONE_SWEEP[name]
+        report = cantor_integrate(g, depth_budget=depth_budget, epsilon=eps)
+        lower, upper, _, converged, trace = refine_uniform(
+            lambda depth: _depth_sums(g, runs_at(g, depth), depth), lambda depth: depth + 1, 0, eps, 2 ** depth_budget)
+        assert (report.lower.hex(), report.upper.hex()) == (lower.hex(), upper.hex())
+        assert [(n, w.hex()) for n, w in report.trace] == [(n, w.hex()) for n, w in trace]
+        assert (report.status == "integrable") == converged
+
+    def test_an_integral_descends_once(self, monkeypatch):
+        partitions = cantor._lattice_partitions
+        calls = 0
+
+        def counted(regions):
+            nonlocal calls
+            calls += 1
+            return partitions(regions)
+
+        monkeypatch.setattr(cantor, "_lattice_partitions", counted)
+        report = cantor_integrate(self.ONE_SWEEP["step"], epsilon=3e-6)
+        # one descent serves every depth, where a restart at each took 21
+        assert (calls, len(report.trace)) == (1, DEFAULT_DEPTH_BUDGET + 1)
+
     def test_agreement_with_box_backend(self):
         for fn in [PolynomialFn([0, 1]), PolynomialFn([1, -2, 3])]:
             c = cantor_integrate(fn, epsilon=1e-4)
@@ -192,7 +248,7 @@ class TestCylinderImages:
             lower += rlo
             upper += rhi
         scale = 0.5 ** depth
-        got = _depth_sums(g, depth)
+        got = _depth_sums(g, runs_at(g, depth), depth)
         assert [x.hex() for x in got] == [(lower * scale).hex(), (upper * scale).hex()]
 
     @pytest.mark.parametrize("g", FUNCTIONS)
@@ -273,7 +329,7 @@ class TestCylinderRanges:
 
         g.range_on = counted  # on the instance, so type(g) still selects the path
         try:
-            got = list(_cylinder_ranges(g, depth))
+            got = cylinder_ranges(g, depth)
         finally:
             del g.range_on
         want = [range_on((iota2_image(w),)) for w in TestCylinderImages.words(depth)]
@@ -289,14 +345,15 @@ class TestCylinderRanges:
         assert 2 ** depth > BLOCK
         g = PolynomialFn(coeffs)
         want = poly_ranges(g, depth)
-        got = list(_cylinder_ranges(g, depth))
+        got = cylinder_ranges(g, depth)
         assert [(lo.hex(), hi.hex()) for lo, hi in got] == [(lo.hex(), hi.hex()) for lo, hi in want]
         lower = upper = 0.0
         for rlo, rhi in want:
             lower += rlo
             upper += rhi
         scale = 0.5 ** depth
-        assert [x.hex() for x in _depth_sums(g, depth)] == [(lower * scale).hex(), (upper * scale).hex()]
+        got = _depth_sums(g, runs_at(g, depth), depth)
+        assert [x.hex() for x in got] == [(lower * scale).hex(), (upper * scale).hex()]
 
     def test_nonfinite_coefficients_rejected(self):
         # inf * 0.0 is nan at x = 0, so no enclosure of such a polynomial
@@ -309,7 +366,7 @@ class TestCylinderRanges:
         g = PolynomialFn([0.3, -0.7, 0.5, -0.1, 0.02])
         tracemalloc.start()
         try:
-            _depth_sums(g, 16)
+            _depth_sums(g, runs_at(g, 16), 16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -320,7 +377,7 @@ class TestCylinderRanges:
         # second side would make the lattice see no piece at all
         g = PiecewiseConstantFn([(make_box([[0, F(1, 2)], [1, 1]]), 2.0)], default=-1.0)
         want = [g.range_on((iota2_image(w),)) for w in TestCylinderImages.words(3)]
-        assert list(_cylinder_ranges(g, 3)) == want
+        assert cylinder_ranges(g, 3) == want
 
 
 def reference_vitali(g, eps, depth_budget, threshold_levels=8):
@@ -454,7 +511,7 @@ class TestCylinderRuns:
     @SETTINGS
     @given(g=RUN_ORACLES, depth=st.integers(0, 12))
     def test_runs_expand_to_the_lattice_verdicts(self, g, depth):
-        runs = list(_cylinder_runs(g, depth))
+        runs = list(runs_at(g, depth))
         start = 0
         for count, _, _ in runs:
             # each run is one lattice cell
@@ -474,7 +531,8 @@ class TestCylinderRuns:
             lower += rlo
             upper += rhi
         scale = 0.5 ** depth
-        assert [x.hex() for x in _depth_sums(g, depth)] == [(lower * scale).hex(), (upper * scale).hex()]
+        got = _depth_sums(g, runs_at(g, depth), depth)
+        assert [x.hex() for x in got] == [(lower * scale).hex(), (upper * scale).hex()]
         covered = [w for w, (rlo, rhi) in zip(TestCylinderImages.words(depth), ranges) if rhi - rlo >= threshold]
         assert oscillation_cover(g, threshold, depth).cover == CantorClopen(covered)
 

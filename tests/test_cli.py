@@ -30,6 +30,12 @@ def famkit_process(args, **kwargs):
     return subprocess.run([sys.executable, *args], env=env, **kwargs)
 
 
+def not_json(constant):
+    """A ``parse_constant`` for ``json.loads`` that rejects what JSON lacks:
+    NaN, Infinity and -Infinity."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -235,8 +241,14 @@ class TestIntegrateCLI:
         ["integrate", "--fn", '{"piecewise": {"pieces": [{"box": [[0, "1/2"]], "value": NaN}], "default": 0}}',
          "--box", "[[0,1]]"],
         ["cantor", "--fn", '{"poly": {"terms": [{"exps": [2], "coeff": 1e400}]}}'],
+        # tolerances and thresholds beyond the float range ended in an
+        # OverflowError traceback with exit 1; a dict is a problem file
+        ["integrate", "--fn", '{"poly": [0, 1]}', "--box", "[[0, 1]]", "--eps", "1e400"],
+        ["cantor", "--fn", '{"poly": [0, 1]}', "--eps", "1e400"],
+        ["cantor", "--in", {"fn": {"poly": [0, 1]}, "op": "cover", "depth": 3, "threshold": "1e400"}],
     ])
-    def test_nonfinite_numbers_rejected(self, argv):
+    def test_nonfinite_numbers_rejected(self, tmp_path, argv):
+        argv = [write_json(tmp_path, "problem.json", a) if isinstance(a, dict) else a for a in argv]
         proc = famkit_process(["-m", "famkit", *argv], capture_output=True, text=True)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
@@ -326,7 +338,7 @@ class TestIntegrateCLI:
         proc = famkit_process(["-m", "famkit", "integrate", "--fn", fn, "--box", "[[-1e308, 1e308]]", *flags],
                               capture_output=True, text=True, timeout=30)
         assert (proc.returncode, proc.stderr) == (code, "")
-        report = json.loads(proc.stdout)
+        report = json.loads(proc.stdout, parse_constant=not_json)
         assert report["status"] == status
         assert F(report["lower"]) <= 10**308 <= F(report["upper"])
 
@@ -340,7 +352,7 @@ class TestIntegrateCLI:
             path = write_json(tmp_path, f"{strategy}.json", dict(problem, strategy=strategy))
             code, out, err = run(capsys, ["integrate", "--in", path])
             assert (code, err) == (0, "")
-            reports[strategy] = json.loads(out)
+            reports[strategy] = json.loads(out, parse_constant=not_json)
         grid, adaptive = reports["grid"], reports["adaptive"]
         assert (grid["status"], adaptive["status"]) == ("integrable", "integrable")
         assert grid["lower"] <= adaptive["upper"] and adaptive["lower"] <= grid["upper"]

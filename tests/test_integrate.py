@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from famkit._refine_py import counted_sum, darboux_sum, poly_range
 from famkit.boolalg import Algebra, GroundSet, Partition, SetElem, generate_algebra
 from famkit.boxes import IN, OUT, STRADDLE, BoxElem, VolumeFam, make_box
-from famkit.cantor import cantor_integrate
+from famkit.cantor import cantor_integrate, oscillation_cover
 from famkit.errors import InputError
 from famkit.fam import Fam, uniform_fam
 from famkit.functions import (
@@ -383,6 +383,10 @@ class TestBoxIntegrate:
         lambda: PiecewiseConstantFn([], default=-math.inf),
         lambda: IndicatorFn(HalfPlaneRegion((1,), 0), value=math.inf),
         lambda: LipschitzFn(lambda x: x[0], math.nan),
+        # a tolerance or a threshold beyond the float range
+        lambda: integrate(PolynomialFn([0, 1]), UNIT, epsilon="1e400"),
+        lambda: cantor_integrate(PolynomialFn([0, 1]), epsilon=F(10) ** 400),
+        lambda: oscillation_cover(PolynomialFn([0, 1]), F(10) ** 400, 3),
     ])
     def test_nonfinite_numbers_rejected(self, build):
         with pytest.raises(InputError, match="must be finite"):
