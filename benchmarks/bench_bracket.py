@@ -14,10 +14,10 @@ The ``integrate`` rows time the box integral of an indicator shaped like
 the ``box-indicator`` problems of the regions benchmark (half-planes with
 offsets of denominator 3, 5 or 7 on the unit square) on the two cell
 stores of ``famkit._refine_py.split_largest``: once on the heap of float
-cells, ``refine_generic``, and once on the lattice queue,
-``refine_lattice``.  They print the cells (the live cells at the end) and
-the float bracket.  The script exits 1 when the two results, trace
-included, differ in any bit.
+cells, ``refine_generic``, and once on the lattice descent that Jordan
+brackets split, through the public ``integrate``.  They print the cells
+(the live cells at the end) and the float bracket.  The script exits 1
+when the two results, trace included, differ in any bit.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_bracket.py [--full] [--repeat N]
@@ -67,9 +67,9 @@ def heap_integral(fn, fam, eps):
 
 
 def lattice_integral(fn, fam, eps):
-    grid = lattice.DyadicLattice(fam.bounding)
-    return _refine_py.refine_lattice(lattice.lattice_classifier(fn.region, grid), grid, fn.ranges, eps,
-                                     integrate.DEFAULT_BUDGET)
+    report = integrate.integrate(fn, fam, eps, integrate.DEFAULT_BUDGET)
+    converged = report.status == integrate.INTEGRABLE
+    return report.lower, report.upper, report.trace[-1][0], converged, list(report.trace)
 
 
 def classified_cells(region, fam, eps):

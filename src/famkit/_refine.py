@@ -396,12 +396,19 @@ def refine_poly(
         children = _contributions(plan, halves)
         keep = np.ones(n, dtype=bool)
         keep[picked] = False
+        before = contrib
         contrib = _append_pairs(contrib[keep], children[:k], children[k:])
         cols = _append_pairs(cols[keep], parents, np.arange(n, n + k))
 
         while next_trace <= n + k:
             j = next_trace - n
-            trace.append((next_trace, gap - float(split_sums[j - 1]) + float(contrib[n - k:n - k + 2 * j].sum())))
+            traced = gap - float(split_sums[j - 1]) + float(contrib[n - k:n - k + 2 * j].sum())
+            if not math.isfinite(traced):
+                # inf - inf in an infinite round: the live cells at this
+                # count, the kept ones, the first j picks' children and
+                # the other picks, summed afresh
+                traced = exact_sum(memoryview(np.concatenate((contrib[:n - k + 2 * j], before[picked[j:]]))))
+            trace.append((next_trace, traced))
             next_trace *= 2
 
         if n + k > store.shape[1]:

@@ -9,10 +9,11 @@ keeps the running gap, the budget and the trace once, for two cell stores:
   which bisects the widest axis (lowest axis index on ties).  It serves the
   scalar oracles other than indicators (restrictions, piecewise-constant
   and Lipschitz functions) and is the reference that the batched
-  polynomial engine in ``famkit._refine`` and ``refine_lattice`` are
+  polynomial engine in ``famkit._refine`` and indicator integrals are
   tested against;
-- ``refine_lattice``, a FIFO queue of cells of the integer dyadic lattice
-  of ``famkit.lattice``, which serves indicators (see its docstring).
+- the lattice descent that Jordan brackets split, ``integrate._descent``,
+  whose straddling cells ``integrate._refine_indicator`` counts for an
+  indicator.
 
 ``refine_uniform`` splits every cell each round instead: the ``grid``
 strategy runs it on lists and on numpy rows of float cells, and Cantor
@@ -24,10 +25,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from typing import Callable, Sequence
 
-from .boxes import IN, OUT, STRADDLE
 from .errors import InputError
 
 # a NaN gap never falls below epsilon, nor does it clear as cells shrink
@@ -278,104 +277,6 @@ def refine_generic(
     lower = darboux_sum([c[4] * c[6] for c in heap], "lower")
     upper = darboux_sum([c[5] * c[6] for c in heap], "upper")
     return lower, upper, ncells, converged, trace
-
-
-def refine_lattice(verdicts, lattice, ranges, eps: float, max_cells: int):
-    """``refine_generic`` for an indicator: an oracle whose range on a cell
-    is ``ranges[verdict]``, for ``verdicts(depth)(cell)`` on the integer
-    dyadic ``lattice`` (``famkit.lattice``), with IN and OUT ranges of
-    width 0.
-
-    A straddling cell of depth ``d`` then contributes
-    ``c_d = (hi - lo) * vol_d`` and every other cell 0, so contributions
-    never grow with depth, and cells of one depth are made, oldest first,
-    before any cell of the next.  The heap's order, largest contribution
-    first and oldest first among equals, is therefore FIFO order by depth,
-    and the heap becomes a queue of straddling cells that ``split_largest``
-    drives as it drives the heap.  The certified gap and the final sums are
-    taken from per-depth counts in one exactly rounded sum, the number
-    ``math.fsum`` gives over the cells.
-
-    ``vol_d`` is ``lattice.volume(d)``, the float volume of a cell whose
-    float corners are its exact corners.  Where every float cell of the
-    heap is exact (a bounding box of floats whose midpoints stay floats, as
-    dyadic boxes do), the results, trace included, are bit for bit those
-    of ``refine_generic``.  Elsewhere the heap's float cells drift from the
-    lattice's, and the two differ in the last bits.
-    """
-    # a straddling cell of depth d contributes span * vols[d]; level holds
-    # the straddling cells of the depth being split, oldest first, and
-    # deeper those of the next depth; settled[d][v] counts the cells of
-    # depth d with the verdict v, IN or OUT
-    vols = [lattice.volume(0)]
-    span = ranges[STRADDLE][1] - ranges[STRADDLE][0]
-    level: deque[tuple[int, ...]] = deque()
-    deeper: deque[tuple[int, ...]] = deque()
-    settled = [{IN: 0, OUT: 0}]
-    root = (0,) * lattice.dimension
-    verdict = verdicts(0)(root)
-    if verdict == STRADDLE:
-        deeper.append(root)
-    else:
-        settled[0][verdict] += 1
-
-    def splits():
-        for depth in itertools.count():
-            if not deeper:  # no cell contributes
-                break
-            level.extend(deeper)
-            deeper.clear()
-            axis = lattice.axis(depth)
-            classify = verdicts(depth + 1)
-            vols.append(lattice.volume(depth + 1))
-            tally = {IN: 0, OUT: 0}
-            settled.append(tally)
-            parent, child = span * vols[depth], span * vols[depth + 1]
-            if not parent > 0.0:  # no cell contributes
-                break
-            while level:
-                halves = list(level.popleft())
-                i = halves[axis] = 2 * halves[axis]
-                left = tuple(halves)
-                halves[axis] = i + 1
-                right = tuple(halves)
-                # a settled cell contributes 0.0, which the heap adds too
-                verdict = classify(left)
-                if verdict == STRADDLE:
-                    deeper.append(left)
-                    a = child
-                else:
-                    tally[verdict] += 1
-                    a = 0.0
-                verdict = classify(right)
-                if verdict == STRADDLE:
-                    deeper.append(right)
-                    b = child
-                else:
-                    tally[verdict] += 1
-                    b = 0.0
-                yield parent, a, b
-        yield None
-
-    def straddling(x: float):
-        # (count, x * volume) for the cells of the deepest depth, then for
-        # those of the depth above
-        return [(n, x * vol) for n, vol in zip((len(deeper), len(level)), reversed(vols))]
-
-    def certified_gap() -> float:
-        return counted_sum(straddling(span))
-
-    def final_sum(end: int, which: str) -> float:
-        pairs = straddling(ranges[STRADDLE][end])
-        pairs += [(counts[k], ranges[k][end] * vol) for counts, vol in zip(settled, vols) for k in (IN, OUT)]
-        try:
-            return counted_sum(pairs)
-        except ValueError:
-            raise InputError(OVERFLOW.format(which)) from None
-
-    first = span * vols[0] if deeper else 0.0
-    ncells, converged, trace = split_largest(first, splits().__next__, certified_gap, eps, max_cells)
-    return final_sum(0, "lower"), final_sum(1, "upper"), ncells, converged, trace
 
 
 def refine_uniform(sums, split, cells, eps: float, max_cells: int):

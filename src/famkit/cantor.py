@@ -101,9 +101,6 @@ class CantorClopen:
     def is_everything(self) -> bool:
         return self.words == ("",)
 
-    def contains_word(self, word: str) -> bool:
-        return any(word.startswith(w) for w in self.words)
-
     def __repr__(self) -> str:
         return "u".join(f"[{w}]" for w in self.words) or "(empty)"
 
@@ -241,8 +238,9 @@ def _lattice_runs(g) -> Iterator[Iterator[tuple[int, float, float]]] | None:
     straddles every cell, so its indicator is one run that asks for none,
     the short cut of ``measure_bracket``.  A step function asks for the
     verdict on each piece and on the pieces' union: as ``range_on`` sees
-    them, a value counts where its piece meets the image, the default
-    where the union misses some of it.
+    them, a value counts where its piece meets the image, up to the first
+    piece that contains it, and the default where no piece contains it and
+    the union misses some of it.
     """
     kind = type(g)
     if kind is IndicatorFn:
@@ -260,7 +258,12 @@ def _lattice_runs(g) -> Iterator[Iterator[tuple[int, float, float]]] | None:
 
         def range_of(verdicts):
             *pieces, support = verdicts
-            seen = [v for verdict, v in zip(pieces, values) if verdict != OUT]
+            seen = []
+            for verdict, v in zip(pieces, values):
+                if verdict != OUT:
+                    seen.append(v)
+                    if verdict == IN:  # this piece hides every later one
+                        return min(seen), max(seen)
             if support != IN:
                 seen.append(default)
             return min(seen), max(seen)

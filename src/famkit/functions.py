@@ -139,7 +139,13 @@ class PiecewiseConstantFn:
         return self.default
 
     def range_on(self, box) -> tuple[float, float]:
-        values = [v for piece, v in self.pieces if box_intersect(box, piece) is not None]
+        values = []
+        for piece, v in self.pieces:
+            if box_intersect(box, piece) is not None:
+                values.append(v)
+                # the first piece that contains the cell hides every later one
+                if all(plo <= lo and hi <= phi for (lo, hi), (plo, phi) in zip(box, piece)):
+                    return min(values), max(values)
         if self.support.classify(box) != IN:
             values.append(self.default)
         return min(values), max(values)

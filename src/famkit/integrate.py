@@ -9,7 +9,8 @@ Box backend: functions carry certified range oracles over half-open boxes;
 the adaptive refinement loop (batched over numpy arrays for polynomials)
 certifies the Darboux gap below a requested tolerance.  Indicator integrals
 and the Jordan machinery split cells of the integer dyadic lattice
-(``famkit.lattice``); Jordan brackets keep its exact rational volumes.
+(``famkit.lattice``) in one descent; Jordan brackets keep its exact
+rational volumes.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Mapping
 
 from . import _refine, _refine_py
 from .boolalg import Algebra, Partition, SetElem
-from .boxes import IN, STRADDLE, Box, BoxElem, VolumeFam, box_intersect, box_volume
+from .boxes import IN, OUT, STRADDLE, Box, BoxElem, VolumeFam, box_intersect, box_volume
 from .errors import InputError
 from .fam import Fam, as_fraction, as_table, pushforward
 from .functions import IndicatorFn, PolynomialFn, RestrictedFn, region_of
@@ -29,7 +31,7 @@ from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_BUDGET = 2_000_000
 
-#: Most cells that ``measure_bracket`` splits in one chunk; it bounds the
+#: Most cells that the lattice descent splits in one chunk; it bounds the
 #: halves held beside the straddling cells.
 CHUNK = 1024
 
@@ -405,6 +407,83 @@ def _darboux_report(fn, bounding: Box, total: Fraction, eps: float, refine, back
     )
 
 
+def _refine_indicator(fn: IndicatorFn, lattice: DyadicLattice, eps: float, max_cells: int):
+    """``_refine_py.refine_generic`` for an indicator, on the cells of
+    :func:`_descent`: ``(lower, upper, ncells, converged, trace)``.
+
+    The range on a cell is ``fn.ranges[verdict]``, of width 0 on IN and OUT
+    cells, so a straddling cell of depth ``d`` contributes ``span * vol_d``
+    (``vol_d = lattice.volume(d)``) and every other cell 0.0.  Contributions
+    never grow with depth, so the heap's order, largest first and oldest
+    first among equals, is the descent's FIFO order: ``split_largest``
+    takes the descent's splits one at a time, as it takes the heap's, and
+    only the splits it took count.  The certified gap and the final sums
+    are ``counted_sum`` over the cells counted per depth and verdict.
+    Where the heap's float cells are exact (a bounding box of floats whose
+    midpoints stay floats, as dyadic boxes do), the results, trace
+    included, are bit for bit ``refine_generic``'s; elsewhere the two
+    differ in the last bits.
+    """
+    ranges = fn.ranges
+    span = ranges[STRADDLE][1] - ranges[STRADDLE][0]
+    chunks = _descent(lattice, lattice_classifier(fn.region, lattice), [], [])
+    vols = [lattice.volume(0)]
+    made = [dict.fromkeys((IN, OUT, STRADDLE), 0)]  # made[d][v]: cells of depth d with the verdict v
+    made[0][next(chunks)[1][0]] += 1
+    level = 0  # straddling cells of the depth being split, not yet split
+
+    def splits():
+        nonlocal level
+        asked = 0  # splits asked of the descent
+        for depth in count():
+            level = made[depth][STRADDLE]
+            if not level:  # no cell contributes
+                break
+            lattice.axis(depth)  # the levels of depth + 1
+            vols.append(lattice.volume(depth + 1))
+            tally = dict.fromkeys((IN, OUT, STRADDLE), 0)
+            made.append(tally)
+            parent, child = span * vols[depth], span * vols[depth + 1]
+            if not parent > 0.0:  # no cell contributes
+                break
+            # the gap is about (2*level + tally[STRADDLE]) * child, and a
+            # split lowers that count by at most 2: size the chunk to the
+            # splits before it falls below eps, so that few go unused
+            need = eps / child if child > 0.0 else math.inf
+            while level:
+                guess = (2 * level + tally[STRADDLE] - need) // 2 + 1
+                kinds = chunks.send(min(int(max(guess, 1.0)), max_cells - 1 - asked, CHUNK))[1]
+                asked += len(kinds) // 2
+                pairs = iter(kinds)
+                for left, right in zip(pairs, pairs):
+                    level -= 1
+                    tally[left] += 1
+                    tally[right] += 1
+                    # a settled cell contributes 0.0, which the heap adds too
+                    yield parent, child if left == STRADDLE else 0.0, child if right == STRADDLE else 0.0
+        yield None
+
+    def straddling(x: float):
+        # (count, x * volume) for the cells of the deepest depth, then for
+        # those of the depth above
+        return [(n, x * vol) for n, vol in zip((made[-1][STRADDLE], level), reversed(vols))]
+
+    def certified_gap() -> float:
+        return _refine_py.counted_sum(straddling(span))
+
+    def final_sum(end: int, which: str) -> float:
+        pairs = straddling(ranges[STRADDLE][end])
+        pairs += [(counts[k], ranges[k][end] * vol) for counts, vol in zip(made, vols) for k in (IN, OUT)]
+        try:
+            return _refine_py.counted_sum(pairs)
+        except ValueError:
+            raise InputError(_refine_py.OVERFLOW.format(which)) from None
+
+    first = span * vols[0] if made[0][STRADDLE] else 0.0
+    ncells, converged, trace = _refine_py.split_largest(first, splits().__next__, certified_gap, eps, max_cells)
+    return final_sum(0, "lower"), final_sum(1, "upper"), ncells, converged, trace
+
+
 def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> IntegralReport:
     _require_oracle(fn)
     eps = _float_eps(epsilon)
@@ -421,9 +500,7 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
             if isinstance(fn, PolynomialFn):
                 return _refine.refine_poly(fn.exps, fn.coeffs, lo0, hi0, eps, budget)
             if type(fn) is IndicatorFn:
-                lattice = DyadicLattice(fam.bounding)
-                return _refine_py.refine_lattice(lattice_classifier(fn.region, lattice), lattice,
-                                                 fn.ranges, eps, budget)
+                return _refine_indicator(fn, DyadicLattice(fam.bounding), eps, budget)
             return _refine_py.refine_generic(range_fn, lo0, hi0, eps, budget)
         if strategy == "grid":
             poly = (fn.exps, fn.coeffs) if isinstance(fn, PolynomialFn) else None
@@ -525,28 +602,60 @@ class MeasureBracket:
                 f"converged={self.converged!r}, certified_diverged={self.certified_diverged!r})")
 
 
+def _descent(lattice: DyadicLattice, verdicts, todo: list, queue: list):
+    """The straddling cells of ``lattice`` under the region of
+    ``verdicts``, split in FIFO order: largest first and oldest first among
+    equals, since children are one level deeper than their parent.
+
+    ``todo`` and ``queue`` start empty; the descent keeps in them the
+    straddling cells of the depth being split that are not yet split, last
+    first, and those one level deeper, in order.  ``next()`` yields the
+    root as the half of depth -1.  Each ``send(n)``, ``n >= 1``, splits the
+    next ``n`` cells of ``todo`` (at most all of it, after moving ``queue``
+    there when it is empty): one list of halves, left then right, and one
+    ``map`` of their verdicts.  It queues the straddling halves and yields
+    ``(depth, verdicts, IN halves)``, with ``depth`` that of the cells
+    split.
+    """
+    depth = -1
+    halves, classify = [(0,) * lattice.dimension], verdicts(0)
+    while True:
+        kinds = list(map(classify, halves))
+        inside = []
+        for cell, kind in zip(halves, kinds):
+            if kind == IN:
+                inside.append(cell)
+            elif kind == STRADDLE:
+                queue.append(cell)
+        n = yield depth, kinds, inside
+        if not todo:
+            depth += 1
+            todo.extend(reversed(queue))
+            queue.clear()
+            split, classify = lattice.halves(depth), verdicts(depth + 1)
+        halves = split(todo[:-n - 1:-1])  # the next n cells, oldest first
+        del todo[-n:]
+
+
 def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) -> MeasureBracket:
     """Exact rational inner/outer bracket by adaptive straddle splitting.
 
     Cells live on the integer dyadic lattice of ``fam.bounding``: a cell is
     one index per axis, and every cell at depth ``S`` has volume
-    ``total/2**S``.  Straddling cells are split in FIFO order, largest
-    first and oldest first among equals (children are always one level
-    deeper than their parent), each bisected along its widest axis, while
-    the straddling volume is at least ``epsilon`` and fewer than ``budget``
-    cells have been split.
+    ``total/2**S``.  Straddling cells are split by :func:`_descent`, each
+    bisected along its widest axis, while the straddling volume is at least
+    ``epsilon`` and fewer than ``budget`` cells have been split.  Indicator
+    integrals split their cells through the same descent.
 
-    The cells of one depth are split in chunks: one list of halves, one
-    ``map`` of their verdicts, and the IN and straddling halves kept in
-    order, left half then right half.  The stop test before a cell reads
-    the straddling volume as a count of cells one level deeper; splitting
-    a cell lowers that count by at most 2 (the cell goes, its straddling
-    halves come), so with ``slack`` the count's excess over the stop
-    threshold, the test passes before each of the next ``slack//2 + 1``
-    cells.  A chunk of at most that many cells (and at most the budget left
-    and ``CHUNK``) therefore splits the cells that a one-cell-at-a-time
-    FIFO splits, in its order: the bracket, the counts, ``converged`` and
-    the witness boxes are the FIFO's, bit for bit.
+    The stop test before a cell reads the straddling volume as a count of
+    cells one level deeper; splitting a cell lowers that count by at most 2
+    (the cell goes, its straddling halves come), so with ``slack`` the
+    count's excess over the stop threshold, the test passes before each of
+    the next ``slack//2 + 1`` cells.  A chunk of at most that many cells
+    (and at most the budget left and ``CHUNK``) therefore splits the cells
+    that a one-cell-at-a-time FIFO splits, in its order: the bracket, the
+    counts, ``converged`` and the witness boxes are the FIFO's, bit for
+    bit.
     """
     region = region_of(E)
     eps = _exact_eps(epsilon)
@@ -563,52 +672,31 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
             certified_diverged=total > 0,
         )
     lattice = DyadicLattice(fam.bounding)
-    verdicts = lattice_classifier(region, lattice)
     p, q = (eps / total).as_integer_ratio() if total else (1, 0)
 
     def need(depth):
         # fewest straddling cells of depth ``depth`` whose volume reaches eps
         return -(-(p << depth) // q) if q else math.inf
 
-    root = (0,) * lattice.dimension
-    inner: list[list[tuple[int, ...]]] = [[]]  # inner[S]: IN cells of depth S, in order
-    todo: list[tuple[int, ...]] = []  # straddling cells of depth ``depth`` not yet split, last first
-    queue: list[tuple[int, ...]] = []  # straddling cells of depth + 1, in order
-    verdict = verdicts(0)(root)
-    if verdict == IN:
-        inner[0].append(root)
-    elif verdict == STRADDLE:
-        queue.append(root)
-    # the straddling volume is (2*len(todo) + len(queue)) * total/2**(depth+1)
-    depth = -1
-    threshold = need(0)
+    todo: list[tuple[int, ...]] = []
+    queue: list[tuple[int, ...]] = []
+    chunks = _descent(lattice, lattice_classifier(region, lattice), todo, queue)
+    inner: list[list[tuple[int, ...]]] = []  # inner[S]: IN cells of depth S, in order
+    depth, _, inside = next(chunks)
     processed = 0
-    while processed < budget:
-        if not todo:
-            if not queue or len(queue) < threshold:
-                break
-            depth += 1
-            todo, queue = queue, []
-            todo.reverse()
-            split = lattice.halves(depth)
-            classify = verdicts(depth + 1)
-            found = []
-            inner.append(found)
-            threshold = need(depth + 1)
-        # splitting a cell lowers 2*len(todo) + len(queue) by at most 2, so
-        # the stop test passes before each of the next slack//2 + 1 cells
-        slack = 2 * len(todo) + len(queue) - threshold
-        if slack < 0:
+    while True:
+        if len(inner) == depth + 1:
+            inner.append([])
+        inner[-1] += inside
+        # the straddling volume is units * total/2**(at+1), with ``at`` the
+        # depth of the next cells split: the descent moves queue to todo
+        # when todo is empty
+        units, at = (2 * len(todo) + len(queue), depth) if todo else (2 * len(queue), depth + 1)
+        slack = units - need(at + 1)
+        if slack < 0 or processed == budget:
             break
-        n = min(slack // 2 + 1, budget - processed, len(todo), CHUNK)
-        halves = split(todo[:-n - 1:-1])  # the next n cells, oldest first
-        del todo[-n:]
-        for cell, verdict in zip(halves, map(classify, halves)):
-            if verdict == IN:
-                found.append(cell)
-            elif verdict == STRADDLE:
-                queue.append(cell)
-        processed += n
+        depth, kinds, inside = chunks.send(min(slack // 2 + 1, budget - processed, CHUNK))
+        processed += len(kinds) // 2
     deepest = len(inner) - 1
     inner_units = sum(len(cells) << (deepest - s) for s, cells in enumerate(inner))
     inner_vol = total * Fraction(inner_units, 1 << deepest)

@@ -128,6 +128,13 @@ class TestCantorIntegrate:
         assert report.status == "integrable"
         assert report.value == pytest.approx(3.0, abs=1e-3)
 
+    def test_overlap_takes_the_first_piece(self):
+        # the second piece's 2 used to count on [1/4, 1/2), where the first
+        # piece's 1 holds, and the gap stalled at 0.25 down to 2**20 cylinders
+        fn = PiecewiseConstantFn([(make_box([[0, F(1, 2)]]), 1.0), (make_box([[F(1, 4), F(3, 4)]]), 2.0)])
+        report = cantor_integrate(fn, epsilon=1e-3)
+        assert (report.status, report.lower, report.upper) == ("integrable", 1.0, 1.0)
+
     def test_dirichlet(self):
         report = cantor_integrate(IndicatorFn(DenseCodenseRegion()), epsilon=1e-6)
         assert report.status == "not_integrable"
@@ -464,9 +471,15 @@ def lattice_ranges(g, depth):
     support = verdicts(g.support)
     ranges = []
     for k in range(2 ** depth):
-        values = [v for piece, (_, v) in zip(pieces, g.pieces) if piece[k] != OUT]
-        if support[k] != IN:
-            values.append(g.default)
+        values = []
+        for piece, (_, v) in zip(pieces, g.pieces):
+            if piece[k] != OUT:
+                values.append(v)
+                if piece[k] == IN:  # the first piece that holds the cylinder hides the rest
+                    break
+        else:
+            if support[k] != IN:
+                values.append(g.default)
         ranges.append((min(values), max(values)))
     return ranges
 

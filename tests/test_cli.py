@@ -233,6 +233,18 @@ class TestIntegrateCLI:
         assert out == ""
         assert "piecewise box has" in err
 
+    def test_piecewise_overlap_converges(self, capsys):
+        # the second piece's value used to count where the first piece's
+        # holds: undecided at [1.0, 1.25] after the whole budget
+        fn = ('{"piecewise": {"pieces": [{"box": [[0, "1/2"]], "value": 1}, '
+              '{"box": [["1/4", "3/4"]], "value": 2}], "default": 0}}')
+        code, out, _ = run(capsys, ["integrate", "--fn", fn, "--box", "[[0, 1]]", "--eps", "1e-3",
+                                    "--budget", "5000"])
+        report = json.loads(out)
+        assert code == 0
+        assert (report["status"], report["lower"], report["upper"]) == ("integrable", 1.0, 1.0)
+        assert report["trace"][-1][0] == 3
+
     @pytest.mark.parametrize("argv", [
         # json.loads reads NaN, Infinity and 1e400: the first never returned,
         # the next two printed NaN and exited 4

@@ -341,6 +341,17 @@ class TestBoxIntegrate:
         )
         assert covering.range_on(UNIT.bounding) == (1.0, 2.0)
 
+    def test_piecewise_overlap_takes_the_first_piece(self):
+        # on [1/4, 1/2) both pieces meet every cell, but the first one's
+        # value holds: its range once left the 2 in, and the gap stalled at
+        # 0.25 in both strategies
+        fn = PiecewiseConstantFn([(make_box([[0, F(1, 2)]]), 1.0), (make_box([[F(1, 4), F(3, 4)]]), 2.0)])
+        assert fn.range_on(((F(1, 4), F(1, 2)),)) == (1.0, 1.0)
+        report = integrate(fn, UNIT, 1e-3, budget=5000)
+        assert (report.status, report.lower, report.upper, report.trace[-1][0]) == (INTEGRABLE, 1.0, 1.0, 3)
+        report = integrate(fn, UNIT, 1e-3, budget=5000, strategy="grid")
+        assert (report.status, report.lower, report.upper) == (INTEGRABLE, 1.0, 1.0)
+
     def test_integrate_over_jordan_null_set(self):
         point = PointRegion([F(1, 2)])
         report = integrate_over(PolynomialFn([0, 1]), point, UNIT, epsilon=1e-6)
@@ -477,6 +488,21 @@ class TestCombinedRegionClassify:
 OFFGRID = VolumeFam([[F(1, 3), 2], [F(-1, 7), 1]])
 
 
+#: the indicator probes: the two ``box-indicator`` regions of
+#: ``benchmarks/bench_bracket.py`` and the ``offgrid`` half-plane
+INDICATOR_PROBES = {
+    "box-indicator-1": (HalfPlaneRegion((2, -1), F(4, 7)), SQUARE, 3.2e-3),
+    "box-indicator-2": (RegionIntersection(HalfPlaneRegion((1, -2), F(1, 5)),
+                                           HalfPlaneRegion((-1, -1), F(-3, 7))), SQUARE, 1e-3),
+    "offgrid": (HalfPlaneRegion((-3, 2), F(-1, 2)), OFFGRID, 1e-3),
+}
+
+
+def _probe(name, value):
+    region, fam, eps = INDICATOR_PROBES[name]
+    return integrate(IndicatorFn(region, value=value), fam, eps)
+
+
 def _pin(report):
     trace = repr(tuple((n, gap.hex()) for n, gap in report.trace))
     return (report.lower.hex(), report.upper.hex(), report.trace[-1][0], report.status == INTEGRABLE,
@@ -517,6 +543,32 @@ class TestScalarRefinementPins:
                                            strategy="grid"),
          ("0x1.36368d24e7345p+0", "0x1.401210168e789p+0", 16384, True,
           "9c38404c83b89a53fb0e1a2dc669ce49d7f5c732417d6493d0e06c5f80bfafe1")),
+        # the indicator probes at the values 1, 0.1 and -2.5 (the offgrid
+        # -2.5 case is "offgrid" above)
+        ("box-indicator-1@1", lambda: _probe("box-indicator-1", 1.0),
+         ("0x1.1180000000000p-1", "0x1.1323000000000p-1", 1649, True,
+          "c264a73b17fbb9f5f800ded8909ef63fefeb4115c82c326df19d0904b656e913")),
+        ("box-indicator-1@0.1", lambda: _probe("box-indicator-1", 0.1),
+         ("0x1.acccccccccccdp-5", "0x1.c6ccccccccccdp-5", 156, True,
+          "0b1edd16424ee3d67deeba89d4312e56d1d3cd998a9fea7c5a6dc402f3810e97")),
+        ("box-indicator-1@-2.5", lambda: _probe("box-indicator-1", -2.5),
+         ("-0x1.5760d80000000p+0", "-0x1.568f280000000p+0", 4162, True,
+          "35108c6df49bb4e2d4819621fc333d8711088ab5303564adf9fec57cdac1dcae")),
+        ("box-indicator-2@1", lambda: _probe("box-indicator-2", 1.0),
+         ("0x1.8345c80000000p-1", "0x1.83c8d80000000p-1", 7952, True,
+          "69bfb9fcb93bd8c6e2884c4ff7bd45e4101dd4783d56079480a5a264217c51e9")),
+        ("box-indicator-2@0.1", lambda: _probe("box-indicator-2", 0.1),
+         ("0x1.343b333333334p-4", "0x1.3853333333334p-4", 807, True,
+          "29fc341f59039a2084f325132abe618dcfbb85ec0f192c8988424a2c104227bc")),
+        ("box-indicator-2@-2.5", lambda: _probe("box-indicator-2", -2.5),
+         ("-0x1.e48a1c0000000p+0", "-0x1.e44893c000000p+0", 18445, True,
+          "76333702e0035592b10bda869a4b655d4280cf285067673c5fcf215f91f3e772")),
+        ("offgrid@1", lambda: _probe("offgrid", 1.0),
+         ("0x1.b77e4c30c30c3p+0", "0x1.b7bfd55555555p+0", 4014, True,
+          "31f3631add896f36e274614c737aca6bf3d518059929a85034d4f29e4e0057f4")),
+        ("offgrid@0.1", lambda: _probe("offgrid", 0.1),
+         ("0x1.5eadb6db6db6dp-3", "0x1.60b9e79e79e7ap-3", 386, True,
+          "6f36d97b4a48f0f5f62e6805d9d30652d275695041ee77f97736ec1e1fa1407e")),
     ])
     def test_pinned(self, name, run, pinned):
         assert _pin(run()) == pinned, name
@@ -652,12 +704,14 @@ class TestNanGap:
         assert time.perf_counter() - started < 1.0
 
     def test_infinite_gap_still_converges(self):
-        # the gap is inf in the first round; the trace entry at two cells is
-        # NaN, since it subtracts the split cell's infinite contribution
+        # the gap is inf in the first round; the trace entry at two cells
+        # subtracts the split cell's infinite contribution, which is NaN, so
+        # it is the live cells' sum instead
         report = integrate(PolynomialFn([0, 1e308, -1e308]), UNIT, 1e306)
+        assert report.trace[1] == (2, 1e308)
         assert (report.status, *_pin(report)) == (
             "integrable", "0x1.705a74cf65d95p+1020", "0x1.871cf38576ec1p+1020", 205, True,
-            "38a79c59fced0f190dbacc4112384a28edfae6cb11710cc6db3025eb04a3d740")
+            "3ab604b84cc0ba2aa43dc500714a86281c2571bf27fc4c87672ae5ce8f3116bd")
 
 
 class TestInfiniteGap:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famkit._refine_py import refine_generic, refine_lattice
+from famkit._refine_py import refine_generic
 from famkit.boxes import IN, OUT, STRADDLE, BoxElem, VolumeFam, box_volume, make_box
 from famkit.functions import (
     DenseCodenseRegion,
@@ -31,9 +31,11 @@ from famkit.functions import (
     triangle_under_diagonal,
 )
 from famkit.integrate import (
+    INTEGRABLE,
     JordanReport,
     MeasureBracket,
     inner_measure,
+    integrate,
     integrate_simple,
     is_jordan,
     measure_bracket,
@@ -220,7 +222,7 @@ class TestLatticeVerdicts:
             assert verdicts(0)((0, 0)) == region.classify(fam.bounding)
 
 
-# -- indicator integrals: the lattice queue against the float heap ----------
+# -- indicator integrals: the lattice descent against the float heap --------
 
 @st.composite
 def float_exact_problems(draw):
@@ -235,8 +237,10 @@ def float_exact_problems(draw):
 
 
 def lattice_integral(fn, fam, eps, budget):
-    lattice = DyadicLattice(fam.bounding)
-    return refine_lattice(lattice_classifier(fn.region, lattice), lattice, fn.ranges, eps, budget)
+    """The indicator integral on the lattice, as ``refine_generic``'s
+    ``(lower, upper, ncells, converged, trace)``."""
+    report = integrate(fn, fam, eps, budget)
+    return report.lower, report.upper, report.trace[-1][0], report.status == INTEGRABLE, list(report.trace)
 
 
 def heap_integral(fn, fam, eps, budget):

@@ -656,6 +656,10 @@ class TestBatchedRefinement:
         heap = _heap_refine(*fixture, 200_000)
         assert batched[:4] == heap[:4]
         assert batched[2:4] == (cells, True)
+        # the running gap of the infinite round is inf - inf: the trace
+        # reads the live cells' sum instead of NaN, as the heap does
+        assert batched[4][:2] == heap[4][:2] == [(1, math.inf), (2, 1.6e308)]
+        assert not any(math.isnan(gap) for _, gap in batched[4])
 
     @pytest.mark.parametrize("eps, cells", [(1e306, 404), (3e305, 1325)])
     def test_overflowing_running_sum_matches_the_heap(self, eps, cells):
@@ -669,6 +673,10 @@ class TestBatchedRefinement:
         heap = _heap_refine(*fixture, 200_000)
         assert batched[:4] == heap[:4]
         assert batched[2:4] == (cells, True)
+        # the live cells' sum overflows at 2 cells and is 9e307 at 4, where
+        # the heap's running sum still reads inf
+        assert batched[4][:3] == [(1, math.inf), (2, math.inf), (4, 9e307)]
+        assert not any(math.isnan(gap) for _, gap in batched[4])
 
     @SETTINGS
     @given(dyadic_polynomials())
