@@ -1,19 +1,15 @@
 """Scalar refinement for box-backend Darboux sums.
 
-``split_largest`` is the largest-contribution-first policy: split the live
-cell that contributes most to the Darboux gap (oldest first among equals)
-until the gap is certified below epsilon or the cell budget runs out.  It
-keeps the running gap, the budget and the trace once, for two cell stores:
-
-- ``refine_generic``, a heap of float cells split by ``split_widest``,
-  which bisects the widest axis (lowest axis index on ties).  It serves the
-  scalar oracles other than indicators (restrictions, piecewise-constant
-  and Lipschitz functions) and is the reference that the batched
-  polynomial engine in ``famkit._refine`` and indicator integrals are
-  tested against;
-- the lattice descent that Jordan brackets split, ``integrate._descent``,
-  whose straddling cells ``integrate._refine_indicator`` counts for an
-  indicator.
+``refine_generic`` is the largest-contribution-first policy on a heap of
+float cells: split the live cell that contributes most to the Darboux gap
+(oldest first among equals) at the midpoint of its widest axis
+(``split_widest``, lowest axis index on ties), until the gap is certified
+below epsilon or the cell budget runs out.  It serves the scalar oracles
+other than indicators (restrictions, piecewise-constant and Lipschitz
+functions) and is the reference that the batched polynomial engine in
+``famkit._refine`` is tested against.  Indicator integrals need no cells
+of their own: they are the indicator's value times an exact Jordan
+bracket (``integrate.measure_bracket``).
 
 ``refine_uniform`` splits every cell each round instead: the ``grid``
 strategy runs it on lists and on numpy rows of float cells, and Cantor
@@ -161,20 +157,29 @@ def split_widest(lo: list[float], hi: list[float]):
     return (lo, left_hi), (right_lo, hi)
 
 
-def split_largest(first: float, split, certified_gap, eps: float, max_cells: int):
-    """The largest-contribution-first policy of the scalar engines: split
-    until the Darboux gap is certified below ``eps`` or the live cells reach
+def refine_generic(
+    range_fn: Callable[[Sequence[float], Sequence[float]], tuple[float, float]],
+    lo0: Sequence[float],
+    hi0: Sequence[float],
+    eps: float,
+    max_cells: int,
+) -> tuple[float, float, int, bool, list[tuple[int, float]]]:
+    """Adaptive largest-contribution-first refinement: split the live cell
+    that contributes most to the Darboux gap (oldest first among equals)
+    until the gap is certified below ``eps`` or the live cells reach
     ``max_cells``.
 
-    ``first`` is the contribution of the root cell.  Each ``split()`` splits
-    the live cell of largest contribution (oldest first among equals) and
-    returns the contributions ``(parent, left, right)``, or ``None`` when no
-    cell contributes.  ``certified_gap()`` is the exactly rounded sum of the
-    live contributions.  Returns ``(ncells, converged, trace)``, with the
-    running gap traced as ``(ncells, gap)`` when the cells reach a power of
-    two, and the certified gap at the end.
+    Returns ``(lower, upper, ncells, converged, trace)`` where the final
+    sums are exactly rounded (``exact_sum``) over the live cells, and
+    ``±inf`` where they leave the float range.  ``trace`` holds the running
+    gap as ``(ncells, gap)`` when the cells reach a power of two, and the
+    certified gap at the end.  Raises ``InputError`` on a sum of ``-inf``
+    and ``+inf`` terms.
     """
-    inf = math.inf
+    # every live cell is in the heap once, as (-contribution, id, lo, hi,
+    # range lo, range hi, volume); ids are unique, so lists are never compared
+    heap: list[tuple] = []
+    ids = itertools.count()
     # the running gap is the sum of the finite contributions, or inf while
     # ``infinite`` live cells contribute inf: splitting one of them then
     # takes nothing from the sum, where adding -inf to inf would make it NaN.
@@ -185,18 +190,32 @@ def split_largest(first: float, split, certified_gap, eps: float, max_cells: int
     # doubled, which bounds the work of all of them by twice the cells.
     finite = -0.0
     infinite = 0
-    if first == inf:
-        infinite = 1
-    else:
-        finite += first
     resum_at = 0
-    trace = [(1, first)]
+
+    def push(lo: list[float], hi: list[float]) -> float:
+        nonlocal finite, infinite
+        vol = 1.0
+        for l, h in zip(lo, hi):
+            vol *= h - l
+        rlo, rhi = range_fn(lo, hi)
+        contrib = (rhi - rlo) * vol
+        heapq.heappush(heap, (-contrib, next(ids), lo, hi, rlo, rhi, vol))
+        if contrib == math.inf:
+            infinite += 1
+        else:
+            finite += contrib
+        return contrib
+
+    def certified_gap() -> float:
+        return exact_sum([(c[5] - c[4]) * c[6] for c in heap])
+
+    trace = [(1, push([float(x) for x in lo0], [float(x) for x in hi0]))]
     next_trace = 2
-    ncells = 1
+    converged = False
     while True:
-        if finite == inf and not infinite and ncells >= resum_at:
+        if finite == math.inf and not infinite and len(heap) >= resum_at:
             finite = certified_gap()
-            resum_at = 2 * ncells
+            resum_at = 2 * len(heap)
         if not infinite and finite < eps:
             exact = certified_gap()
             if exact < eps:
@@ -204,79 +223,25 @@ def split_largest(first: float, split, certified_gap, eps: float, max_cells: int
                 break
             finite = exact
             continue
-        if ncells >= max_cells:
-            converged = False
+        if len(heap) >= max_cells:
             break
-        contribs = split()
-        if contribs is None:
+        if heap[0][0] >= 0.0:  # no cell contributes
             converged = certified_gap() < eps
             break
-        parent, left, right = contribs
-        if parent == inf:
+        key, _, lo, hi, _, _, _ = heapq.heappop(heap)
+        if key == -math.inf:
             infinite -= 1
         else:
-            finite -= parent
-        if left == inf:
-            infinite += 1
-        else:
-            finite += left
-        if right == inf:
-            infinite += 1
-        else:
-            finite += right
-        ncells += 1
-        if ncells >= next_trace:
-            trace.append((ncells, inf if infinite else finite))
+            finite += key  # key is minus the parent's contribution
+        for half in split_widest(lo, hi):
+            push(*half)
+        if len(heap) >= next_trace:
+            trace.append((len(heap), math.inf if infinite else finite))
             next_trace *= 2
-    trace.append((ncells, certified_gap()))
-    return ncells, converged, trace
-
-
-def refine_generic(
-    range_fn: Callable[[Sequence[float], Sequence[float]], tuple[float, float]],
-    lo0: Sequence[float],
-    hi0: Sequence[float],
-    eps: float,
-    max_cells: int,
-) -> tuple[float, float, int, bool, list[tuple[int, float]]]:
-    """Adaptive largest-contribution-first refinement (``split_largest``)
-    until the Darboux gap is certified below ``eps`` or the cell budget runs
-    out.
-
-    Returns ``(lower, upper, ncells, converged, trace)`` where the final
-    sums are exactly rounded (``exact_sum``) over the live cells, and
-    ``±inf`` where they leave the float range.  Raises ``InputError`` on a
-    sum of ``-inf`` and ``+inf`` terms.
-    """
-    # every live cell is in the heap once, as (-contribution, id, lo, hi,
-    # range lo, range hi, volume); ids are unique, so lists are never compared
-    heap: list[tuple] = []
-    ids = itertools.count()
-
-    def push(lo: list[float], hi: list[float]) -> float:
-        vol = 1.0
-        for l, h in zip(lo, hi):
-            vol *= h - l
-        rlo, rhi = range_fn(lo, hi)
-        contrib = (rhi - rlo) * vol
-        heapq.heappush(heap, (-contrib, next(ids), lo, hi, rlo, rhi, vol))
-        return contrib
-
-    def split():
-        if heap[0][0] >= 0.0:  # no cell contributes
-            return None
-        key, _, lo, hi, _, _, _ = heapq.heappop(heap)
-        left, right = split_widest(lo, hi)
-        return -key, push(*left), push(*right)
-
-    def certified_gap() -> float:
-        return exact_sum([(c[5] - c[4]) * c[6] for c in heap])
-
-    first = push([float(x) for x in lo0], [float(x) for x in hi0])
-    ncells, converged, trace = split_largest(first, split, certified_gap, eps, max_cells)
+    trace.append((len(heap), certified_gap()))
     lower = darboux_sum([c[4] * c[6] for c in heap], "lower")
     upper = darboux_sum([c[5] * c[6] for c in heap], "upper")
-    return lower, upper, ncells, converged, trace
+    return lower, upper, len(heap), converged, trace
 
 
 def refine_uniform(sums, split, cells, eps: float, max_cells: int):

@@ -7,18 +7,18 @@ integrability are decided exactly.
 
 Box backend: functions carry certified range oracles over half-open boxes;
 the adaptive refinement loop (batched over numpy arrays for polynomials)
-certifies the Darboux gap below a requested tolerance.  Indicator integrals
-and the Jordan machinery split cells of the integer dyadic lattice
-(``famkit.lattice``) in one descent; Jordan brackets keep its exact
-rational volumes.
+certifies the Darboux gap below a requested tolerance.  Jordan brackets
+split cells of the integer dyadic lattice (``famkit.lattice``) and keep
+their exact rational volumes; the integral of an indicator is its value
+times such a bracket, rounded outward once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import Mapping
 
 from . import _refine, _refine_py
@@ -31,8 +31,8 @@ from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_BUDGET = 2_000_000
 
-#: Most cells that the lattice descent splits in one chunk; it bounds the
-#: halves held beside the straddling cells.
+#: Most cells that :func:`measure_bracket` splits in one chunk; it bounds
+#: the halves held beside the straddling cells.
 CHUNK = 1024
 
 INTEGRABLE = "integrable"
@@ -357,14 +357,26 @@ def _refine_grid(range_fn, lo0, hi0, eps, max_cells, poly=None):
     return _refine_py.refine_uniform(sums, split, [(list(lo0), list(hi0))], eps, max_cells)
 
 
+def _to_float(q: Fraction) -> float:
+    """``float(q)``, or ``±inf`` where ``q`` is beyond the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def _scaled_outward(x: float, total: Fraction, toward: float) -> float:
     """``x * total`` in floats, stepped toward ``toward`` (plus or minus
-    infinity) until it is on that side of the exact product or equal to it."""
-    value = x * float(total)
-    if math.isfinite(value):
-        exact = Fraction(x) * total
-        while Fraction(value) < exact if toward > 0 else Fraction(value) > exact:
-            value = math.nextafter(value, toward)
+    infinity) until it is on that side of the exact product or equal to it;
+    ``±inf`` where the product leaves the float range on that side."""
+    exact = Fraction(x) * total
+    scale = _to_float(total)
+    # a total that is no normal float rounds coarsely or overflows, though
+    # the product may not: round the exact product instead
+    value = x * scale if sys.float_info.min <= abs(scale) < math.inf else _to_float(exact)
+    # a float compares with a Fraction exactly, and an infinity as one
+    while value < exact if toward > 0 else value > exact:
+        value = math.nextafter(value, toward)
     return value
 
 
@@ -374,15 +386,16 @@ def _darboux_report(fn, bounding: Box, total: Fraction, eps: float, refine, back
     returns ``(lower, upper, ncells, converged, trace)``.  Raises
     ``InputError`` when a final sum is not finite."""
     floor = float(getattr(fn, "oscillation_floor", 0.0))
-    if floor > 0.0 and floor * float(total) >= eps:
+    volume = _to_float(total)
+    if floor > 0.0 and floor * volume >= eps:
         # no partition can beat the certified oscillation floor
         rlo, rhi = fn.range_on(bounding)
         return IntegralReport(
             status=NOT_INTEGRABLE,
-            lower=_scaled_outward(rlo, total, -math.inf),
-            upper=_scaled_outward(rhi, total, math.inf),
+            lower=_refine_py.finite_sum(_scaled_outward(rlo, total, -math.inf), "lower"),
+            upper=_refine_py.finite_sum(_scaled_outward(rhi, total, math.inf), "upper"),
             epsilon=eps,
-            trace=((1, (rhi - rlo) * float(total)),),
+            trace=((1, (rhi - rlo) * volume),),
             backend=backend,
         )
     lower, upper, _, converged, trace = refine()
@@ -407,81 +420,43 @@ def _darboux_report(fn, bounding: Box, total: Fraction, eps: float, refine, back
     )
 
 
-def _refine_indicator(fn: IndicatorFn, lattice: DyadicLattice, eps: float, max_cells: int):
-    """``_refine_py.refine_generic`` for an indicator, on the cells of
-    :func:`_descent`: ``(lower, upper, ncells, converged, trace)``.
+def _indicator_sums(fn: IndicatorFn, fam: VolumeFam, epsilon, budget: int):
+    """The box integral of ``v * chi_E``, ``fn``, as ``refine_generic``'s
+    ``(lower, upper, ncells, converged, trace)``.
 
-    The range on a cell is ``fn.ranges[verdict]``, of width 0 on IN and OUT
-    cells, so a straddling cell of depth ``d`` contributes ``span * vol_d``
-    (``vol_d = lattice.volume(d)``) and every other cell 0.0.  Contributions
-    never grow with depth, so the heap's order, largest first and oldest
-    first among equals, is the descent's FIFO order: ``split_largest``
-    takes the descent's splits one at a time, as it takes the heap's, and
-    only the splits it took count.  The certified gap and the final sums
-    are ``counted_sum`` over the cells counted per depth and verdict.
-    Where the heap's float cells are exact (a bounding box of floats whose
-    midpoints stay floats, as dyadic boxes do), the results, trace
-    included, are bit for bit ``refine_generic``'s; elsewhere the two
-    differ in the last bits.
+    On any partition the Darboux sums of ``v * chi_E`` are ``v`` times the
+    inner and outer sums of ``E``, so the sums on the cells of
+    :func:`measure_bracket` after ``budget - 1`` splits are ``v * inner``
+    and ``v * outer``, ordered by the sign of ``v`` and rounded outward
+    once.  The bracket is asked for at ``epsilon / |v|`` less the most
+    that the two roundings can add, so that rounding never widens a
+    converged bracket to ``epsilon``: the verdict is whether the rounded
+    ends are less than the exact ``epsilon`` apart.  The trace is the
+    root's gap, then the final one.
     """
-    ranges = fn.ranges
-    span = ranges[STRADDLE][1] - ranges[STRADDLE][0]
-    chunks = _descent(lattice, lattice_classifier(fn.region, lattice), [], [])
-    vols = [lattice.volume(0)]
-    made = [dict.fromkeys((IN, OUT, STRADDLE), 0)]  # made[d][v]: cells of depth d with the verdict v
-    made[0][next(chunks)[1][0]] += 1
-    level = 0  # straddling cells of the depth being split, not yet split
-
-    def splits():
-        nonlocal level
-        asked = 0  # splits asked of the descent
-        for depth in count():
-            level = made[depth][STRADDLE]
-            if not level:  # no cell contributes
-                break
-            lattice.axis(depth)  # the levels of depth + 1
-            vols.append(lattice.volume(depth + 1))
-            tally = dict.fromkeys((IN, OUT, STRADDLE), 0)
-            made.append(tally)
-            parent, child = span * vols[depth], span * vols[depth + 1]
-            if not parent > 0.0:  # no cell contributes
-                break
-            # the gap is about (2*level + tally[STRADDLE]) * child, and a
-            # split lowers that count by at most 2: size the chunk to the
-            # splits before it falls below eps, so that few go unused
-            need = eps / child if child > 0.0 else math.inf
-            while level:
-                guess = (2 * level + tally[STRADDLE] - need) // 2 + 1
-                kinds = chunks.send(min(int(max(guess, 1.0)), max_cells - 1 - asked, CHUNK))[1]
-                asked += len(kinds) // 2
-                pairs = iter(kinds)
-                for left, right in zip(pairs, pairs):
-                    level -= 1
-                    tally[left] += 1
-                    tally[right] += 1
-                    # a settled cell contributes 0.0, which the heap adds too
-                    yield parent, child if left == STRADDLE else 0.0, child if right == STRADDLE else 0.0
-        yield None
-
-    def straddling(x: float):
-        # (count, x * volume) for the cells of the deepest depth, then for
-        # those of the depth above
-        return [(n, x * vol) for n, vol in zip((made[-1][STRADDLE], level), reversed(vols))]
-
-    def certified_gap() -> float:
-        return _refine_py.counted_sum(straddling(span))
-
-    def final_sum(end: int, which: str) -> float:
-        pairs = straddling(ranges[STRADDLE][end])
-        pairs += [(counts[k], ranges[k][end] * vol) for counts, vol in zip(made, vols) for k in (IN, OUT)]
-        try:
-            return _refine_py.counted_sum(pairs)
-        except ValueError:
-            raise InputError(_refine_py.OVERFLOW.format(which)) from None
-
-    first = span * vols[0] if made[0][STRADDLE] else 0.0
-    ncells, converged, trace = _refine_py.split_largest(first, splits().__next__, certified_gap, eps, max_cells)
-    return final_sum(0, "lower"), final_sum(1, "upper"), ncells, converged, trace
+    v = fn.value
+    if not v:
+        return 0.0, 0.0, 1, True, [(1, 0.0), (1, 0.0)]
+    eps = _exact_eps(epsilon)
+    scale = abs(Fraction(v))
+    total = fam.total
+    # _scaled_outward moves each end by less than 3 * 2**-53 * |v| * total
+    # (it rounds total, then the product, then steps outward) plus 2**-1074
+    slack = eps - scale * total / 2 ** 50 - Fraction(1, 2 ** 1070)
+    tolerance = (slack if slack > 0 else eps) / scale
+    if budget > 1:
+        bracket = measure_bracket(fn.region, fam, tolerance, budget - 1)
+        inner, outer, splits = bracket.inner, bracket.outer, bracket.splits
+    else:  # the root alone
+        verdict = fn.region.classify(fam.bounding)
+        inner, outer, splits = total if verdict == IN else 0, 0 if verdict == OUT else total, 0
+    lo, hi = (inner, outer) if v > 0 else (outer, inner)
+    lower = _scaled_outward(v, lo, -math.inf)
+    upper = _scaled_outward(v, hi, math.inf)
+    converged = math.isfinite(upper - lower) and Fraction(upper) - Fraction(lower) < eps
+    ncells = splits + 1
+    root = _scaled_outward(abs(v), total if splits else outer - inner, math.inf)
+    return lower, upper, ncells, converged, [(1, root), (ncells, upper - lower)]
 
 
 def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> IntegralReport:
@@ -500,7 +475,7 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
             if isinstance(fn, PolynomialFn):
                 return _refine.refine_poly(fn.exps, fn.coeffs, lo0, hi0, eps, budget)
             if type(fn) is IndicatorFn:
-                return _refine_indicator(fn, DyadicLattice(fam.bounding), eps, budget)
+                return _indicator_sums(fn, fam, epsilon, budget)
             return _refine_py.refine_generic(range_fn, lo0, hi0, eps, budget)
         if strategy == "grid":
             poly = (fn.exps, fn.coeffs) if isinstance(fn, PolynomialFn) else None
@@ -556,15 +531,19 @@ class MeasureBracket:
         self._cells = (tuple(inner_cells), tuple(straddle_cells))
         #: ``(len(inner_cells), len(straddle_cells))``, known without the boxes
         self.cell_counts = tuple(map(len, self._cells))
+        #: the cells split to reach the bracket, 0 for one built from its cells
+        self.splits = 0
 
     @classmethod
     def _deferred(cls, inner: Fraction, outer: Fraction, converged: bool, cells,
-                  counts: tuple[int, int]) -> MeasureBracket:
+                  counts: tuple[int, int], splits: int) -> MeasureBracket:
         """A bracket whose ``(inner_cells, straddle_cells)`` the call
-        ``cells()`` returns, on first access; ``counts`` are their lengths."""
+        ``cells()`` returns, on first access; ``counts`` are their lengths,
+        and ``splits`` the cells split to reach it."""
         bracket = cls(inner, outer, (), (), converged)
         bracket._cells = cells
         bracket.cell_counts = counts
+        bracket.splits = splits
         return bracket
 
     def _witness(self) -> tuple[tuple[Box, ...], tuple[Box, ...]]:
@@ -602,60 +581,29 @@ class MeasureBracket:
                 f"converged={self.converged!r}, certified_diverged={self.certified_diverged!r})")
 
 
-def _descent(lattice: DyadicLattice, verdicts, todo: list, queue: list):
-    """The straddling cells of ``lattice`` under the region of
-    ``verdicts``, split in FIFO order: largest first and oldest first among
-    equals, since children are one level deeper than their parent.
-
-    ``todo`` and ``queue`` start empty; the descent keeps in them the
-    straddling cells of the depth being split that are not yet split, last
-    first, and those one level deeper, in order.  ``next()`` yields the
-    root as the half of depth -1.  Each ``send(n)``, ``n >= 1``, splits the
-    next ``n`` cells of ``todo`` (at most all of it, after moving ``queue``
-    there when it is empty): one list of halves, left then right, and one
-    ``map`` of their verdicts.  It queues the straddling halves and yields
-    ``(depth, verdicts, IN halves)``, with ``depth`` that of the cells
-    split.
-    """
-    depth = -1
-    halves, classify = [(0,) * lattice.dimension], verdicts(0)
-    while True:
-        kinds = list(map(classify, halves))
-        inside = []
-        for cell, kind in zip(halves, kinds):
-            if kind == IN:
-                inside.append(cell)
-            elif kind == STRADDLE:
-                queue.append(cell)
-        n = yield depth, kinds, inside
-        if not todo:
-            depth += 1
-            todo.extend(reversed(queue))
-            queue.clear()
-            split, classify = lattice.halves(depth), verdicts(depth + 1)
-        halves = split(todo[:-n - 1:-1])  # the next n cells, oldest first
-        del todo[-n:]
-
-
 def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) -> MeasureBracket:
     """Exact rational inner/outer bracket by adaptive straddle splitting.
 
     Cells live on the integer dyadic lattice of ``fam.bounding``: a cell is
     one index per axis, and every cell at depth ``S`` has volume
-    ``total/2**S``.  Straddling cells are split by :func:`_descent`, each
-    bisected along its widest axis, while the straddling volume is at least
-    ``epsilon`` and fewer than ``budget`` cells have been split.  Indicator
-    integrals split their cells through the same descent.
+    ``total/2**S``.  Straddling cells are split, each bisected along its
+    widest axis, while the straddling volume is at least ``epsilon`` and
+    fewer than ``budget`` cells have been split.  The box integral of an
+    indicator is its value times this bracket.
 
-    The stop test before a cell reads the straddling volume as a count of
-    cells one level deeper; splitting a cell lowers that count by at most 2
-    (the cell goes, its straddling halves come), so with ``slack`` the
-    count's excess over the stop threshold, the test passes before each of
-    the next ``slack//2 + 1`` cells.  A chunk of at most that many cells
-    (and at most the budget left and ``CHUNK``) therefore splits the cells
-    that a one-cell-at-a-time FIFO splits, in its order: the bracket, the
-    counts, ``converged`` and the witness boxes are the FIFO's, bit for
-    bit.
+    Straddling cells wait in a FIFO, which splits them largest first and
+    oldest first among equals, since children are one level deeper than
+    their parent.  It splits one depth at a time, in chunks: one list of
+    halves (``DyadicLattice.halves``), left then right, and one ``map`` of
+    their verdicts.  The stop test before a cell reads the straddling
+    volume as a count of cells one level deeper; splitting a cell lowers
+    that count by at most 2 (the cell goes, its straddling halves come), so
+    with ``slack`` the count's excess over the stop threshold, the test
+    passes before each of the next ``slack//2 + 1`` cells.  A chunk of at
+    most that many cells (and at most the budget left and ``CHUNK``)
+    therefore splits the cells that a one-cell-at-a-time FIFO splits, in
+    its order: the bracket, the counts, ``converged`` and the witness boxes
+    are the FIFO's, bit for bit.
     """
     region = region_of(E)
     eps = _exact_eps(epsilon)
@@ -672,31 +620,46 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
             certified_diverged=total > 0,
         )
     lattice = DyadicLattice(fam.bounding)
+    verdicts = lattice_classifier(region, lattice)
     p, q = (eps / total).as_integer_ratio() if total else (1, 0)
 
     def need(depth):
         # fewest straddling cells of depth ``depth`` whose volume reaches eps
         return -(-(p << depth) // q) if q else math.inf
 
+    # the straddling cells of ``depth`` not yet split, last first, and those
+    # of depth + 1, in order; the halves split last are of depth + 1
     todo: list[tuple[int, ...]] = []
     queue: list[tuple[int, ...]] = []
-    chunks = _descent(lattice, lattice_classifier(region, lattice), todo, queue)
     inner: list[list[tuple[int, ...]]] = []  # inner[S]: IN cells of depth S, in order
-    depth, _, inside = next(chunks)
-    processed = 0
+    depth = -1  # the root is the half of depth -1
+    halves, classify = [(0,) * lattice.dimension], verdicts(0)
+    splits = 0
     while True:
         if len(inner) == depth + 1:
             inner.append([])
-        inner[-1] += inside
+        inside = inner[-1]
+        for cell, kind in zip(halves, map(classify, halves)):
+            if kind == IN:
+                inside.append(cell)
+            elif kind == STRADDLE:
+                queue.append(cell)
         # the straddling volume is units * total/2**(at+1), with ``at`` the
-        # depth of the next cells split: the descent moves queue to todo
-        # when todo is empty
+        # depth of the next cells split: queue moves to todo when todo is
+        # empty
         units, at = (2 * len(todo) + len(queue), depth) if todo else (2 * len(queue), depth + 1)
         slack = units - need(at + 1)
-        if slack < 0 or processed == budget:
+        if slack < 0 or splits == budget:
             break
-        depth, kinds, inside = chunks.send(min(slack // 2 + 1, budget - processed, CHUNK))
-        processed += len(kinds) // 2
+        if not todo:
+            depth += 1
+            todo.extend(reversed(queue))
+            queue.clear()
+            split, classify = lattice.halves(depth), verdicts(depth + 1)
+        n = min(slack // 2 + 1, budget - splits, CHUNK)
+        halves = split(todo[:-n - 1:-1])  # the next n cells, oldest first
+        del todo[-n:]
+        splits += len(halves) // 2
     deepest = len(inner) - 1
     inner_units = sum(len(cells) << (deepest - s) for s, cells in enumerate(inner))
     inner_vol = total * Fraction(inner_units, 1 << deepest)
@@ -708,7 +671,7 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
         return tuple(box for s, cells in enumerate(inner) for box in boxes(s, cells)), tuple(straddle)
 
     counts = (sum(map(len, inner)), len(todo) + len(queue))
-    return MeasureBracket._deferred(inner_vol, inner_vol + gap, gap < eps, witness, counts)
+    return MeasureBracket._deferred(inner_vol, inner_vol + gap, gap < eps, witness, counts, splits)
 
 
 def outer_measure(E, fam, epsilon=Fraction(1, 1024), budget: int = DEFAULT_BUDGET):

@@ -92,15 +92,6 @@ class DyadicLattice:
         return lambda cells: _interleave([c[:axis] + (2 * c[axis],) + c[axis + 1:] for c in cells],
                                          [c[:axis] + (2 * c[axis] + 1,) + c[axis + 1:] for c in cells])
 
-    def volume(self, depth: int) -> float:
-        """The float volume of a cell of ``depth``: its widths rounded to
-        nearest and multiplied in axis order, which is ``prod(hi - lo)``
-        over the cell's corners wherever those are floats."""
-        vol = 1.0
-        for axis, level in enumerate(self.levels[depth]):
-            vol *= self._width(axis, level)
-        return vol
-
     def _width(self, axis: int, level: int) -> float:
         """A cell's width on ``axis`` at ``level``, rounded to nearest."""
         w = math.ldexp(self._root[axis], -level)

@@ -307,6 +307,14 @@ class TestIntegrateCLI:
         assert (code, out) == (2, "")
         assert err == "famkit: error: the lower Darboux sum overflows the float range\n"
 
+    def test_oscillation_floor_beyond_the_float_range_exits_2(self, capsys):
+        # the box's measure, 4e616, is no float: this printed an
+        # OverflowError traceback and exited 1
+        code, out, err = run(capsys, ["integrate", "--fn", '{"indicator": "dirichlet"}',
+                                      "--box", "[[-1e308, 1e308], [-1e308, 1e308]]", "--eps", "1e-3"])
+        assert (code, out) == (2, "")
+        assert err == "famkit: error: the upper Darboux sum overflows the float range\n"
+
     def test_partial_sums_that_overflow_answer(self, capsys, monkeypatch):
         # fsum's partial sums of the 20,000 lower terms overflow, though
         # their sum does not: this exited 2 with "the lower Darboux sum

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction as F
 
@@ -498,8 +499,19 @@ INDICATOR_PROBES = {
 }
 
 
-def _probe(name, value):
-    region, fam, eps = INDICATOR_PROBES[name]
+#: every indicator pinned below, as (region, fam, eps, value): two more and
+#: the probes at the values 1, 0.1 and -2.5
+INDICATOR_PINS = {
+    "halfplane": (HalfPlaneRegion((1, 2), F(2, 3)), SQUARE, 1e-3, 1.0),
+    "intersection": (RegionIntersection(HalfPlaneRegion((1, -2), F(1, 5)), HalfPlaneRegion((-1, -1), F(-3, 7))),
+                     SQUARE, 3e-3, 1.0),
+    **{f"{name}@{value:g}": (*INDICATOR_PROBES[name], value)
+       for name in INDICATOR_PROBES for value in (1.0, 0.1, -2.5)},
+}
+
+
+def _indicator(name):
+    region, fam, eps, value = INDICATOR_PINS[name]
     return integrate(IndicatorFn(region, value=value), fam, eps)
 
 
@@ -512,16 +524,16 @@ def _pin(report):
 class TestScalarRefinementPins:
     """``float.hex`` of lower and upper, the cell count, convergence and a
     digest of the trace, pinned from the heap that kept a table of cells and
-    the float-filtered half-plane verdict."""
+    the float-filtered half-plane verdict.  The indicator pins are from
+    the exact Jordan bracket, rounded outward, of the same cells."""
 
     @pytest.mark.parametrize("name,run,pinned", [
-        ("halfplane", lambda: integrate(IndicatorFn(HalfPlaneRegion((1, 2), F(2, 3))), SQUARE, 1e-3),
+        ("halfplane", lambda: _indicator("halfplane"),
          ("0x1.c4da000000000p-4", "0x1.c8f2000000000p-4", 2698, True,
-          "378342d49eedd39fb1121272a03932054400208ef49e787ea7622ed230df3cc1")),
-        ("intersection", lambda: integrate(IndicatorFn(RegionIntersection(
-            HalfPlaneRegion((1, -2), F(1, 5)), HalfPlaneRegion((-1, -1), F(-3, 7)))), SQUARE, 3e-3),
+          "be5987ac86124d49ad8bd73f4bbb66ea8dbae575d9aba7ebec59866821fdaeed")),
+        ("intersection", lambda: _indicator("intersection"),
          ("0x1.82d4000000000p-1", "0x1.845d000000000p-1", 2510, True,
-          "ca6609a71940cbcac024f372637d92cef05c30d5836e933e8f573e968c145497")),
+          "6e627150684d2692fe1b97fe23d231d75ba6c71f211b5d92b29f1f1020f148a7")),
         ("step", lambda: integrate(PiecewiseConstantFn(
             [(make_box([[0, F(1, 3)], [F(1, 5), F(2, 3)]]), 2.0),
              (make_box([[F(1, 2), F(6, 7)], [0, F(3, 4)]]), -1.5)], default=0.25), SQUARE, 1e-2),
@@ -536,39 +548,39 @@ class TestScalarRefinementPins:
           "31bfde7f2771a258eb57d2f161509a6297d323372b48308258ee2d04c64cd382")),
         # off the dyadic grid: the lattice cells are exact where float
         # midpoints and cell bounds would round (see test_offgrid_contains)
-        ("offgrid", lambda: integrate(IndicatorFn(HalfPlaneRegion((-3, 2), F(-1, 2)), value=-2.5), OFFGRID, 1e-3),
+        ("offgrid", lambda: _indicator("offgrid@-2.5"),
          ("-0x1.12cb64bcf3cf4p+2", "-0x1.12bb02b0c30c3p+2", 10200, True,
-          "98f7c916e39d6f6e6e1fea40f9f85028f0377c6d1640ec4f2e60fa98caed306d")),
+          "ee917548022c3a81271ecd2728b5ae7d92a9ce160cdbcfb3b0cb88eac2aae95d")),
         ("offgrid-grid", lambda: integrate(PolynomialFn({(1, 1): 1.0, (0, 2): 0.5}), OFFGRID, 4e-2,
                                            strategy="grid"),
          ("0x1.36368d24e7345p+0", "0x1.401210168e789p+0", 16384, True,
           "9c38404c83b89a53fb0e1a2dc669ce49d7f5c732417d6493d0e06c5f80bfafe1")),
         # the indicator probes at the values 1, 0.1 and -2.5 (the offgrid
         # -2.5 case is "offgrid" above)
-        ("box-indicator-1@1", lambda: _probe("box-indicator-1", 1.0),
+        ("box-indicator-1@1", lambda: _indicator("box-indicator-1@1"),
          ("0x1.1180000000000p-1", "0x1.1323000000000p-1", 1649, True,
-          "c264a73b17fbb9f5f800ded8909ef63fefeb4115c82c326df19d0904b656e913")),
-        ("box-indicator-1@0.1", lambda: _probe("box-indicator-1", 0.1),
-         ("0x1.acccccccccccdp-5", "0x1.c6ccccccccccdp-5", 156, True,
-          "0b1edd16424ee3d67deeba89d4312e56d1d3cd998a9fea7c5a6dc402f3810e97")),
-        ("box-indicator-1@-2.5", lambda: _probe("box-indicator-1", -2.5),
+          "7624bb353ea78834731e6e5733420907e49e94baf999c18bc7b8d43f1880d62c")),
+        ("box-indicator-1@0.1", lambda: _indicator("box-indicator-1@0.1"),
+         ("0x1.acccccccccccdp-5", "0x1.c6ccccccccccep-5", 156, True,
+          "e821fd7471e87c8cff00a0ac07770bb3461f0b429449c4a873bd8e266d74ca35")),
+        ("box-indicator-1@-2.5", lambda: _indicator("box-indicator-1@-2.5"),
          ("-0x1.5760d80000000p+0", "-0x1.568f280000000p+0", 4162, True,
-          "35108c6df49bb4e2d4819621fc333d8711088ab5303564adf9fec57cdac1dcae")),
-        ("box-indicator-2@1", lambda: _probe("box-indicator-2", 1.0),
+          "a86315095b3459d86e25d8d82377aa17a37a50c1027c5b1023f55415593a4161")),
+        ("box-indicator-2@1", lambda: _indicator("box-indicator-2@1"),
          ("0x1.8345c80000000p-1", "0x1.83c8d80000000p-1", 7952, True,
-          "69bfb9fcb93bd8c6e2884c4ff7bd45e4101dd4783d56079480a5a264217c51e9")),
-        ("box-indicator-2@0.1", lambda: _probe("box-indicator-2", 0.1),
-         ("0x1.343b333333334p-4", "0x1.3853333333334p-4", 807, True,
-          "29fc341f59039a2084f325132abe618dcfbb85ec0f192c8988424a2c104227bc")),
-        ("box-indicator-2@-2.5", lambda: _probe("box-indicator-2", -2.5),
+          "08b1d806e6e6bbf79ff586574589b4b66e4e60cefc462c3e42aa52fe9c06ff15")),
+        ("box-indicator-2@0.1", lambda: _indicator("box-indicator-2@0.1"),
+         ("0x1.343b333333333p-4", "0x1.3853333333334p-4", 807, True,
+          "0f168609446e67ad003f5bc07ac0bcb8c9e2cb266c8055a868e692b9ece68126")),
+        ("box-indicator-2@-2.5", lambda: _indicator("box-indicator-2@-2.5"),
          ("-0x1.e48a1c0000000p+0", "-0x1.e44893c000000p+0", 18445, True,
-          "76333702e0035592b10bda869a4b655d4280cf285067673c5fcf215f91f3e772")),
-        ("offgrid@1", lambda: _probe("offgrid", 1.0),
-         ("0x1.b77e4c30c30c3p+0", "0x1.b7bfd55555555p+0", 4014, True,
-          "31f3631add896f36e274614c737aca6bf3d518059929a85034d4f29e4e0057f4")),
-        ("offgrid@0.1", lambda: _probe("offgrid", 0.1),
-         ("0x1.5eadb6db6db6dp-3", "0x1.60b9e79e79e7ap-3", 386, True,
-          "6f36d97b4a48f0f5f62e6805d9d30652d275695041ee77f97736ec1e1fa1407e")),
+          "78d2e6f821e2ae6073bc64293767e6789db241a46012c8ed1d15e372374beb11")),
+        ("offgrid@1", lambda: _indicator("offgrid@1"),
+         ("0x1.b77e4c30c30c3p+0", "0x1.b7bfd55555556p+0", 4014, True,
+          "29572d171b98addbe7fe35e20df6a1fcf49ec399169b3e165e41706f351ff3a3")),
+        ("offgrid@0.1", lambda: _indicator("offgrid@0.1"),
+         ("0x1.5eadb6db6db6ep-3", "0x1.60b9e79e79e7bp-3", 386, True,
+          "b01e3c1d67ad6d8b8c9201a52de3c5c9931f96d64340639c1b61017e90d39a40")),
     ])
     def test_pinned(self, name, run, pinned):
         assert _pin(run()) == pinned, name
@@ -577,6 +589,27 @@ class TestScalarRefinementPins:
         # -2.5 times the area of {-3x + 2y <= -1/2} in [1/3, 2] x [-1/7, 1]
         report = integrate(IndicatorFn(HalfPlaneRegion((-3, 2), F(-1, 2)), value=-2.5), OFFGRID, 1e-3)
         assert F(report.lower) <= F(-2885, 672) <= F(report.upper)
+
+    @pytest.mark.parametrize("name", sorted(INDICATOR_PINS))
+    def test_indicator_contains_its_exact_bracket(self, name):
+        region, fam, eps, value = INDICATOR_PINS[name]
+        report = integrate(IndicatorFn(region, value), fam, eps)
+        exact_eps = F(repr(eps))
+        bracket = measure_bracket(region, fam, exact_eps / abs(F(value)), DEFAULT_BUDGET - 1)
+        lo, hi = sorted((F(value) * bracket.inner, F(value) * bracket.outer))
+        assert F(report.lower) <= lo <= hi <= F(report.upper)
+        assert report.status == INTEGRABLE
+        assert F(report.upper) - F(report.lower) < exact_eps
+
+    @pytest.mark.parametrize("fn,region,eps,exact", [
+        # x**2 * y over {y <= x} in the unit square, in 2,460 and 21,384 cells
+        (PolynomialFn({(2, 1): 1.0}), HalfPlaneRegion((-1, 1), 0), 1e-2, F(1, 10)),
+        (PolynomialFn({(2, 1): 1.0}), HalfPlaneRegion((-1, 1), 0), 3e-3, F(1, 10)),
+    ])
+    def test_restricted_contains_the_exact_value(self, fn, region, eps, exact):
+        report = integrate_over(fn, region, SQUARE, eps)
+        assert report.status == INTEGRABLE
+        assert F(report.lower) <= exact <= F(report.upper)
 
 
 def _cantor_poly(depth_budget, epsilon):
@@ -864,6 +897,22 @@ class TestOverflowingSums:
         step = PiecewiseConstantFn([(make_box([[0, F(2, 3)]]), 1.7e308)])
         with pytest.raises(InputError, match="the upper Darboux sum overflows"):
             cantor_integrate(step, depth_budget=1, epsilon=1e-3)
+
+    @pytest.mark.parametrize("box", [
+        # the measure, 2**1200, is no float: the floor test raised OverflowError
+        [[0, 2 ** 1000], [0, 2 ** 200]],
+        # the measure rounds down to the largest float, the upper end steps
+        # up to inf, and Fraction(inf) raised OverflowError
+        [[0, F(sys.float_info.max) + 2 ** 969]],
+    ], ids=["no-float", "largest-float"])
+    def test_oscillation_floor_beyond_the_float_range(self, box):
+        fam = VolumeFam(box)
+        with pytest.raises(InputError, match="the upper Darboux sum overflows"):
+            integrate(IndicatorFn(DenseCodenseRegion()), fam, 1e-3)
+        # a small enough value brings the upper end back inside
+        report = integrate(IndicatorFn(DenseCodenseRegion(), value=2.0 ** -200), fam, 1e-3)
+        assert report.status == "not_integrable"
+        assert report.lower == 0.0 and F(report.upper) >= fam.total / 2 ** 200
 
 
 class TestReportedValue:

@@ -3,8 +3,9 @@
 Lattice verdicts must equal ``region.classify`` on the cell's rational box,
 and ``measure_bracket`` must give what the Fraction-box heap it replaced
 gave: the same brackets and the same cells in the same order.  Indicator
-integrals on the lattice must give what the scalar heap gives on float
-cells, bit for bit, wherever those float cells are exact.
+integrals are their value times such a bracket: they must contain it
+exactly, and split the cells and reach the verdict that the scalar heap
+does on float cells wherever those float cells are exact.
 """
 
 import hashlib
@@ -236,17 +237,32 @@ def float_exact_problems(draw):
     return bounds, draw(regions(bounds))
 
 
-def lattice_integral(fn, fam, eps, budget):
-    """The indicator integral on the lattice, as ``refine_generic``'s
-    ``(lower, upper, ncells, converged, trace)``."""
-    report = integrate(fn, fam, eps, budget)
-    return report.lower, report.upper, report.trace[-1][0], report.status == INTEGRABLE, list(report.trace)
-
-
 def heap_integral(fn, fam, eps, budget):
     lo0 = [float(lo) for lo, _ in fam.bounding]
     hi0 = [float(hi) for _, hi in fam.bounding]
     return refine_generic(lambda lo, hi: fn.range_on(tuple(zip(lo, hi))), lo0, hi0, eps, budget)
+
+
+def assert_certified(fn, fam, eps, budget):
+    """The integral contains ``v * [inner, outer]`` of the bracket after
+    ``budget - 1`` splits at ``eps / |v|``, an integrable verdict is an
+    exact width below ``eps`` and agrees with the bracket's convergence,
+    and the cells split and the verdict are the float heap's.  Returns
+    the report and the heap's result."""
+    report = integrate(fn, fam, eps, budget)
+    lower, upper = F(report.lower), F(report.upper)
+    integrable = report.status == INTEGRABLE
+    exact_eps = F(repr(eps))
+    if fn.value and budget > 1:
+        bracket = measure_bracket(fn.region, fam, exact_eps / abs(F(fn.value)), budget - 1)
+        ends = sorted((F(fn.value) * bracket.inner, F(fn.value) * bracket.outer))
+        assert lower <= ends[0] and ends[1] <= upper
+        assert integrable == bracket.converged
+    if integrable:
+        assert upper - lower < exact_eps
+    heap = heap_integral(fn, fam, eps, budget)
+    assert (report.trace[-1][0], integrable) == heap[2:4]
+    return report, heap
 
 
 class TestLatticeIndicatorIntegral:
@@ -256,35 +272,35 @@ class TestLatticeIndicatorIntegral:
     def test_equals_the_heap(self, problem, value, tolerance, budget):
         bounds, region = problem
         fam = VolumeFam(bounds)
-        fn = IndicatorFn(region, value)
         eps = float(fam.total * tolerance) * max(abs(value), 1.0)
-        # lower, upper, cells, convergence and trace, signed zeros included
-        assert repr(lattice_integral(fn, fam, eps, budget)) == repr(heap_integral(fn, fam, eps, budget))
+        report, _ = assert_certified(IndicatorFn(region, value), fam, eps, budget)
+        if not value:  # signed zeros included
+            assert repr((report.lower, report.upper, report.trace)) == repr((0.0, 0.0, ((1, 0.0), (1, 0.0))))
 
     @pytest.mark.parametrize("name", ["triangle-xy", "halfspace-3d", "halfplane-fine"])
-    @pytest.mark.parametrize("budget", [50, 333, 10**6])
+    # a budget of 1 answers at the root, without a bracket
+    @pytest.mark.parametrize("budget", [1, 50, 333, 10**6])
     def test_fixtures_equal_the_heap(self, name, budget):
         region, fam, eps = FIXTURES[name]
         fn = IndicatorFn(region, -1.5)
-        eps = float(eps)
-        assert repr(lattice_integral(fn, fam, eps, budget)) == repr(heap_integral(fn, fam, eps, budget))
+        report, heap = assert_certified(fn, fam, float(eps), budget)
+        # dyadic ends: the heap's sums are exact, and so are the lattice's
+        assert (report.lower, report.upper) == heap[:2]
 
     def test_wider_than_the_float_range(self):
-        # the root's float volume is inf and its contribution too; its
-        # halves are finite, as in the heap (corners of 2**1023 are floats)
+        # the root's volume, 2**1024, and its gap are beyond the float
+        # range; its halves are not
         fam = VolumeFam([[-2 ** 1023, 2 ** 1023], [0, 1]])
         fn = IndicatorFn(HalfPlaneRegion((1, 0), 0))
-        lattice = lattice_integral(fn, fam, 1e300, 10**4)
-        assert repr(lattice) == repr(heap_integral(fn, fam, 1e300, 10**4))
-        assert lattice[4][0] == (1, math.inf)
-        assert lattice[2:4] == (29, True)
-        # halves that are IN and OUT: the running gap is the heap's +0.0,
-        # not -0.0, at two cells
+        report, _ = assert_certified(fn, fam, 1e300, 10**4)
+        assert report.trace[0] == (1, math.inf)
+        assert (report.trace[-1][0], report.status) == (29, INTEGRABLE)
+        # halves that are IN and OUT: the gap is +0.0 at two cells
         halves = IndicatorFn(BoxElem([make_box([[-2 ** 1023, 0]])]))
         line = VolumeFam([[-2 ** 1023, 2 ** 1023]])
-        lattice = lattice_integral(halves, line, 1e-3, 100)
-        assert repr(lattice) == repr(heap_integral(halves, line, 1e-3, 100))
-        assert repr(lattice[4]) == repr([(1, math.inf), (2, 0.0), (2, 0.0)])
+        report, _ = assert_certified(halves, line, 1e-3, 100)
+        assert repr(report.trace) == repr(((1, math.inf), (2, 0.0)))
+        assert report.lower == report.upper == 2.0 ** 1023
         # the lattice itself used to raise OverflowError on the float width
         bracket = measure_bracket(HalfPlaneRegion((1, 0), 0), fam, F(10) ** 300)
         assert (bracket.inner, bracket.converged) == (F(2) ** 1023, True)
