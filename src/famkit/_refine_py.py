@@ -30,43 +30,28 @@ NAN_GAP = "the Darboux gap is NaN at {} cells: the range enclosures overflow"
 OVERFLOW = "the {} Darboux sum overflows the float range"
 
 
-def counted_sum(pairs) -> float:
-    """The sum of ``n`` copies of ``x`` over the ``(n, x)`` pairs, rounded
-    once: ``math.fsum`` of the terms written out, in time that does not
-    grow with the counts, and without fsum's intermediate overflow.
-
-    A sum beyond the float range is ``±inf``.  Where a term is not finite
-    the sum is fsum's sum of those terms alone (``inf``, ``-inf`` or NaN),
-    and a sum of ``-inf`` and ``+inf`` raises ``ValueError``, as fsum
-    does."""
-    pairs = [(n, x) for n, x in pairs if n]
-    specials = [x for _, x in pairs if not math.isfinite(x)]
+def exact_sum(terms) -> float:
+    """``math.fsum(terms)``, the sum of a sequence of floats rounded once.
+    Where fsum's partial sums overflow, the terms are summed exactly, so a
+    sum inside the float range is returned and one beyond it is ``±inf``.
+    Where a term is not finite the sum is fsum's sum of those terms alone
+    (``inf``, ``-inf`` or NaN), and a sum of ``-inf`` and ``+inf`` raises
+    ``ValueError``, as fsum does."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        pass
+    specials = [x for x in terms if not math.isfinite(x)]
     if specials:
         return math.fsum(specials)
     # each float is m / 2**k: the sum is an integer over the largest 2**k
-    ratios = [(n, x.as_integer_ratio()) for n, x in pairs]
-    den = max((q for _, (_, q) in ratios), default=1)
-    num = sum(n * p * (den // q) for n, (p, q) in ratios)
-    if not num:
-        # fsum's zero: +0.0 where nonzero terms cancel, and the sum of the
-        # zeros, with their signs, where every term is a zero
-        return math.fsum(x for _, x in pairs) if all(x == 0.0 for _, x in pairs) else 0.0
+    ratios = [x.as_integer_ratio() for x in terms]
+    den = max(q for _, q in ratios)
+    num = sum(p * (den // q) for p, q in ratios)
     try:
         return num / den  # correctly rounded, as int / int always is
     except OverflowError:
         return math.inf if num > 0 else -math.inf
-
-
-def exact_sum(terms) -> float:
-    """``math.fsum(terms)``, the sum of a sequence of floats rounded once.
-    Where fsum's partial sums overflow, the sum is taken exactly, as
-    :func:`counted_sum` takes it, so a sum inside the float range is
-    returned and one beyond it is ``±inf``.  Raises ``ValueError`` on a
-    sum of ``-inf`` and ``+inf``."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return counted_sum((1, x) for x in terms)
 
 
 def darboux_sum(terms, which: str) -> float:

@@ -23,9 +23,9 @@ from typing import Iterable, Iterator
 from ._refine_py import refine_uniform
 from .boxes import IN, OUT, STRADDLE, BoxElem
 from .errors import CapExceededError, InputError
-from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn
+from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn, finite
 from .integrate import (INTEGRABLE, NOT_INTEGRABLE, UNDECIDED, IntegralReport, _darboux_report, _exact_eps,
-                        _finite_float, _float_eps)
+                        _float_eps)
 from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_DEPTH_BUDGET = 20
@@ -396,7 +396,7 @@ def oscillation_cover(g, threshold, depth: int) -> OscillationCover:
     measure; non-increasing in both depth and threshold when the oracle's
     enclosures nest under subdivision.
     """
-    thr = _finite_float(threshold, "threshold")
+    thr = finite(threshold, "threshold")
     if thr <= 0:
         raise InputError("threshold must be positive")
     _check_depth(depth)

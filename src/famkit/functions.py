@@ -21,8 +21,40 @@ from .errors import InputError
 FloatBox = tuple[tuple[float, float], ...]
 
 
+def finite(value, what: str) -> float:
+    """``value``, a number from outside the program (a coefficient, a piece
+    value, a tolerance, a box corner), as the nearest float.  No oracle can
+    enclose a number that is not finite, so NaN, ``±inf`` and anything
+    beyond the float range (JSON input reads ``NaN``, ``Infinity``, ``1e400``
+    and integers of any size) raise ``InputError``.  A string that
+    ``float`` rejects is read as a rational ``"p/q"``."""
+    try:
+        try:
+            x = float(value)
+        except ValueError:
+            x = float(Fraction(value))
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{what} must be numbers or \"p/q\" strings, got {value!r}") from None
+    except OverflowError:
+        raise InputError(f"{what} must be finite, got a number beyond the float range") from None
+    if not math.isfinite(x):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _to_float(q) -> float:
+    """``q``, an exact value inside an engine (a measure, a cell volume, a
+    width or a cell corner), as the nearest float; ``±inf`` where it is
+    beyond the float range, which a Darboux sum may carry until
+    ``_refine_py.finite_sum`` refuses to report it."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def _to_float_box(box) -> FloatBox:
-    return tuple((float(lo), float(hi)) for lo, hi in box)
+    return tuple((_to_float(lo), _to_float(hi)) for lo, hi in box)
 
 
 def exponents(exps) -> tuple[int, ...]:
@@ -36,24 +68,6 @@ def exponents(exps) -> tuple[int, ...]:
             raise InputError(f"exponents must be non-negative integers, got {e!r}")
         out.append(operator.index(e))
     return tuple(out)
-
-
-def finite(value, what: str) -> float:
-    """``value`` as a float, which no oracle can enclose unless it is finite
-    (JSON input reads ``NaN``, ``Infinity`` and ``1e400``).  A string that
-    ``float`` rejects is read as a rational ``"p/q"``."""
-    try:
-        x = float(value)
-    except ValueError:
-        try:
-            x = float(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{what} must be numbers or \"p/q\" strings, got {value!r}") from None
-        except OverflowError:
-            raise InputError(f"{what} must be finite, got {value!r}") from None
-    if not math.isfinite(x):
-        raise InputError(f"{what} must be finite, got {value!r}")
-    return x
 
 
 def add_term(terms: dict, exps, coeff) -> None:

@@ -26,7 +26,7 @@ from .boolalg import Algebra, Partition, SetElem
 from .boxes import IN, OUT, STRADDLE, Box, BoxElem, VolumeFam, box_intersect, box_volume
 from .errors import InputError
 from .fam import Fam, as_fraction, as_table, pushforward
-from .functions import IndicatorFn, PolynomialFn, RestrictedFn, region_of
+from .functions import IndicatorFn, PolynomialFn, RestrictedFn, _to_float, finite, region_of
 from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_BUDGET = 2_000_000
@@ -293,20 +293,8 @@ def _exact_eps(epsilon) -> Fraction:
     return eps
 
 
-def _finite_float(value, name: str) -> float:
-    """``float(value)``, which must be finite: a rational beyond the float
-    range, an infinity and a NaN raise ``InputError``."""
-    try:
-        x = float(value)
-    except OverflowError:
-        raise InputError(f"{name} must be finite, got a rational beyond the float range") from None
-    if not math.isfinite(x):
-        raise InputError(f"{name} must be finite, got {value}")
-    return x
-
-
 def _float_eps(epsilon) -> float:
-    eps = _finite_float(_exact_eps(epsilon), "epsilon")
+    eps = finite(_exact_eps(epsilon), "epsilon")
     if eps == 0.0:  # positive, but below the least float
         raise InputError("epsilon must be positive")
     return eps
@@ -320,7 +308,7 @@ def _require_oracle(fn):
 
 def _box_sum(fn, cells, end: int, which: str) -> float:
     _require_oracle(fn)
-    terms = [fn.range_on(c)[end] * float(box_volume(c)) for c in cells]
+    terms = [fn.range_on(c)[end] * _to_float(box_volume(c)) for c in cells]
     return _refine_py.finite_sum(_refine_py.darboux_sum(terms, which), which)
 
 
@@ -355,14 +343,6 @@ def _refine_grid(range_fn, lo0, hi0, eps, max_cells, poly=None):
         return [half for lo, hi in cells for half in _refine_py.split_widest(lo, hi)]
 
     return _refine_py.refine_uniform(sums, split, [(list(lo0), list(hi0))], eps, max_cells)
-
-
-def _to_float(q: Fraction) -> float:
-    """``float(q)``, or ``±inf`` where ``q`` is beyond the float range."""
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf if q > 0 else -math.inf
 
 
 def _scaled_outward(x: float, total: Fraction, toward: float) -> float:
@@ -464,18 +444,19 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
     eps = _float_eps(epsilon)
     if budget < 1:
         raise InputError(f"the cell budget must be at least 1, got {budget}")
-    lo0 = [float(lo) for lo, _ in fam.bounding]
-    hi0 = [float(hi) for _, hi in fam.bounding]
 
     def range_fn(lo, hi):
         return fn.range_on(tuple(zip(lo, hi)))
 
     def refine():
+        if strategy == "adaptive" and type(fn) is IndicatorFn:
+            return _indicator_sums(fn, fam, epsilon, budget)
+        # the float cells start from the corners; an indicator's exact bracket never reads them
+        lo0 = [finite(lo, "box corners") for lo, _ in fam.bounding]
+        hi0 = [finite(hi, "box corners") for _, hi in fam.bounding]
         if strategy == "adaptive":
             if isinstance(fn, PolynomialFn):
                 return _refine.refine_poly(fn.exps, fn.coeffs, lo0, hi0, eps, budget)
-            if type(fn) is IndicatorFn:
-                return _indicator_sums(fn, fam, epsilon, budget)
             return _refine_py.refine_generic(range_fn, lo0, hi0, eps, budget)
         if strategy == "grid":
             poly = (fn.exps, fn.coeffs) if isinstance(fn, PolynomialFn) else None

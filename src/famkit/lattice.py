@@ -28,6 +28,7 @@ from .functions import (
     RegionComplement,
     RegionIntersection,
     RegionUnion,
+    _to_float,
 )
 
 #: The least positive normal float.
@@ -48,7 +49,7 @@ class DyadicLattice:
         self.flat = any(w == 0 for w in self.width)  # every cell has zero volume
         self.levels: list[tuple[int, ...]] = [(0,) * self.dimension]
         self.axes: list[int] = []  # axes[S]: the axis that cells of depth S split
-        self._root = [self._exact_width(d, 0) for d in range(self.dimension)]
+        self._root = [_to_float(w) for w in self.width]
         # float widths of the deepest level, as the float cells' corners
         # give them, so ties between axes break the same way
         self._widths = self._root[:]
@@ -97,13 +98,7 @@ class DyadicLattice:
         w = math.ldexp(self._root[axis], -level)
         if _NORMAL <= w < math.inf:  # a power-of-two scaling, exact in this range
             return w
-        return self._exact_width(axis, level)
-
-    def _exact_width(self, axis: int, level: int) -> float:
-        try:
-            return float(self.width[axis] / (1 << level))
-        except OverflowError:  # wider than the float range
-            return math.inf
+        return _to_float(self.width[axis] / (1 << level))
 
     def point(self, axis: int, level: int, index: int) -> Fraction:
         """``lo + width*index/2**level`` on ``axis``."""

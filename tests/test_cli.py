@@ -15,6 +15,9 @@ from famkit.lattice import DyadicLattice
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+#: An integer beyond the float range.
+BIG = 10 ** 400
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -258,6 +261,18 @@ class TestIntegrateCLI:
         ["integrate", "--fn", '{"poly": [0, 1]}', "--box", "[[0, 1]]", "--eps", "1e400"],
         ["cantor", "--fn", '{"poly": [0, 1]}', "--eps", "1e400"],
         ["cantor", "--in", {"fn": {"poly": [0, 1]}, "op": "cover", "depth": 3, "threshold": "1e400"}],
+        # a corner, a bare JSON integer and a piece value or default beyond
+        # the float range ended in an OverflowError traceback with exit 1;
+        # so did such a corner under the grid strategy, whose float cells
+        # need it where the adaptive indicator integral does not
+        ["integrate", "--fn", '{"poly": [0, 1]}', "--box", f'[[0, "{BIG}"]]', "--eps", "1e-3"],
+        ["integrate", "--fn", f'{{"poly": [0, {BIG}]}}', "--box", "[[0, 1]]", "--eps", "1e-3"],
+        ["integrate", "--fn", f'{{"piecewise": {{"pieces": [{{"box": [[0, "1/2"]], "value": {BIG}}}]}}}}',
+         "--box", "[[0, 1]]", "--eps", "1e-3"],
+        ["integrate", "--fn", f'{{"piecewise": {{"pieces": [], "default": {BIG}}}}}', "--box", "[[0, 1]]",
+         "--eps", "1e-3"],
+        ["integrate", "--in", {"fn": {"indicator": {"halfplane": {"normal": [1], "offset": "1/3"}}},
+                               "box": [[0, str(BIG)]], "epsilon": "1e-3", "strategy": "grid"}],
     ])
     def test_nonfinite_numbers_rejected(self, tmp_path, argv):
         argv = [write_json(tmp_path, "problem.json", a) if isinstance(a, dict) else a for a in argv]
@@ -306,6 +321,15 @@ class TestIntegrateCLI:
         code, out, err = run(capsys, ["integrate", "--fn", fn, "--box", box, "--eps", eps, "--budget", "3000"])
         assert (code, out) == (2, "")
         assert err == "famkit: error: the lower Darboux sum overflows the float range\n"
+
+    def test_indicator_on_a_box_wider_than_the_float_range(self, capsys):
+        # the exact bracket needs no float corner: this printed an
+        # OverflowError traceback and exited 1
+        code, out, err = run(capsys, ["integrate", "--fn", '{"indicator": {"halfplane": {"normal": [1], '
+                                      '"offset": "1/3"}}}', "--box", f'[[0, "{BIG}"]]', "--eps", "1e-3"])
+        report = json.loads(out)
+        assert (code, err, report["status"]) == (0, "", "integrable")
+        assert report["lower"] <= F(1, 3) <= report["upper"]
 
     def test_oscillation_floor_beyond_the_float_range_exits_2(self, capsys):
         # the box's measure, 4e616, is no float: this printed an

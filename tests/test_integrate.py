@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famkit._refine_py import counted_sum, darboux_sum, poly_range
+from famkit._refine_py import darboux_sum, exact_sum, poly_range
 from famkit.boolalg import Algebra, GroundSet, Partition, SetElem, generate_algebra
 from famkit.boxes import IN, OUT, STRADDLE, BoxElem, VolumeFam, make_box
 from famkit.cantor import cantor_integrate, oscillation_cover
@@ -399,6 +399,15 @@ class TestBoxIntegrate:
         lambda: integrate(PolynomialFn([0, 1]), UNIT, epsilon="1e400"),
         lambda: cantor_integrate(PolynomialFn([0, 1]), epsilon=F(10) ** 400),
         lambda: oscillation_cover(PolynomialFn([0, 1]), F(10) ** 400, 3),
+        # integers and corners beyond the float range raised OverflowError
+        lambda: LipschitzFn(lambda x: x[0], 10 ** 400),
+        lambda: parse_fn({"poly": [0, 10 ** 400]}, 1),
+        lambda: PiecewiseConstantFn([(make_box([[0, 1]]), 10 ** 400)]),
+        lambda: PiecewiseConstantFn([], default=-10 ** 400),
+        lambda: integrate(PolynomialFn([0, 1]), VolumeFam([[0, 10 ** 400]]), 1e-3),
+        lambda: integrate(LipschitzFn(lambda x: x[0], 1), VolumeFam([[-10 ** 400, 0]]), 1e-3),
+        lambda: integrate(IndicatorFn(HalfPlaneRegion((1,), F(1, 3))), VolumeFam([[0, 10 ** 400]]), 1e-3,
+                          strategy="grid"),
     ])
     def test_nonfinite_numbers_rejected(self, build):
         with pytest.raises(InputError, match="must be finite"):
@@ -838,7 +847,7 @@ class TestOverflowingSums:
     @given(st.lists(st.tuples(st.integers(0, 4), st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, 1e308, -1e308])))))
-    def test_counted_sum_is_fsum(self, pairs):
+    def test_exact_sum_is_fsum(self, pairs):
         terms = [x for n, x in pairs for _ in range(n)]
         try:
             expected = math.fsum(terms)
@@ -849,7 +858,7 @@ class TestOverflowingSums:
             except OverflowError:
                 expected = math.inf if exact > 0 else -math.inf
         # repr tells the signs of zeros apart
-        assert repr(counted_sum(pairs)) == repr(expected)
+        assert repr(exact_sum(terms)) == repr(expected)
 
     def test_grid_round_passes_an_overflowing_sum_on(self):
         # two cells of upper term 1.5e308 each: the round's upper sum is
@@ -886,6 +895,30 @@ class TestOverflowingSums:
         for sums in (box_infsum, box_supsum):
             with pytest.raises(InputError, match="Darboux sum overflows"):
                 sums(_steps(), cells, VolumeFam([[0, 4]]))
+
+    @pytest.mark.parametrize("fn", [
+        IndicatorFn(HalfPlaneRegion((-1, 0), 0)),
+        PolynomialFn({(1, 0): 1.0, (0, 0): 1.0}),
+    ], ids=["indicator", "polynomial"])
+    def test_box_sums_of_a_cell_beyond_the_float_range(self, fn):
+        # the cell's volume, 2**2000, is no float: these raised OverflowError
+        from famkit.integrate import box_infsum, box_supsum
+
+        cells = [make_box([[0, 2 ** 1000], [0, 2 ** 1000]])]
+        fam = VolumeFam(cells[0])
+        with pytest.raises(InputError, match="the lower Darboux sum overflows the float range"):
+            box_infsum(fn, cells, fam)
+        with pytest.raises(InputError, match="the upper Darboux sum overflows the float range"):
+            box_supsum(fn, cells, fam)
+
+    def test_indicator_on_a_box_wider_than_the_float_range(self):
+        # the value times the exact bracket reads no float corner: the
+        # integral raised OverflowError converting the corner 10**400
+        fam = VolumeFam([[0, 10 ** 400]])
+        report = integrate(IndicatorFn(HalfPlaneRegion((1,), F(1, 3))), fam, 1e-3)
+        assert report.status == "integrable"
+        assert report.lower <= F(1, 3) <= report.upper
+        assert report.trace[-1][0] == 1340
 
     def test_infinite_final_sums_are_rejected(self):
         # the lower sums of the four end cells are 1e308 each: the final
