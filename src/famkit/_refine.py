@@ -1,17 +1,38 @@
 """Batched refinement of polynomial Darboux sums over numpy arrays of cells.
 
-``refine_poly`` follows the same largest-contribution-first policy as the
-scalar heap in ``_refine_py.refine_generic``, but splits many cells per
-round: every round it splits the fewest largest cells whose contributions
-add up to the excess of the gap over epsilon.  A split only narrows a cell's
-enclosure, so no child contributes more than its parent; the heap would
-therefore split every cell of such a batch before it could stop.  The
-batched loop splits those cells in far fewer Python steps.
+``refine_poly`` is the heap of ``_refine_py.refine_generic`` on the
+polynomial enclosure, bit for bit, run in rounds of many cells.  The heap
+splits the live cell that contributes most to the Darboux gap, earliest
+created first among equals; a round splits the next cells of that order
+for as long as the heap would do nothing else:
 
-A round costs about what it splits, and on the few hundred to few thousand
-cells of a 1-D problem its cost is the number of numpy calls it makes, not
-the cells: about 60 us per round on a 2 vCPU Xeon (Python 3.11, numpy
-2.4).  So a round makes few of them:
+- Its window (``_window``) is every cell that contributes at least ``r``
+  times the largest contribution, in the heap's order.  ``r`` is the
+  previous round's largest ratio of a child's contribution to its
+  parent's, 1/2 before any split: where the ratio holds, the first cell's
+  children outrank every cell below the window.
+- It encloses the halves of ``SPLITS`` window cells at a time and keeps
+  the prefix that the heap splits next.  A child is created after every
+  live cell, so it outranks a cell only by contributing more; the prefix
+  ends before the first cell that a child of the round outranks.
+- The heap keeps a running gap: the finite contributions summed one at a
+  time from -0.0 (minus a parent, plus its left and its right child), and
+  the count of the infinite ones.  Here it is a float carried from round
+  to round and extended by ``np.cumsum``, which adds in the same order.
+  The prefix also ends at the first split after which the heap checks
+  that gap: where it falls below epsilon with no cell contributing inf
+  (the heap then takes the exact sum, and stops or goes on from it), and
+  where it has overflowed to inf and the heap sums its live cells afresh
+  (at most once per doubling of the cells).  The window holds no more
+  cells than the budget leaves.
+
+So lower, upper, the cell count, convergence and the trace are the heap's,
+budget stops included.  On the 32 1-D quartics of ``bench_refine.py``,
+shaped like the adaptive problems of the perfbench ``quadrature`` workload,
+this takes 352 rounds, about 95 us each, 34 ms in all on a 2 vCPU Xeon
+(Python 3.11, numpy 2.4).  On the few hundred to few thousand cells of a
+1-D problem the cost of a round is the number of numpy calls it makes, not
+the cells, so a round makes few of them:
 
 - The polynomial is compiled once per run into an enclosure plan
   (``_plan``): the axes with their highest and even powers, and each term's
@@ -20,16 +41,12 @@ the cells: about 60 us per round on a 2 vCPU Xeon (Python 3.11, numpy
   are one ``(2, n)`` view, and each power, term and sum covers both ends in
   one call.
 - ``_split`` copies the parents twice and writes the midpoint into each
-  half; the children of a round are enclosed in one pass over ``[left;
-  right]``, which computes their contributions only, and just those 1-D
-  contributions are interleaved into creation order.  The printed trace
-  sums them in that order.
+  half; the halves are enclosed in one pass over ``[left; right]``, which
+  computes their contributions only, and just those 1-D contributions are
+  interleaved into creation order.
 - The corners stay in a store: a left child takes over its parent's column
-  and the right children of a round are appended, so a round moves the
-  corners of the split cells only.
-- The selection starts from the previous round's smallest pick, or from
-  ``np.partition`` when that pick would not have covered the previous
-  round's selection either.
+  and the right children are appended, so a round moves the corners of the
+  split cells only.
 
 The enclosures are bit for bit those of the scalar ``_refine_py.poly_range``
 wherever no NaN arises:
@@ -58,24 +75,12 @@ ends overflow) propagates into its cell's contribution and so into the
 gap, where the scalar ``min`` and ``max`` would drop a NaN product and
 return an enclosure of what was not computed.  A NaN gap never falls below
 epsilon and never clears, since the cell that makes it always keeps a NaN
-child, so ``refine_poly`` and the uniform loop raise ``InputError`` on it
-at once.  An infinite gap is allowed: it can still fall below epsilon as
-the cells shrink.  A round whose gap is inf splits every cell that
-contributes inf (see ``_largest_first``).
-
-This engine re-sums its contributions every round.  The heap keeps a
-running sum of its finite contributions, which can overflow by itself (on
-``0.9e308 * x`` over [-1, 1] the root's two halves contribute 0.9e308
-each), and takes it afresh over the live cells when it does; both engines
-converge there in 404 cells.
-
-Where the two engines still differ: on runs stopped by the budget the sums
-can differ in the last bits.  The last round here takes the ``limit``
-largest cells, where the heap may split a child first.  On ``1e308 * x``
-over [-1, 1] at 1e300 with a budget of 200,000, the lower sums are
--1.124665141104844e+303 here and -1.1246651411048436e+303 in the heap.
-The tests compare the engines on converged runs and pin this engine's
-budget stops.
+child, so ``refine_poly`` raises ``InputError`` at the start of the round
+after it arises, where the heap would split on to the budget, and the
+uniform loop raises at once.  An infinite gap is allowed: it can still
+fall below epsilon as the cells shrink.  The cells that contribute inf come
+first in the heap's order, and no child outranks them, so a round splits
+all of them.
 
 ``refine_grid`` is the ``grid`` strategy on the same cells: it hands
 ``_sums`` and ``_split`` to the uniform loop ``_refine_py.refine_uniform``,
@@ -98,6 +103,10 @@ from .errors import InputError
 # cells per vectorized pass over cell terms; about a dozen temporaries of
 # twice this length are alive at once, so it bounds their memory
 BLOCK = 4096
+# cells split per pass of a round: the halves of a pass, half a BLOCK, are
+# enclosed at once, so a round's temporaries take half the memory of those
+# of the final sums
+SPLITS = BLOCK // 4
 
 
 def backend_name() -> str:
@@ -202,28 +211,21 @@ def _terms(plan, cells):
     return _enclose(plan, cells), vol
 
 
-def _blocks(plan, cells):
-    """``_terms`` over consecutive blocks of ``BLOCK`` columns."""
-    for start in range(0, cells.shape[1], BLOCK):
-        yield _terms(plan, cells[:, start:start + BLOCK])
-
-
 def _contributions(plan, cells):
-    """``(rhi - rlo) * vol`` of each cell."""
-    import numpy as np
-
-    if cells.shape[1] <= BLOCK:
-        ends, vol = _terms(plan, cells)
-        return (ends[1] - ends[0]) * vol
-    return np.concatenate([(ends[1] - ends[0]) * vol for ends, vol in _blocks(plan, cells)])
+    """``(rhi - rlo) * vol`` of each column of ``cells``."""
+    ends, vol = _terms(plan, cells)
+    return (ends[1] - ends[0]) * vol
 
 
 def _sums(plan, cells) -> tuple[float, float]:
     """The exactly rounded lower and upper Darboux sums over ``cells``,
-    from one enclosure of each cell."""
+    from one enclosure of each cell, enclosed ``BLOCK`` columns at a time."""
     import numpy as np
 
-    terms = np.concatenate([ends * vol for ends, vol in _blocks(plan, cells)], axis=1)
+    terms = np.empty((2, cells.shape[1]))
+    for start in range(0, cells.shape[1], BLOCK):
+        ends, vol = _terms(plan, cells[:, start:start + BLOCK])
+        np.multiply(ends, vol, out=terms[:, start:start + BLOCK])
     # memoryviews yield Python floats, twice as fast as numpy scalars, and
     # can be read again where fsum's partial sums overflow
     return darboux_sum(memoryview(terms[0]), "lower"), darboux_sum(memoryview(terms[1]), "upper")
@@ -249,67 +251,30 @@ def _split(cells):
     return halves
 
 
-def _append_pairs(kept, first, second):
-    """``kept``, then ``first[0], second[0], first[1], second[1], ...``"""
+def _append_pairs(live, keep, first, second):
+    """The entries of ``live`` where ``keep`` is set (all but
+    ``len(first)`` of them), then ``first[0], second[0], first[1], ...``"""
     import numpy as np
 
-    pairs = np.empty(len(kept) + 2 * len(first), dtype=kept.dtype)
-    pairs[:len(kept)] = kept
-    pairs[len(kept)::2] = first
-    pairs[len(kept) + 1::2] = second
+    kept = len(live) - len(first)
+    pairs = np.empty(kept + 2 * len(first), dtype=live.dtype)
+    live.compress(keep, out=pairs[:kept])
+    pairs[kept::2] = first
+    pairs[kept + 1::2] = second
     return pairs
 
 
-def _largest_first(contrib, excess, limit, guess, start=math.inf):
-    """The fewest largest cells (earliest first among equal contributions)
-    whose contributions add up to at least ``excess``, at most ``limit`` of
-    them, with the running sums of their contributions.
-
-    The candidates are every cell at or above a threshold, stably sorted
-    by contribution: the cells above it in order, then the cells equal to
-    it in creation order.  The threshold starts at ``start``, or with
-    ``start=None`` at the first partition.  While the candidates fall short
-    of the excess, the threshold drops to the ``m``-th largest
-    contribution, ``m`` growing fourfold from ``guess``.
-
-    An infinite excess takes every cell whose contribution is inf, in
-    creation order: no finite sum covers it, and each of them must split
-    before the gap can become finite.  The heap splits them one by one in
-    the same order, so the cells that follow are the same.
-    """
-    if excess == math.inf:
-        infinite = (contrib == math.inf).nonzero()[0][:limit]
-        if len(infinite):
-            return infinite, contrib[infinite].cumsum()
-    n = len(contrib)
-    threshold = start
-    found = 0
-    m = max(guess, 1)
-    while True:
-        if threshold is not None:
-            at_least = (contrib >= threshold).nonzero()[0]
-            values = contrib[at_least]
-            order = (-values).argsort(kind="stable")
-            cand = at_least[order]
-            sums = values[order].cumsum()
-            found = len(cand)
-            if found >= limit or (found and sums[-1] >= excess):
-                break
-        while m <= found:
-            m *= 4
-        lower = math.nan
-        if m < n:
-            part = contrib.copy()
-            part.partition(n - m)
-            lower = part[n - m]
-        if not lower < (math.inf if threshold is None else threshold):
-            # the cut lies among the last cells, or a NaN does not compare
-            cand = (-contrib).argsort(kind="stable")
-            sums = contrib[cand].cumsum()
-            break
-        threshold = lower
-    k = min(int(sums.searchsorted(excess)) + 1, len(cand), limit)
-    return cand[:k], sums
+def _window(contrib, top: float, ratio: float, limit: int):
+    """The live cells that a round may split, in the heap's order: every
+    cell that contributes at least ``ratio * top``, largest first and
+    earliest created first among equals, at most ``limit`` of them: their
+    positions in ``contrib``."""
+    threshold = ratio * top
+    if not threshold > 0.0:
+        # 0 * inf, or an underflow: a cell that contributes 0 never splits
+        threshold = math.ulp(0.0)
+    at_least = (contrib >= threshold).nonzero()[0]
+    return at_least[(-contrib[at_least]).argsort(kind="stable")[:limit]]
 
 
 def _quiet(run):
@@ -337,89 +302,163 @@ def refine_poly(
     max_cells: int,
 ) -> tuple[float, float, int, bool, list[tuple[int, float]]]:
     """Adaptive largest-first refinement of a polynomial until the Darboux
-    gap is certified below ``eps`` or the cell budget runs out.
+    gap is certified below ``eps`` or the cell budget runs out: the heap of
+    ``_refine_py.refine_generic`` on ``poly_range``, bit for bit, in rounds.
 
-    Each round splits the fewest largest cells (earliest created first among
-    equal contributions) whose contributions add up to at least the excess
-    ``gap - eps``, never more than ``max_cells - n``; each is bisected at the
-    midpoint of its widest axis (lowest axis index on ties).
+    A round takes the window of cells that contribute at least ``r`` times
+    the largest contribution (``r`` is the last round's largest ratio of a
+    child's contribution to its parent's, 1/2 at first), largest first and
+    earliest created first among equals, and bisects the prefix of it that
+    the heap splits next, each cell at the midpoint of its widest axis
+    (lowest axis index on ties).
 
     Returns ``(lower, upper, ncells, converged, trace)``.  The sums are
     exactly rounded (``exact_sum``) over the live cells.  ``trace`` holds
-    ``(ncells, gap)`` at the start, at each power-of-two cell count, and at
-    the end.  Raises ``InputError`` when the gap is NaN or a final sum
-    overflows.
+    ``(ncells, gap)`` at the start, the heap's running gap at each
+    power-of-two cell count, and the certified gap at the end.  Raises
+    ``InputError`` when the gap is NaN or a final sum overflows.
     """
     import numpy as np
 
     plan = _plan(exps, coeffs)
-    dim = len(lo0)
     # the live cells in creation order, so that a stable sort breaks ties
     # as the heap's cell ids do: their contributions, and the columns of
     # their corners in ``store``, whose first n columns are the live cells
     store = np.array([[*lo0, *hi0]], dtype=float).T
     cols = np.zeros(1, dtype=np.intp)
     contrib = _contributions(plan, store)
-    trace = [(1, float(contrib[0]))]
-    next_trace = 2
-    guess = 1
-    start = last = math.inf
+    root = float(contrib[0])
+    trace = [(1, root)]
+    # the heap's running gap: the finite contributions summed in its order
+    # from -0.0, and the count of the infinite ones; where the sum
+    # overflows it is taken afresh, at most once per doubling of the cells
+    infinite = int(root == math.inf)
+    finite = -0.0 if infinite else root
+    resum_at = 0
+    ratio = 0.5
+
+    def split_round(picked):
+        """Split the prefix of the window ``picked`` (positions in
+        ``contrib``, in the heap's order) that the heap splits next,
+        enclosing the halves of ``SPLITS`` cells at a time.
+
+        A child is created after every live cell, so it outranks a cell
+        only by contributing more.  The prefix ends before the first cell
+        that a child of an earlier split outranks, and at the first split
+        after which the heap checks its running gap: where no cell
+        contributes inf and the finite sum falls below ``eps``, or
+        overflows to inf at ``resum_at`` cells or more.
+        """
+        nonlocal store, cols, contrib, finite, infinite, ratio
+        n = len(contrib)
+        parts = []  # the children's contributions, (2, cut) per pass
+        k = 0
+        reach = -math.inf  # the largest contribution of a child so far
+        largest = -math.inf  # the largest ratio of a child to its parent
+        for start in range(0, len(picked), SPLITS):
+            pv = contrib[picked[start:start + SPLITS]]
+            if pv[0] < reach:
+                break
+            m = len(pv)
+            cells = cols[picked[start:start + m]]
+            halves = _split(store.take(cells, 1))
+            children = _contributions(plan, halves).reshape(2, m)
+            best = np.maximum(children[0], children[1])
+            reaches = np.maximum.accumulate(best)
+            if start:
+                np.maximum(reaches, reach, out=reaches)
+            outranked = (pv[1:] < reaches[:-1]).nonzero()[0]
+            cut = int(outranked[0]) + 1 if len(outranked) else m
+
+            # the running gap after each split, summed in the heap's order:
+            # minus the parent, plus the left and the right child; an
+            # infinite term is counted instead, and adds -0.0, which
+            # changes no sum
+            steps = np.empty(3 * cut + 1)
+            steps[0] = finite
+            np.negative(pv[:cut], out=steps[1::3])
+            steps[2::3] = children[0, :cut]
+            steps[3::3] = children[1, :cut]
+            counts = None
+            if infinite or pv[0] == math.inf or reaches[cut - 1] == math.inf:
+                terms = steps[1:].reshape(cut, 3)
+                infs = np.isinf(terms)  # -inf parents, inf children
+                terms[infs] = -0.0
+                counts = infinite + (infs[:, 1:].sum(1) - infs[:, 0]).cumsum()
+            sums = steps.cumsum()[3::3]
+            stop = sums < eps
+            if not sums[-1] < math.inf:
+                # an overflowed sum stays inf until the heap sums afresh
+                stop |= (sums == math.inf) & (np.arange(n + k + 1, n + k + cut + 1) >= resum_at)
+            if counts is not None:
+                stop &= counts == 0
+            stops = stop.nonzero()[0]
+            if len(stops):
+                cut = int(stops[0]) + 1
+
+            traced = 1 << (n + k).bit_length()
+            while traced <= n + k + cut:
+                j = traced - n - k - 1
+                trace.append((traced, math.inf if counts is not None and counts[j] else float(sums[j])))
+                traced *= 2
+            finite = float(sums[cut - 1])
+            if counts is not None:
+                infinite = int(counts[cut - 1])
+            # max() keeps its first argument over a NaN (inf / inf)
+            largest = max(largest, float((best[:cut] / pv[:cut]).max()))
+            reach = float(reaches[cut - 1])
+
+            # each parent becomes its left child and then its right child,
+            # in the order in which the heap numbers them: the left child
+            # keeps the parent's column and the right one takes the next
+            # free column
+            if n + k + cut > store.shape[1]:
+                grown = np.empty((store.shape[0], min(max(2 * store.shape[1], n + k + cut), max_cells)))
+                grown[:, :n + k] = store[:, :n + k]
+                store = grown
+            store[:, cells[:cut]] = halves[:, :cut]
+            store[:, n + k:n + k + cut] = halves[:, m:m + cut]
+            parts.append(children[:, :cut])
+            k += cut
+            # the heap checks its gap after the last split, or a child
+            # outranks the next cell
+            if len(stops) or cut < m:
+                break
+
+        born = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        keep = np.ones(n, dtype=bool)
+        keep[picked[:k]] = False
+        contrib = _append_pairs(contrib, keep, born[0], born[1])
+        cols = _append_pairs(cols, keep, cols[picked[:k]], np.arange(n, n + k))
+        if largest >= 0.0:
+            ratio = min(largest, 1.0)
+
     converged = False
     while True:
         n = len(contrib)
-        gap = float(contrib.sum())
-        if gap != gap:
+        if finite != finite:
             raise InputError(NAN_GAP.format(n))
-        exact = None
-        if gap < eps:
-            exact = gap = exact_sum(memoryview(contrib))
+        if finite == math.inf and not infinite and n >= resum_at:
+            finite = exact_sum(memoryview(contrib))
+            resum_at = 2 * n
+        if not infinite and finite < eps:
+            gap = exact_sum(memoryview(contrib))
             if gap < eps:
                 converged = True
                 break
+            finite = gap
+            continue
         if n >= max_cells:
             break
-        picked, split_sums = _largest_first(contrib, gap - eps, max_cells - n, 2 * guess, start)
-        k = guess = len(picked)
-        # contributions never grow when a cell is split, so the smallest
-        # pick is where the next selection starts, unless it lies below the
-        # last round's: a selection from there would have fallen short, so
-        # the next one starts from the partition
-        smallest = float(contrib[picked[-1]])
-        start = smallest if smallest >= last else None
-        last = smallest
-
-        # each parent becomes its left child and then its right child, in
-        # the order in which the heap numbers them: the left child keeps
-        # the parent's column and the right one takes column n + i
-        parents = cols[picked]
-        halves = _split(store.take(parents, 1))
-        children = _contributions(plan, halves)
-        keep = np.ones(n, dtype=bool)
-        keep[picked] = False
-        before = contrib
-        contrib = _append_pairs(contrib[keep], children[:k], children[k:])
-        cols = _append_pairs(cols[keep], parents, np.arange(n, n + k))
-
-        while next_trace <= n + k:
-            j = next_trace - n
-            traced = gap - float(split_sums[j - 1]) + float(contrib[n - k:n - k + 2 * j].sum())
-            if not math.isfinite(traced):
-                # inf - inf in an infinite round: the live cells at this
-                # count, the kept ones, the first j picks' children and
-                # the other picks, summed afresh
-                traced = exact_sum(memoryview(np.concatenate((contrib[:n - k + 2 * j], before[picked[j:]]))))
-            trace.append((next_trace, traced))
-            next_trace *= 2
-
-        if n + k > store.shape[1]:
-            grown = np.empty((2 * dim, min(max(2 * store.shape[1], n + k), max_cells)))
-            grown[:, :n] = store[:, :n]
-            store = grown
-        store[dim:, parents] = halves[dim:, :k]
-        store[:, n:n + k] = halves[:, k:]
+        top = float(contrib.max())
+        if not top > 0.0:  # no cell contributes
+            gap = exact_sum(memoryview(contrib))
+            converged = gap < eps
+            break
+        split_round(_window(contrib, top, ratio, max_cells - n))
 
     n = len(contrib)
-    trace.append((n, exact_sum(memoryview(contrib)) if exact is None else exact))
+    trace.append((n, gap if converged else exact_sum(memoryview(contrib))))
     # exactly rounded sums do not depend on the order of the cells
     lower, upper = _sums(plan, store[:, :n])
     return lower, upper, n, converged, trace

@@ -7,7 +7,7 @@ float cells: split the live cell that contributes most to the Darboux gap
 below epsilon or the cell budget runs out.  It serves the scalar oracles
 other than indicators (restrictions, piecewise-constant and Lipschitz
 functions) and is the reference that the batched polynomial engine in
-``famkit._refine`` is tested against.  Indicator integrals need no cells
+``famkit._refine`` reproduces bit for bit, in rounds.  Indicator integrals need no cells
 of their own: they are the indicator's value times an exact Jordan
 bracket (``integrate.measure_bracket``).
 

@@ -308,7 +308,12 @@ def _require_oracle(fn):
 
 def _box_sum(fn, cells, end: int, which: str) -> float:
     _require_oracle(fn)
-    terms = [fn.range_on(c)[end] * _to_float(box_volume(c)) for c in cells]
+    # a range end of 0 adds 0 (of its sign), also where the float volume
+    # overflows to inf, as in the grid's round sums
+    terms = []
+    for c in cells:
+        r = fn.range_on(c)[end]
+        terms.append(r * _to_float(box_volume(c)) if r else r)
     return _refine_py.finite_sum(_refine_py.darboux_sum(terms, which), which)
 
 

@@ -746,14 +746,14 @@ class TestNanGap:
         assert time.perf_counter() - started < 1.0
 
     def test_infinite_gap_still_converges(self):
-        # the gap is inf in the first round; the trace entry at two cells
-        # subtracts the split cell's infinite contribution, which is NaN, so
-        # it is the live cells' sum instead
+        # the gap is inf in the first round; the running gap counts the
+        # infinite root apart from its sum, so splitting it subtracts no
+        # inf, and at two cells the trace reads the finite halves' sum
         report = integrate(PolynomialFn([0, 1e308, -1e308]), UNIT, 1e306)
         assert report.trace[1] == (2, 1e308)
         assert (report.status, *_pin(report)) == (
             "integrable", "0x1.705a74cf65d95p+1020", "0x1.871cf38576ec1p+1020", 205, True,
-            "3ab604b84cc0ba2aa43dc500714a86281c2571bf27fc4c87672ae5ce8f3116bd")
+            "73617cb1095c6098a9d9a000994c47bcff10428bd54b715f36fd90b0528c2b53")
 
 
 class TestInfiniteGap:
@@ -910,6 +910,17 @@ class TestOverflowingSums:
             box_infsum(fn, cells, fam)
         with pytest.raises(InputError, match="the upper Darboux sum overflows the float range"):
             box_supsum(fn, cells, fam)
+
+    def test_zero_range_ends_on_a_cell_beyond_the_float_range(self):
+        # the cell lies outside {x <= -1}: both range ends are 0, and 0 times
+        # the float volume inf made both sums NaN and raise InputError
+        from famkit.integrate import box_infsum, box_supsum
+
+        cells = [make_box([[0, 2 ** 1000], [0, 2 ** 1000]])]
+        fam = VolumeFam(cells[0])
+        fn = IndicatorFn(HalfPlaneRegion((1, 0), -1))
+        assert box_infsum(fn, cells, fam) == 0.0
+        assert box_supsum(fn, cells, fam) == 0.0
 
     def test_indicator_on_a_box_wider_than_the_float_range(self):
         # the value times the exact bracket reads no float corner: the

@@ -546,6 +546,13 @@ def _heap_refine(exps, coeffs, lo, hi, eps, max_cells):
     return refine_generic(lambda l, h: poly_range(exps, coeffs, l, h), lo, hi, eps, max_cells)
 
 
+def _bits(result):
+    """A refinement result with its floats as float.hex, so that equal
+    results agree to the last bit and in the sign of a zero."""
+    lower, upper, cells, converged, trace = result
+    return lower.hex(), upper.hex(), cells, converged, [(n, gap.hex()) for n, gap in trace]
+
+
 def _exact_poly_integral(exps, coeffs, lo, hi):
     total = F(0)
     for exp, c in zip(exps, coeffs):
@@ -640,8 +647,7 @@ class TestBatchedRefinement:
 
         for fixture in self.HEAVY:
             batched = refine_poly(*fixture, 2_000_000)
-            heap = _heap_refine(*fixture, 2_000_000)
-            assert batched[:4] == heap[:4]  # lower, upper, cells, converged
+            assert _bits(batched) == _bits(_heap_refine(*fixture, 2_000_000))
             assert batched[3]
 
     @pytest.mark.parametrize("eps, cells", [(1e306, 359), (3e305, 1106)])
@@ -653,12 +659,11 @@ class TestBatchedRefinement:
 
         fixture = ([(1,)], [0.8e308], [-1.0], [1.0], eps)
         batched = refine_poly(*fixture, 200_000)
-        heap = _heap_refine(*fixture, 200_000)
-        assert batched[:4] == heap[:4]
+        assert _bits(batched) == _bits(_heap_refine(*fixture, 200_000))
         assert batched[2:4] == (cells, True)
-        # the running gap of the infinite round is inf - inf: the trace
-        # reads the live cells' sum instead of NaN, as the heap does
-        assert batched[4][:2] == heap[4][:2] == [(1, math.inf), (2, 1.6e308)]
+        # the infinite root is counted apart from the running sum, so its
+        # split subtracts no inf and the trace reads no NaN
+        assert batched[4][:2] == [(1, math.inf), (2, 1.6e308)]
         assert not any(math.isnan(gap) for _, gap in batched[4])
 
     @pytest.mark.parametrize("eps, cells", [(1e306, 404), (3e305, 1325)])
@@ -670,12 +675,12 @@ class TestBatchedRefinement:
 
         fixture = ([(1,)], [0.9e308], [-1.0], [1.0], eps)
         batched = refine_poly(*fixture, 200_000)
-        heap = _heap_refine(*fixture, 200_000)
-        assert batched[:4] == heap[:4]
+        assert _bits(batched) == _bits(_heap_refine(*fixture, 200_000))
         assert batched[2:4] == (cells, True)
-        # the live cells' sum overflows at 2 cells and is 9e307 at 4, where
-        # the heap's running sum still reads inf
-        assert batched[4][:3] == [(1, math.inf), (2, math.inf), (4, 9e307)]
+        # the running sum overflows at 2 cells and still reads inf at 4,
+        # as it is taken afresh only once the cells have doubled; at 8 it
+        # is a sum of finite contributions again
+        assert batched[4][:4] == [(1, math.inf), (2, math.inf), (4, math.inf), (8, 4.500000000000003e307)]
         assert not any(math.isnan(gap) for _, gap in batched[4])
 
     @SETTINGS
@@ -688,29 +693,50 @@ class TestBatchedRefinement:
         rlo, rhi = poly_range(exps, coeffs, lo, hi)
         gap0 = (rhi - rlo) * math.prod(h - l for l, h in zip(lo, hi))
         eps = gap0 * 10 ** (-tightness / len(lo)) if gap0 > 0 else 1e-3
-        lower, upper, cells, converged, trace = refine_poly(exps, coeffs, lo, hi, eps, 200_000)
-        heap = _heap_refine(exps, coeffs, lo, hi, eps, 200_000)
-        assert converged == heap[3]
-        assert abs(cells - heap[2]) <= 0.01 * heap[2]
-        assert trace[-1][1] < eps
+        result = refine_poly(exps, coeffs, lo, hi, eps, 200_000)
+        assert _bits(result) == _bits(_heap_refine(exps, coeffs, lo, hi, eps, 200_000))
+        lower, upper, cells, converged, trace = result
+        assert converged and trace[-1][1] < eps
         assert F(lower) <= _exact_poly_integral(exps, coeffs, lo, hi) <= F(upper)
+
+    @SETTINGS
+    @given(dyadic_polynomials(), st.integers(1, 400))
+    def test_budget_stops_agree_with_the_heap(self, case, budget):
+        # a tolerance no run of 400 cells meets: every run stops at its budget
+        from famkit._refine import refine_poly
+
+        exps, coeffs, lo, hi, _ = case
+        result = refine_poly(exps, coeffs, lo, hi, 1e-12, budget)
+        assert _bits(result) == _bits(_heap_refine(exps, coeffs, lo, hi, 1e-12, budget))
+
+    @pytest.mark.parametrize("splits", [1, 3, 64])
+    def test_rounds_split_in_small_passes(self, monkeypatch, splits):
+        # a round encloses the halves of SPLITS cells per pass; in passes of
+        # a few cells a round's prefix ends inside a pass and at its edges
+        from famkit import _refine
+
+        monkeypatch.setattr(_refine, "SPLITS", splits)
+        for fixture, budget in [(self.HEAVY[1][:4] + (0.05,), 100_000), (self.HEAVY[3], 100_000),
+                                (([(0,), (2,)], [1.0, 1.0], [0.0], [1.0], 1e-9), 777),
+                                (([(1,)], [0.8e308], [-1.0], [1.0], 1e306), 200_000),
+                                (([(1,)], [0.9e308], [-1.0], [1.0], 1e306), 200_000)]:
+            result = _refine.refine_poly(*fixture, budget)
+            assert _bits(result) == _bits(_heap_refine(*fixture, budget)), (fixture, splits)
 
     def test_ties_pick_the_earliest_cells(self):
         import numpy as np
 
-        from famkit._refine import _largest_first
+        from famkit._refine import _window
 
         contrib = np.ones(5000)
         contrib[[7, 4000]] = 3.0
-        for guess in (1, 64, 5000):  # partial and full sorts
-            picked, sums = _largest_first(contrib, 105.5, 10_000, guess)
-            assert picked.tolist() == [7, 4000, *range(7), *range(8, 101)]
-            assert sums[len(picked) - 1] == 106.0
-        picked, _ = _largest_first(contrib, 105.5, 50, 1)
-        assert picked.tolist() == [7, 4000, *range(7), *range(8, 49)]
+        # a threshold of 1.0 takes every cell, the two largest first
+        everything = [7, 4000, *range(7), *range(8, 4000), *range(4001, 5000)]
+        assert _window(contrib, 3.0, 1 / 3, 10_000).tolist() == everything
+        assert _window(contrib, 3.0, 1 / 3, 50).tolist() == everything[:50]
+        assert _window(contrib, 3.0, 0.5, 10_000).tolist() == [7, 4000]
 
-        # a block of 15k equal contributions, with cells above and below it;
-        # the selection ends inside the block from any starting threshold
+        # a block of 15k equal contributions, with cells above and below it
         contrib = np.ones(20_000)
         contrib[1::20] = 3.0
         contrib[5::10] = 2.0
@@ -719,55 +745,51 @@ class TestBatchedRefinement:
         assert np.count_nonzero(contrib == 1.0) == 15_000
         above = [*range(1, 20_000, 20), *range(5, 20_000, 10)]
         ties = np.flatnonzero(contrib == 1.0).tolist()
-        for start in (math.inf, 4.0, 3.0, 2.5, 2.0, 1.0, 0.75, 0.5, 0.25, 0.0, None):
-            for guess in (1, 64, 20_000):
-                picked, sums = _largest_first(contrib, 14_000.5, 30_000, guess, start)
-                assert picked.tolist() == above + ties[:7_001], (start, guess)
-                assert sums[len(picked) - 1] == 14_001.0
-                picked, _ = _largest_first(contrib, 14_000.5, 9_000, guess, start)
-                assert picked.tolist() == above + ties[:6_000], (start, guess)
+        assert _window(contrib, 3.0, 1 / 3, 30_000).tolist() == above + ties
+        assert _window(contrib, 3.0, 1 / 3, 9_000).tolist() == above + ties[:6_000]
+        assert _window(contrib, 3.0, 0.5, 30_000).tolist() == above
 
     def test_selection_matches_a_full_sort(self):
         import numpy as np
 
-        from famkit._refine import _largest_first
+        from famkit._refine import _window
 
         rng = Random(23)
         for _ in range(300):
             n = rng.randint(1, 400)
             values = [rng.randint(0, 12) / 4 for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.1:
+                values.append(math.inf)
             contrib = np.array([rng.choice(values) for _ in range(n)])
-            total = float(contrib.sum())
-            excess = rng.uniform(0, 1.1 * total)
+            top = float(contrib.max())
+            if not top > 0.0:
+                continue
+            ratio = rng.choice([0.0, 1e-300, 0.25, 0.5, 1.0, rng.random()])
             limit = rng.randint(1, n + 5)
-            order = np.argsort(-contrib, kind="stable")
-            full = np.cumsum(contrib[order])
-            k = min(int(np.searchsorted(full, excess)) + 1, n, limit)
-            start = rng.choice([math.inf, -1.0, *values, rng.uniform(0, 3), None])
-            picked, sums = _largest_first(contrib, excess, limit, rng.randint(1, 2 * n), start)
-            assert picked.tolist() == order[:k].tolist()
-            assert [x.hex() for x in sums[:k].tolist()] == [x.hex() for x in full[:k].tolist()]
+            # 0 * inf is no threshold: every cell that contributes is taken
+            threshold = ratio * top if ratio * top > 0.0 else 5e-324
+            want = sorted((i for i in range(n) if contrib[i] >= threshold), key=lambda i: (-contrib[i], i))
+            assert _window(contrib, top, ratio, limit).tolist() == want[:limit]
 
     # float.hex of lower and upper, the cell count, convergence and a digest
-    # of the printed trace, pinned from the engine that gathered its cells
-    # with boolean masks every round
+    # of the printed trace, pinned from the heap of _heap_refine
     PINS = [
         ("0x1.fcccd00000000p-1", "0x1.0199980000000p+0", 29492, True,
          "c40fba4bba3f7b75ce9c694bf99025bd4a5bffc486131465a4601f762a41395f"),
         ("-0x1.6ff59bca80000p-4", "-0x1.3ab6413af0000p-4", 21489, True,
-         "f26b049e6c8bbbbae3ece6ce6d7b2fb10ae41e2f80351168ddbb98e2ac2a7c7b"),
+         "2c8ff9d074836dda67a5c3d659a14fae0ed1e7092f3bc3be37131cf4d98cf13a"),
         ("0x1.cedac37000000p-4", "0x1.1aa0830000000p-3", 23474, True,
-         "5ab784c6dca5396a24c3265fea59ca5d1146aebc244093dee7fc0108dea4bf45"),
+         "b5a6fcc22bb0cc77e7dee3552e30c5addcb9138b37fcd822cb2d88c62dddb742"),
         ("0x1.55483a6bd1000p-2", "0x1.55627133d5000p-2", 9387, True,
-         "c373bdee36df8f628f4db822e00172f174d724d3f6339b814f2734a59eff8000"),
+         "6f51345339537d564d5776dd1561632753631c17bfde091e1c9f5d47fbc28ae8"),
     ]
     BUDGET_PINS = [
         (([(0,), (2,)], [1.0, 1.0], [0.0], [1.0], 1e-9, 777),
-         ("0x1.552de95400000p+0", "0x1.557cce6400000p+0", 777, False,
-          "33e9e22995f69808bfaed190bb37256293db6d1a179963f6973b1286d62d4f30")),
+         ("0x1.552ed9fc00000p+0", "0x1.557be98c00000p+0", 777, False,
+          "52e7d6357b2aecfe440903f4217e537928c15ccfe79473c77ba534ebfc600824")),
         (([(2, 1), (0, 3)], [1.0, -1.0], [-0.5, -0.25], [0.75, 1.0], 1e-3, 20_000),
-         ("-0x1.e0cf469088800p-3", "-0x1.bc4154d984a80p-3", 20000, False,
-          "d3aa12ced5089fa64941e06cbb5a3573ee4409091d3986423e27f3aa4e7946c6")),
+         ("-0x1.e00b4340a5300p-3", "-0x1.bd02635be5040p-3", 20000, False,
+          "5f09facb718633a4fbddc2a4795d4c1855fa6840efcd7125dde4eb7786c9448b")),
     ]
 
     # 1-D quartics shaped like the quadrature benchmark's adaptive problems
@@ -777,29 +799,29 @@ class TestBatchedRefinement:
     QUARTIC_PINS = [
         (([-0.632212, 0.51446, -0.0817668, 0.511214, 0.629813], F(-3, 5), F(3, 5), 9.1e-4, 2_000_000),
          ("-0x1.80a996cc3204cp-1", "-0x1.80325ebd319b5p-1", 1404, True,
-          "66e04c1ea7c04cd7eede75d4b01346c0ed31130c5b9776c693e68c3b26aba92c")),
+          "f9a60e0f61fb453d48e706ea88280621b7f5ca8f5fde25988e5b0d2f76578a1e")),
         (([0.00199519, 0.00141807, 0.00232208, 6.31461e-05, -0.0018733], F(-5, 7), F(9, 7), 3.8e-5, 2_000_000),
          ("0x1.5f66a83da993bp-8", "0x1.61e3529621c6ep-8", 642, True,
-          "dcb011bc3011714f9db3688daf615584265009a1ee3bc6ec48d186d4f53c7219")),
+          "8f54c3200057b81c5dc7c1336af3fb3de31869514ce3e9253bb97352e90a18ed")),
         (([-0.083471, 0.0336558, 0.050303, -0.0443958, 0.0644409], F(0), F(1), 5.4e-4, 2_000_000),
          ("-0x1.8c213030560f0p-5", "-0x1.87b619a117b55p-5", 322, True,
-          "bef111a95744e56ffed403f3a45db59976393ef3aea57e70bb6a7971186de778")),
+          "3eb453440d2b288f50f19cdd3c6edeb8308acd2ce7d64b2b0cdf2225446a3802")),
         (([-7.48909e-05, 0.000303906, 0.000368399, 0.000377117, 0.000472975], F(-2, 5), F(13, 5), 1.4e-4,
           2_000_000),
          ("0x1.2dcdf32e5b8c8p-6", "0x1.3018a2b0e51d5p-6", 478, True,
-          "f543986323092d70e79ea4472e15bd80f276a26c6e195cc8241c63007faacfa8")),
+          "1cc26c49dd28d94e48992f98a76061b64ddeacdc2016c09acdb6f337f98bc773")),
         (([0.0103811, -0.0112231, 0.00595935, 0.00517537, 0.0102712], F(1), F(9, 4), 4.1e-4, 2_000_000),
          ("0x1.4565487bf767ap-3", "0x1.463c257288057p-3", 1028, True,
-          "4fb4f263270a3479a5715ffa8df21d511bc251b76fb866c42d125de6bf507816")),
+          "f6ec087544a250a6395ea0654e8eb589ddecc82534423cdf7e32268853881939")),
         (([-0.0010262, -0.00311327, 0.00347302, -0.00513585, -0.00397154], F(3, 5), F(37, 20), 5.2e-5, 2_000_000),
          ("-0x1.fc3c482129110p-6", "-0x1.fb622ff27fd98p-6", 2109, True,
-          "e4b5d1672a7036fb324e41b4f6501c1e17dddd0d059ed038ace1b71c71e7e7bd")),
+          "fc95d43f38ce1781d8de600af9e5709c669e01ca8347b33aa9a68bb7dd67e582")),
         (([-0.377794, 0.242473, -0.0419677, 0.335682, 0.544718], F(1, 4), F(13, 20), 4.3e-5, 2_000_000),
          ("-0x1.57c76b20f0953p-4", "-0x1.579a5595a3db9p-4", 2760, True,
-          "17f593c12b4916c4a4502de7040057f244aa57e8f3733427b2e9b15aa9a7eb0a")),
+          "9e64aecf2e263c0e8222bad994e9a5741bcfa8cf25e193bc4617b58a4a3b23fd")),
         (([-0.377794, 0.242473, -0.0419677, 0.335682, 0.544718], F(1, 4), F(13, 20), 4.3e-5, 1500),
          ("-0x1.57da3b53e5150p-4", "-0x1.57878329651d1p-4", 1500, False,
-          "c9e075e5e471e5610c8deaa11935051b81e789e2a3db5139dbe8273516cdd3a4")),
+          "7efe93fa70e344c0cf5c2eb0026d806db8e615de1a9072f49d8f63ab1a1e7ffb")),
     ]
 
     @staticmethod
@@ -814,15 +836,19 @@ class TestBatchedRefinement:
         for fixture, pinned in zip(self.HEAVY, self.PINS):
             assert self._pin(refine_poly(*fixture, 2_000_000)) == pinned, fixture
         for args, pinned in self.BUDGET_PINS:
-            assert self._pin(refine_poly(*args)) == pinned, args
+            result = refine_poly(*args)
+            assert self._pin(result) == pinned, args
+            assert _bits(result) == _bits(_heap_refine(*args)), args
 
     @pytest.mark.parametrize("case,pinned", QUARTIC_PINS)
     def test_quartics_pinned(self, case, pinned):
         from famkit._refine import refine_poly
 
         coeffs, a, b, eps, budget = case
-        exps = [(e,) for e in range(len(coeffs))]
-        assert self._pin(refine_poly(exps, coeffs, [float(a)], [float(b)], eps, budget)) == pinned
+        args = ([(e,) for e in range(len(coeffs))], coeffs, [float(a)], [float(b)], eps, budget)
+        result = refine_poly(*args)
+        assert self._pin(result) == pinned
+        assert _bits(result) == _bits(_heap_refine(*args))
 
     @SETTINGS
     @given(dyadic_polynomials(), st.booleans())
@@ -843,12 +869,7 @@ class TestBatchedRefinement:
         eps = gap0 * 10 ** (-tightness / len(lo)) if gap0 > 0 else 1e-3
         scalar = integrate_module._refine_grid(lambda l, h: poly_range(exps, coeffs, l, h), lo, hi, eps, 4096)
         batched = refine_grid(exps, coeffs, lo, hi, eps, 4096)
-
-        def bits(result):
-            lower, upper, cells, converged, trace = result
-            return lower.hex(), upper.hex(), cells, converged, [(n, gap.hex()) for n, gap in trace]
-
-        assert bits(batched) == bits(scalar)
+        assert _bits(batched) == _bits(scalar)
 
     def test_budget_stops_at_exactly_max_cells(self):
         from famkit._refine import refine_poly
