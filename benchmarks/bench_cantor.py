@@ -2,7 +2,10 @@
 
 Times ``famkit.cantor`` on three fixtures of the regions benchmark: the
 Darboux integral of x^2 at 1e-4, a depth-8 oscillation cover of a step
-function and a Lebesgue-Vitali check of the same step function.  Three
+function and a Lebesgue-Vitali check of the same step function.  The
+integral of a quartic with negative coefficients at 1e-5 times the
+polynomial sweep's higher powers and its ``c < 0`` branch, which the
+regions benchmark's random Cantor polynomials use.  Three
 deep fixtures of that step function follow: its integral at 1e-5, a
 depth-16 cover and a Lebesgue-Vitali check at 1e-4, whose sweeps settle
 whole runs of cylinders with one lattice verdict; and the integral of the
@@ -28,10 +31,13 @@ from famkit.functions import HalfPlaneRegion, IndicatorFn, PiecewiseConstantFn, 
 STEP = PiecewiseConstantFn(
     [(make_box([[0, F(1, 3)]]), 1.0), (make_box([[F(1, 3), F(5, 7)]]), 3.0)], default=-1.0
 )
+#: 1/4 - x + x^2/2 + x^3 - x^4/2
+QUARTIC = PolynomialFn([0.25, -1.0, 0.5, 1.0, -0.5])
 #: the indicator of x >= 2/3
 INDICATOR = IndicatorFn(HalfPlaneRegion([-1], F(-2, 3)))
 FIXTURES = {
     "x2-1e-4": lambda: cantor.cantor_integrate(PolynomialFn([0, 0, 1]), epsilon=1e-4),
+    "quartic-1e-5": lambda: cantor.cantor_integrate(QUARTIC, epsilon=1e-5),
     "step-cover-8": lambda: cantor.oscillation_cover(STEP, F(1, 4), 8),
     "step-vitali": lambda: cantor.lebesgue_vitali_check(STEP, epsilon=F(1, 50)),
     "step-1e-5": lambda: cantor.cantor_integrate(STEP, epsilon=1e-5),

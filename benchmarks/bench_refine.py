@@ -3,19 +3,23 @@
 Runs the adaptive Darboux refinement on polynomial quadrature fixtures at
 matched tolerances, once with ``famkit._refine.refine_poly`` (numpy rounds)
 and once with ``famkit._refine_py.refine_generic`` driving the scalar
-``poly_range`` (one cell per step), prints cells, wall time, microseconds
-per cell and the certified bracket for both, with the batched run's rounds
-and tracemalloc peak, and checks that the two results are equal as a whole:
-lower, upper, cells, convergence and trace.  The grid strategy runs x^2*y -
-y^3 at 1e-2 (65,536 cells) through the uniform loop
-``famkit._refine_py.refine_uniform``, once on numpy arrays
-(``famkit._refine.refine_grid``) and once on lists with one scalar
-``poly_range`` call per cell (``integrate._refine_grid``), and checks that
-the two agree bit for bit.  A last row runs 32 seeded 1-D quartics shaped
-like the ``poly1d-adaptive`` problems of the perfbench ``quadrature``
-workload (rational intervals, epsilon from 1e-5 to 1e-3, 300 to 3000
-cells), where numpy call overhead rather than cells sets the cost, and
-prints their rounds, microseconds per round and per cell.
+``poly_range`` walk of the polynomial's enclosure plan (one cell per step),
+prints cells, wall time, microseconds per cell and the certified bracket
+for both, with the batched run's rounds and tracemalloc peak, and checks
+that the two results are equal as a whole: lower, upper, cells,
+convergence and trace.  The grid strategy runs x^2*y - y^3 at 1e-2 (65,536
+cells) through the uniform loop ``famkit._refine_py.refine_uniform``, once
+on numpy arrays (``famkit._refine.refine_grid``) and once on lists with
+one scalar ``poly_range`` call per cell (``integrate._refine_grid``), and
+checks that the two agree bit for bit.  Two last rows follow.  One runs 32
+seeded 1-D quartics shaped like the ``poly1d-adaptive`` problems of the
+perfbench ``quadrature`` workload (rational intervals, epsilon from 1e-5
+to 1e-3, 300 to 3000 cells), where numpy call overhead rather than cells
+sets the cost, and prints their rounds, microseconds per round and per
+cell.  The other integrates x^2*y over the triangle {y <= x} of [0,1]^2
+at 3e-3 through ``integrate_over``: the scalar heap on a restricted
+function, where classifying cells against the half-plane sets the cost
+(best of three).
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_refine.py [--full]
@@ -34,6 +38,9 @@ import tracemalloc
 from fractions import Fraction
 
 from famkit import _refine, _refine_py
+from famkit.boxes import VolumeFam
+from famkit.functions import PolynomialFn, triangle_under_diagonal
+from famkit.integrate import integrate_over
 
 # famkit/__init__ rebinds the name ``famkit.integrate`` to the function
 integrate_module = importlib.import_module("famkit.integrate")
@@ -60,15 +67,13 @@ FIXTURES = [
 
 
 def heap_refine(exps, coeffs, lo, hi, eps, budget):
-    return _refine_py.refine_generic(
-        lambda l, h: _refine_py.poly_range(exps, coeffs, l, h), lo, hi, eps, budget
-    )
+    plan = _refine_py._plan(exps, coeffs)
+    return _refine_py.refine_generic(lambda l, h: _refine_py.poly_range(plan, l, h), lo, hi, eps, budget)
 
 
 def scalar_grid(exps, coeffs, lo, hi, eps, budget):
-    return integrate_module._refine_grid(
-        lambda l, h: _refine_py.poly_range(exps, coeffs, l, h), lo, hi, eps, budget
-    )
+    plan = _refine_py._plan(exps, coeffs)
+    return integrate_module._refine_grid(lambda l, h: _refine_py.poly_range(plan, l, h), lo, hi, eps, budget)
 
 
 ENGINES = {"batched": _refine.refine_poly, "heap": heap_refine,
@@ -126,6 +131,19 @@ def quartic_row():
         seconds = min(seconds, time.perf_counter() - started)
     _, rounds = counting_rounds(lambda: [_refine.refine_poly(*run, 2_000_000) for run in runs])
     return cells, rounds, seconds
+
+
+def restricted_row():
+    """Cells, bracket width and seconds (best of three) of x^2*y over the
+    triangle {y <= x} of [0,1]^2 at 3e-3, through ``integrate_over``."""
+    fn = PolynomialFn({(2, 1): 1.0})
+    fam = VolumeFam([[0, 1], [0, 1]])
+    seconds = math.inf
+    for _ in range(3):
+        started = time.perf_counter()
+        report = integrate_over(fn, triangle_under_diagonal(), fam, 3e-3)
+        seconds = min(seconds, time.perf_counter() - started)
+    return report.trace[-1][0], report.upper - report.lower, seconds
 
 
 def bits(result):
@@ -197,6 +215,9 @@ def main(argv=None):
     cells, rounds, elapsed = quartic_row()
     print(f"{'32 1-D quartics':22} {'1e-5..3':>8} {'batched':>8} {cells:>9} {elapsed:>9.4f} "
           f"{1e6 * elapsed / cells:>8.2f}   {rounds} rounds, {1e6 * elapsed / rounds:.1f} us/round")
+    cells, width, elapsed = restricted_row()
+    print(f"{'x^2*y over y<=x':22} {3e-3:>8.0e} {'heap':>8} {cells:>9} {elapsed:>9.4f} "
+          f"{1e6 * elapsed / cells:>8.2f} {width:>14.3e}")
     print()
     for (fixture, eps), times in seconds.items():
         for fast, slow in (("batched", "heap"), ("grid", "grid-py")):

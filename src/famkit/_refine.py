@@ -34,9 +34,9 @@ this takes 352 rounds, about 95 us each, 34 ms in all on a 2 vCPU Xeon
 1-D problem the cost of a round is the number of numpy calls it makes, not
 the cells, so a round makes few of them:
 
-- The polynomial is compiled once per run into an enclosure plan
-  (``_plan``): the axes with their highest and even powers, and each term's
-  coefficient and factors.
+- The polynomial is compiled once per run into its enclosure plan
+  (``_refine_py._plan``): the axes with their highest and even powers, and
+  each term's coefficient and factors.
 - A cell is a column ``lo..., hi...`` of one array, so both ends of an axis
   are one ``(2, n)`` view, and each power, term and sum covers both ends in
   one call.
@@ -49,26 +49,8 @@ the cells, so a round makes few of them:
   split cells only.
 
 The enclosures are bit for bit those of the scalar ``_refine_py.poly_range``
-wherever no NaN arises:
-
-- The powers of an axis come from one chain of products, ``x``, ``x * x``,
-  ..., the same floats as the scalar ``_ipow``, which multiplies from 1.0.
-  The ends of the axis are put in order first.  On a cell this changes at
-  most the sign of a zero end, and no sum started from +0.0, as both
-  enclosures' sums are, keeps the sign of a zero; on a cell whose midpoint
-  overflowed to infinity, the scalar minimum and maximum of the products do
-  not depend on the order of the ends either.
-- An even power's ends are the powers of the least and the greatest ``|x|``
-  on the cell, the same floats since rounding is symmetric in sign.
-- With ordered ends every power's ends are in order, since rounding is
-  monotone, so a term's first factor ``c * x^e`` has the ends ``c * lo^e``
-  and ``c * hi^e``, swapped when ``c < 0``: the minimum and maximum of the
-  two products, without comparing them.
-- Each further factor takes the minimum and maximum of four products.
-  ``np.minimum`` and ``np.maximum`` return the numbers that Python's
-  ``min`` and ``max`` return unless a product is NaN; equal numbers may
-  differ in the sign of a zero only.
-- A term with a zero coefficient adds a zero, and is left out.
+wherever no NaN arises: both walk the same plan in the same steps (see
+``_refine_py._plan``).
 
 NaN policy: a NaN (``0 * inf`` in a product, or ``inf - inf`` where range
 ends overflow) propagates into its cell's contribution and so into the
@@ -97,7 +79,7 @@ import functools
 import math
 from typing import Sequence
 
-from ._refine_py import NAN_GAP, darboux_sum, exact_sum, refine_uniform
+from ._refine_py import NAN_GAP, _plan, darboux_sum, exact_sum, refine_uniform
 from .errors import InputError
 
 # cells per vectorized pass over cell terms; about a dozen temporaries of
@@ -114,34 +96,6 @@ def backend_name() -> str:
     return "python"
 
 
-def _plan(exps, coeffs):
-    """The enclosure plan of a polynomial: ``(axes, terms)``.
-
-    ``axes`` holds ``(d, odd, evens)`` for every axis ``d`` that a term
-    raises to a power: its highest odd exponent (0 if none) and the set of
-    its even ones.  ``terms`` holds ``(c, factors)`` in term order,
-    ``factors`` the pairs ``(d, e)`` with ``e > 0``.  Terms with a zero
-    coefficient are left out: they add a zero, which a sum started from
-    +0.0 does not keep, or a NaN where a power overflows to infinity.
-    """
-    odd: dict[int, int] = {}
-    evens: dict[int, set[int]] = {}
-    terms = []
-    for exp, c in zip(exps, coeffs):
-        if c == 0.0:
-            continue
-        factors = tuple((d, e) for d, e in enumerate(exp) if e)
-        for d, e in factors:
-            odd.setdefault(d, 0)
-            evens.setdefault(d, set())
-            if e % 2:
-                odd[d] = max(odd[d], e)
-            else:
-                evens[d].add(e)
-        terms.append((float(c), factors))
-    return tuple((d, odd[d], frozenset(evens[d])) for d in sorted(odd)), tuple(terms)
-
-
 def _enclose(plan, cells):
     """The enclosures of the polynomial over the columns of ``cells``, one
     cell ``lo..., hi...`` each: a ``(2, n)`` array of lower and upper ends."""
@@ -155,7 +109,7 @@ def _enclose(plan, cells):
         x = np.empty((2, n))
         np.minimum(ends[0, d], ends[1, d], out=x[0])
         np.maximum(ends[0, d], ends[1, d], out=x[1])
-        # the chain x, x * x, x * x * x, ... of the scalar _ipow
+        # the chain x, x * x, x * x * x, ...
         a = x
         for e in range(1, odd + 1, 2):
             if e > 1:
@@ -185,19 +139,6 @@ def _enclose(plan, cells):
             products.max(axis=0, out=t[1])
         out += t
     return out
-
-
-def poly_range_batch(exps: Sequence[Sequence[int]], coeffs: Sequence[float], lo, hi):
-    """Interval enclosures of a polynomial over ``n`` boxes at once.
-
-    ``lo`` and ``hi`` are float arrays of shape ``(n, dim)``.  Returns the
-    arrays ``(rlo, rhi)``, bit for bit the scalar ``_refine_py.poly_range``
-    of each box wherever no product is NaN.
-    """
-    import numpy as np
-
-    rlo, rhi = _enclose(_plan(exps, coeffs), np.concatenate((lo.T, hi.T)))
-    return rlo, rhi
 
 
 def _terms(plan, cells):

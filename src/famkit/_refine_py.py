@@ -14,6 +14,9 @@ bracket (``integrate.measure_bracket``).
 ``refine_uniform`` splits every cell each round instead: the ``grid``
 strategy runs it on lists and on numpy rows of float cells, and Cantor
 integrals on cylinder depths.
+
+``_plan`` compiles a polynomial's natural interval extension once, and
+``poly_range`` walks it on one box.
 """
 
 from __future__ import annotations
@@ -76,44 +79,84 @@ def finite_sum(total: float, which: str) -> float:
     return total
 
 
-def _ipow(x: float, e: int) -> float:
-    # repeated multiplication, mirrored by the batched _refine._enclose
-    r = 1.0
-    for _ in range(e):
-        r *= x
-    return r
+def _plan(exps, coeffs):
+    """The enclosure plan of a polynomial, ``(axes, terms)``: the one
+    compiled form of its natural interval extension.
 
+    ``axes`` holds ``(d, odd, evens)`` for every axis ``d`` that a term
+    raises to a power: its highest odd exponent (0 if none) and its even
+    ones, in order.  ``terms`` holds ``(c, factors)`` in term order,
+    ``factors`` the pairs ``(d, e)`` with ``e > 0``.  Terms with a zero
+    coefficient are left out: they add a zero, which a sum started from
+    +0.0 does not keep, or a NaN where a power overflows to infinity.
 
-def _pow_interval(lo: float, hi: float, e: int) -> tuple[float, float]:
-    if e % 2 == 1 or lo >= 0.0:
-        return _ipow(lo, e), _ipow(hi, e)
-    if hi <= 0.0:
-        return _ipow(hi, e), _ipow(lo, e)
-    a, b = _ipow(lo, e), _ipow(hi, e)
-    return 0.0, a if a > b else b
+    :func:`poly_range` walks the plan on one box, ``_refine._enclose`` on
+    numpy columns of cells and ``cantor._poly_blocks`` on lists of cylinder
+    images.  They take the same steps, so their enclosures agree bit for
+    bit wherever no NaN arises:
 
-
-def poly_range(
-    exps: Sequence[Sequence[int]],
-    coeffs: Sequence[float],
-    lo: Sequence[float],
-    hi: Sequence[float],
-) -> tuple[float, float]:
-    """Interval enclosure of a multivariate polynomial over a box."""
-    rlo = 0.0
-    rhi = 0.0
+    - Each axis's ends are put in order, which changes at most the sign of
+      a zero end; no sum started from +0.0 keeps the sign of a zero.
+    - Each power is the one before it times ``x``.  An odd power's ends are
+      the powers of the ends, an even power's the powers of the least and
+      the greatest ``|x|``, ``max(lo, -hi, 0)`` and ``max(-lo, hi)`` (on
+      the cylinder images, which lie in [0, 1], ``lo`` and ``hi``).
+    - Rounding is monotone, so a term's first factor ``c * x^e`` has the
+      ends ``c * lo^e`` and ``c * hi^e``, swapped when ``c < 0``.
+    - Each further factor takes the minimum and the maximum of four
+      products: ``np.minimum`` and ``np.maximum`` return the numbers that
+      Python's ``min`` and ``max`` return unless a product is NaN, up to
+      the sign of a zero.
+    - The terms add up from +0.0 in term order.
+    """
+    odd: dict[int, int] = {}
+    evens: dict[int, set[int]] = {}
+    terms = []
     for exp, c in zip(exps, coeffs):
-        tlo = c
-        thi = c
-        for d, e in enumerate(exp):
-            if e:
-                plo, phi = _pow_interval(lo[d], hi[d], e)
-                a = tlo * plo
-                b = tlo * phi
-                cc = thi * plo
-                dd = thi * phi
-                tlo = min(a, b, cc, dd)
-                thi = max(a, b, cc, dd)
+        if c == 0.0:
+            continue
+        factors = tuple((d, e) for d, e in enumerate(exp) if e)
+        for d, e in factors:
+            odd.setdefault(d, 0)
+            evens.setdefault(d, set())
+            if e % 2:
+                odd[d] = max(odd[d], e)
+            else:
+                evens[d].add(e)
+        terms.append((float(c), factors))
+    return tuple((d, odd[d], tuple(sorted(evens[d]))) for d in sorted(odd)), tuple(terms)
+
+
+def poly_range(plan, lo: Sequence[float], hi: Sequence[float]) -> tuple[float, float]:
+    """Interval enclosure of a polynomial over the box ``[lo, hi]``: the
+    walk of its plan (:func:`_plan`) on one box."""
+    axes, terms = plan
+    powers = {}
+    for d, odd, evens in axes:
+        a, b = (lo[d], hi[d]) if lo[d] <= hi[d] else (hi[d], lo[d])
+        pa, pb = a, b
+        for e in range(1, odd + 1, 2):
+            powers[d, e] = pa, pb
+            pa, pb = pa * a * a, pb * b * b
+        if evens:
+            qa, qb = max(a, -b, 0.0), max(b, -a)
+            pa, pb = qa, qb
+            for e in range(2, evens[-1] + 1):
+                pa, pb = pa * qa, pb * qb
+                if e in evens:
+                    powers[d, e] = pa, pb
+    rlo = rhi = 0.0
+    for c, factors in terms:
+        if not factors:
+            rlo += c
+            rhi += c
+            continue
+        pa, pb = powers[factors[0]]
+        tlo, thi = (c * pb, c * pa) if c < 0.0 else (c * pa, c * pb)
+        for factor in factors[1:]:
+            pa, pb = powers[factor]
+            w, x, y, z = tlo * pa, tlo * pb, thi * pa, thi * pb
+            tlo, thi = min(w, x, y, z), max(w, x, y, z)
         rlo += tlo
         rhi += thi
     return rlo, rhi

@@ -147,23 +147,21 @@ def _is_swept_poly(g) -> bool:
 def _poly_blocks(g, depth: int) -> Iterator[tuple[list[float], list[float]]]:
     """The lower and upper ends of ``g``'s range on the depth-``depth``
     cylinder images, left to right, one pair of lists per ``BLOCK``
-    cylinders: bit for bit ``poly_range`` on each image.
+    cylinders: the walk of ``g.plan`` on lists, bit for bit ``poly_range``
+    on each image (see ``_refine_py._plan``).
 
     The image ``[k, k+1] * 2**-depth`` has float endpoints ``k * 2**-depth``,
-    exact like the image's rational ones.  They lie in [0, 1], where
-    ``_pow_interval`` returns ``(lo**e, hi**e)``: powers are the same
-    repeated products, and rounding is monotone, so ``c * x**e`` is lowest
-    at the left end when ``c >= 0`` and at the right end otherwise.  Terms
-    add up from 0.0 in term order, as ``poly_range`` adds them.  A sum
-    that starts at 0.0 is never -0.0, so adding a term of zero coefficient
-    (every product is then a zero) leaves it as it is, and such terms are
-    skipped.
+    exact like the image's rational ones, and in order.  Each endpoint is
+    built once and shared by the two images it bounds: a term's list has
+    one entry per endpoint, and its lower and upper ends are that list
+    without its last or its first entry (the other way round when
+    ``c < 0``).
     """
     count = 1 << depth
     step = 0.5 ** depth
-    # exps are sorted, so one variable's exponents rise and each power
-    # extends the last one
-    terms = [(exp[0] if exp else 0, c) for exp, c in zip(g.exps, g.coeffs) if c]
+    # the plan keeps the terms in the sorted order of exps, so one
+    # variable's exponents rise and each power extends the last one
+    terms = [(factors[0][1] if factors else 0, c) for c, factors in g.plan[1]]
     for k0 in range(0, count, BLOCK):
         k1 = min(k0 + BLOCK, count)
         xs = [k * step for k in range(k0, k1 + 1)]
@@ -172,7 +170,7 @@ def _poly_blocks(g, depth: int) -> Iterator[tuple[list[float], list[float]]]:
         power, pw = 0, None
         for e, c in terms:
             if not e:
-                lows = highs = [c] * n  # 0.0 + c, as c is not zero
+                lows = highs = [c] * n  # 0.0 + c, as the plan has no zero c
                 continue
             while power < e:
                 pw = xs if pw is None else list(map(mul, pw, xs))
@@ -295,8 +293,11 @@ def _run_depths(g) -> Iterator[Iterator[tuple[int, float, float]]]:
     per region, each depth deepening the last one's partition
     (:func:`_lattice_runs`), and each run is one lattice cell: its count is
     a power of two that divides the index of its first cylinder.  Other
-    oracles give runs of one cylinder (:func:`_oracle_runs`).
+    oracles give runs of one cylinder (:func:`_oracle_runs`).  Raises
+    ``InputError`` on a polynomial in more than one variable.
     """
+    if isinstance(g, PolynomialFn) and g.dimension > 1:
+        raise InputError("polynomial dimension mismatch: a Cantor integrand takes one variable")
     return _lattice_runs(g) or (_oracle_runs(g, depth) for depth in itertools.count())
 
 

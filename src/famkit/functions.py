@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._refine_py import poly_range
+from ._refine_py import _plan, poly_range
 from .boxes import IN, OUT, STRADDLE, Box, BoxElem, box_intersect, box_volume
 from .errors import InputError
 
@@ -113,6 +113,7 @@ class PolynomialFn:
                 self.dimension = dimension
         self.exps = tuple(sorted(terms))
         self.coeffs = tuple(terms[e] for e in self.exps)
+        self.plan = _plan(self.exps, self.coeffs)
 
     def __call__(self, point: Sequence[float]) -> float:
         out = 0.0
@@ -126,9 +127,7 @@ class PolynomialFn:
 
     def range_on(self, box) -> tuple[float, float]:
         fb = _to_float_box(box)
-        return poly_range(
-            self.exps, self.coeffs, [b[0] for b in fb], [b[1] for b in fb]
-        )
+        return poly_range(self.plan, [b[0] for b in fb], [b[1] for b in fb])
 
 
 class PiecewiseConstantFn:

@@ -1,4 +1,7 @@
-"""Seeded random generators shared by the property and acceptance suites."""
+"""Seeded random generators shared by the property and acceptance suites,
+and a reference enclosure of polynomials."""
+
+import math
 
 from fractions import Fraction
 from random import Random
@@ -107,3 +110,54 @@ def random_jordan_region(rng: Random):
         HalfPlaneRegion((Fraction(rng.randint(1, 2)), Fraction(rng.randint(-1, 1))), Fraction(rng.randint(0, 2))),
         HalfPlaneRegion((Fraction(-1), Fraction(rng.randint(-1, 1))), Fraction(rng.randint(0, 2), 3)),
     )
+
+
+def _ipow(x: float, e: int) -> float:
+    r = 1.0
+    for _ in range(e):
+        r *= x
+    return r
+
+
+def _pow_interval(lo: float, hi: float, e: int) -> tuple[float, float]:
+    if e % 2 == 1 or lo >= 0.0:
+        return _ipow(lo, e), _ipow(hi, e)
+    if hi <= 0.0:
+        return _ipow(hi, e), _ipow(lo, e)
+    a, b = _ipow(lo, e), _ipow(hi, e)
+    return 0.0, a if a > b else b
+
+
+def per_term_range(exps, coeffs, lo, hi) -> tuple[float, float]:
+    """The natural interval extension of a polynomial over the box
+    ``[lo, hi]``, term by term from the raw ``exps`` and ``coeffs``, zero
+    terms included, and without the enclosure plan that famkit compiles:
+    each power by repeated products from 1.0, each factor by the minimum
+    and maximum of four products.  Where no NaN arises it is bit for bit
+    the enclosure of every walk of the plan."""
+    rlo = 0.0
+    rhi = 0.0
+    for exp, c in zip(exps, coeffs):
+        tlo = c
+        thi = c
+        for d, e in enumerate(exp):
+            if e:
+                plo, phi = _pow_interval(lo[d], hi[d], e)
+                a = tlo * plo
+                b = tlo * phi
+                cc = thi * plo
+                dd = thi * phi
+                tlo = min(a, b, cc, dd)
+                thi = max(a, b, cc, dd)
+        rlo += tlo
+        rhi += thi
+    return rlo, rhi
+
+
+def assert_matches_per_term(got, exps, coeffs, lo, hi):
+    """``got``, an enclosure walked from the plan of ``exps`` and
+    ``coeffs``, is bit for bit :func:`per_term_range`, unless either holds
+    a NaN."""
+    want = per_term_range(exps, coeffs, lo, hi)
+    if not any(map(math.isnan, (*got, *want))):
+        assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())

@@ -43,6 +43,7 @@ from famkit.functions import (
 )
 from famkit.integrate import integrate
 from famkit.lattice import DyadicLattice, lattice_classifier
+from genutil import assert_matches_per_term
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -315,7 +316,7 @@ POLY_COEFFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e-324]) | s
 def poly_ranges(g, depth):
     """``poly_range`` on each depth-``depth`` cylinder image, one call each."""
     step = 0.5 ** depth
-    return [poly_range(g.exps, g.coeffs, (k * step,), ((k + 1) * step,)) for k in range(2 ** depth)]
+    return [poly_range(g.plan, (k * step,), ((k + 1) * step,)) for k in range(2 ** depth)]
 
 
 class TestCylinderRanges:
@@ -354,6 +355,10 @@ class TestCylinderRanges:
         want = poly_ranges(g, depth)
         got = cylinder_ranges(g, depth)
         assert [(lo.hex(), hi.hex()) for lo, hi in got] == [(lo.hex(), hi.hex()) for lo, hi in want]
+        # and the per-term reference, which compiles no plan
+        step = 0.5 ** depth
+        for k, enclosure in enumerate(got):
+            assert_matches_per_term(enclosure, g.exps, g.coeffs, (k * step,), ((k + 1) * step,))
         lower = upper = 0.0
         for rlo, rhi in want:
             lower += rlo
@@ -361,6 +366,17 @@ class TestCylinderRanges:
         scale = 0.5 ** depth
         got = _depth_sums(g, runs_at(g, depth), depth)
         assert [x.hex() for x in got] == [(lower * scale).hex(), (upper * scale).hex()]
+
+    @pytest.mark.parametrize("call", [
+        lambda g: cantor_integrate(g, epsilon=1e-2),
+        lambda g: lebesgue_vitali_check(g),
+        lambda g: oscillation_cover(g, F(1, 4), 3),
+    ], ids=["integrate", "vitali", "cover"])
+    def test_polynomials_in_two_variables_rejected(self, call):
+        # a Cantor integrand is a function on [0, 1]: these ended in an
+        # IndexError from the enclosure of the first cylinder image
+        with pytest.raises(InputError, match="polynomial dimension mismatch"):
+            call(PolynomialFn({(1, 1): 1.0}))
 
     def test_nonfinite_coefficients_rejected(self):
         # inf * 0.0 is nan at x = 0, so no enclosure of such a polynomial

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famkit._refine_py import darboux_sum, exact_sum, poly_range
+from famkit._refine_py import _plan, darboux_sum, exact_sum, poly_range
 from famkit.boolalg import Algebra, GroundSet, Partition, SetElem, generate_algebra
 from famkit.boxes import IN, OUT, STRADDLE, BoxElem, VolumeFam, make_box
 from famkit.cantor import cantor_integrate, oscillation_cover
@@ -788,7 +788,7 @@ class _Linear:
         self.slope = slope
 
     def range_on(self, box):
-        return poly_range([(1,)], [self.slope], [float(box[0][0])], [float(box[0][1])])
+        return poly_range(_plan([(1,)], [self.slope]), [float(box[0][0])], [float(box[0][1])])
 
 
 def test_heap_running_sum_overflows_and_recovers():
@@ -895,6 +895,13 @@ class TestOverflowingSums:
         for sums in (box_infsum, box_supsum):
             with pytest.raises(InputError, match="Darboux sum overflows"):
                 sums(_steps(), cells, VolumeFam([[0, 4]]))
+
+    def test_box_sum_of_overflowing_zero_terms(self):
+        # x and x^2 have zero coefficients; x^2 overflows on the cell, and
+        # 0 * inf made the enclosure NaN, so this raised "overflows"
+        from famkit.integrate import box_supsum
+
+        assert box_supsum(PolynomialFn([1, 0, 0]), [make_box([[10 ** 200, 2 * 10 ** 200]])], None) == 1e200
 
     @pytest.mark.parametrize("fn", [
         IndicatorFn(HalfPlaneRegion((-1, 0), 0)),

@@ -30,7 +30,7 @@ from famkit.errors import CapExceededError
 from famkit import simplex
 from famkit.simplex import FeasibilitySystem, _Tableau, optimize, solve_feasibility
 
-from genutil import random_fam, random_rational, random_table
+from genutil import assert_matches_per_term, random_fam, random_rational, random_table
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -541,9 +541,10 @@ class TestCantorProperties:
 
 def _heap_refine(exps, coeffs, lo, hi, eps, max_cells):
     """The scalar reference: the heap of refine_generic on the scalar enclosure."""
-    from famkit._refine_py import poly_range, refine_generic
+    from famkit._refine_py import _plan, poly_range, refine_generic
 
-    return refine_generic(lambda l, h: poly_range(exps, coeffs, l, h), lo, hi, eps, max_cells)
+    plan = _plan(exps, coeffs)
+    return refine_generic(lambda l, h: poly_range(plan, l, h), lo, hi, eps, max_cells)
 
 
 def _bits(result):
@@ -591,8 +592,8 @@ class TestBatchedRefinement:
     def test_enclosure_matches_scalar_bitwise(self):
         import numpy as np
 
-        from famkit._refine import poly_range_batch
-        from famkit._refine_py import poly_range
+        from famkit._refine import _enclose
+        from famkit._refine_py import _plan, poly_range
 
         rng = Random(11)
         for _ in range(40):
@@ -604,16 +605,18 @@ class TestBatchedRefinement:
             # boxes straddling, touching and avoiding zero, and signed zeros
             lo[:5] = 0.0
             hi[5:10] = -0.0
-            rlo, rhi = poly_range_batch(exps, coeffs, lo, hi)
+            plan = _plan(exps, coeffs)
+            rlo, rhi = _enclose(plan, np.concatenate((lo.T, hi.T)))
             for i in range(len(lo)):
-                want = poly_range(exps, coeffs, lo[i].tolist(), hi[i].tolist())
+                want = poly_range(plan, lo[i].tolist(), hi[i].tolist())
                 assert (float(rlo[i]).hex(), float(rhi[i]).hex()) == (want[0].hex(), want[1].hex())
+                assert_matches_per_term(want, exps, coeffs, lo[i].tolist(), hi[i].tolist())
 
     def test_overflowing_enclosure_matches_scalar_bitwise(self):
         import numpy as np
 
-        from famkit._refine import poly_range_batch
-        from famkit._refine_py import poly_range
+        from famkit._refine import _enclose
+        from famkit._refine_py import _plan, poly_range
 
         # coefficients near 1e300 on boxes at least 1/2 away from 0 at both
         # ends: products overflow to +-inf, and no power underflows to 0
@@ -628,19 +631,31 @@ class TestBatchedRefinement:
             lo = np.array(ends)
             hi = lo + np.array([[rng.choice([0.0, 1.0, rng.uniform(0, 80)]) for _ in range(dim)] for _ in range(100)])
             hi[np.abs(hi) < 0.5] = 0.5
+            plan = _plan(exps, coeffs)
             try:
                 # a NaN (inf - inf, or 0 * inf) raises: only the boxes of
                 # polynomials that overflow to +-inf and never to NaN count
                 with np.errstate(over="ignore", invalid="raise"):
-                    rlo, rhi = poly_range_batch(exps, coeffs, lo, hi)
+                    rlo, rhi = _enclose(plan, np.concatenate((lo.T, hi.T)))
             except FloatingPointError:
                 continue
             for i in range(len(lo)):
-                want = poly_range(exps, coeffs, lo[i].tolist(), hi[i].tolist())
+                want = poly_range(plan, lo[i].tolist(), hi[i].tolist())
                 assert (float(rlo[i]).hex(), float(rhi[i]).hex()) == (want[0].hex(), want[1].hex())
+                assert_matches_per_term(want, exps, coeffs, lo[i].tolist(), hi[i].tolist())
             checked += len(lo)
             infinite += int(np.isinf(rlo).sum() + np.isinf(rhi).sum())
         assert checked >= 5_000 and infinite >= 1_000, (checked, infinite)
+
+    def test_overflowing_zero_terms_match_the_heap(self):
+        # 1 + 0x + 0x^2 on [1e200, 2e200]: x^2 overflows, and 0 * inf made
+        # the scalar enclosure NaN, while the batch leaves zero terms out
+        from famkit._refine import refine_poly
+
+        fixture = ([(0,), (1,), (2,)], [1.0, 0.0, 0.0], [1e200], [2e200], 1e-3)
+        batched = refine_poly(*fixture, 1000)
+        assert _bits(batched) == _bits(_heap_refine(*fixture, 1000))
+        assert batched[:4] == (1e200, 1e200, 1, True)
 
     def test_heavy_fixtures_match_the_heap(self):
         from famkit._refine import refine_poly
@@ -687,10 +702,10 @@ class TestBatchedRefinement:
     @given(dyadic_polynomials())
     def test_agrees_with_the_heap(self, case):
         from famkit._refine import refine_poly
-        from famkit._refine_py import poly_range
+        from famkit._refine_py import _plan, poly_range
 
         exps, coeffs, lo, hi, tightness = case
-        rlo, rhi = poly_range(exps, coeffs, lo, hi)
+        rlo, rhi = poly_range(_plan(exps, coeffs), lo, hi)
         gap0 = (rhi - rlo) * math.prod(h - l for l, h in zip(lo, hi))
         eps = gap0 * 10 ** (-tightness / len(lo)) if gap0 > 0 else 1e-3
         result = refine_poly(exps, coeffs, lo, hi, eps, 200_000)
@@ -856,7 +871,7 @@ class TestBatchedRefinement:
         import importlib
 
         from famkit._refine import refine_grid
-        from famkit._refine_py import poly_range
+        from famkit._refine_py import _plan, poly_range
 
         integrate_module = importlib.import_module("famkit.integrate")
         exps, coeffs, lo, hi, tightness = case
@@ -864,10 +879,11 @@ class TestBatchedRefinement:
             # corners off the dyadic grid, so midpoints and widths round
             lo = [x + 1 / 3 for x in lo]
             hi = [x + 2 / 7 for x in hi]
-        rlo, rhi = poly_range(exps, coeffs, lo, hi)
+        plan = _plan(exps, coeffs)
+        rlo, rhi = poly_range(plan, lo, hi)
         gap0 = (rhi - rlo) * math.prod(h - l for l, h in zip(lo, hi))
         eps = gap0 * 10 ** (-tightness / len(lo)) if gap0 > 0 else 1e-3
-        scalar = integrate_module._refine_grid(lambda l, h: poly_range(exps, coeffs, l, h), lo, hi, eps, 4096)
+        scalar = integrate_module._refine_grid(lambda l, h: poly_range(plan, l, h), lo, hi, eps, 4096)
         batched = refine_grid(exps, coeffs, lo, hi, eps, 4096)
         assert _bits(batched) == _bits(scalar)
 
