@@ -18,7 +18,10 @@ nothing is written into the repository and no bytecode left there is read:
 
 Prints the median wall time of ``--repeat`` runs per fixture and mode; the
 runs cycle through the fixtures so that a drift in the machine's speed
-spreads over all of them.  Every run must exit 0 and print a report.
+spreads over all of them.  Every run must exit 0 and print a report.  Then
+prints the in-process time of ``build_parser()``'s first call, the median
+over fresh builds after ``build_parser.cache_clear()`` in one interpreter,
+with the number of flag slots of the parser it builds (``-h`` aside).
 
 Usage:
     python benchmarks/bench_cli.py [--repeat N]
@@ -60,6 +63,21 @@ def fixtures(tmp: Path) -> dict[str, list[str]]:
     return out
 
 
+# prints the median seconds of a first build_parser() call, then the flag slots
+PARSER_BUILDS = """
+import statistics, time
+from famkit.cli import build_parser
+seconds = []
+for _ in range(51):
+    build_parser.cache_clear()
+    started = time.perf_counter()
+    parser = build_parser()
+    seconds.append(time.perf_counter() - started)
+subparsers = parser._subparsers._group_actions[0].choices.values()
+print(statistics.median(seconds), sum(len(p._actions) - 1 for p in subparsers))
+"""
+
+
 def spawn(argv, env) -> float:
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
@@ -91,12 +109,15 @@ def main(argv=None):
             for mode, env in modes.items():
                 for name, fixture in runs.items():
                     seconds[name, mode].append(spawn(fixture, env))
+        build, slots = subprocess.run([sys.executable, "-c", PARSER_BUILDS], env=modes["cached"], check=True,
+                                      capture_output=True, text=True, timeout=60).stdout.split()
 
     header = f"{'fixture':18} " + " ".join(f"{mode + ' ms':>12}" for mode in modes)
     print(header)
     print("-" * len(header))
     for name in runs:
         print(f"{name:18} " + " ".join(f"{1e3 * statistics.median(seconds[name, mode]):>12.1f}" for mode in modes))
+    print(f"\nbuild_parser() first call: {1e3 * float(build):.2f} ms in process, {slots} flag slots")
     return 0
 
 

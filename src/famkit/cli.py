@@ -5,6 +5,11 @@ Exit codes: 0 success/feasible, 3 infeasible/not-integrable/not-jordan,
 stdout, diagnostics to stderr; output is deterministic for fixed input and
 flags.
 
+``COMMANDS`` gives each subcommand its handler and the flags it reads,
+which its parser takes with ``--in`` and ``--format`` and nothing else.  A
+flag replaces the problem-file entry of its name (``--eps`` the ``epsilon``
+entry); ``--budget`` has none.
+
 Each handler imports the modules its subcommand runs, so a process loads
 only the engine it uses: ``extend`` never compiles the box backend, and
 ``integrate`` never the simplex.
@@ -46,8 +51,15 @@ def _cell_budget(text: str) -> int:
     return budget
 
 
-def _load(args) -> dict:
-    if args.infile in (None, "-"):
+def _problem(args) -> dict:
+    """The problem file, each entry replaced by the flag of its name where
+    one is given.  ``--in -`` reads stdin, as no ``--in`` does, except in
+    the subcommands that take ``--fn`` or ``--region``: their flags can
+    state the whole problem."""
+    given = vars(args)
+    if not args.infile and {"fn", "region"} & given.keys():
+        text = "{}"
+    elif args.infile in (None, "-"):
         text = sys.stdin.read()
     else:
         try:
@@ -61,13 +73,16 @@ def _load(args) -> dict:
         raise InputError(f"bad JSON problem file: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("problem file must be a JSON object")
+    for entry in ("fn", "box", "region", "epsilon", "depth", "op"):
+        if given.get(entry) is not None:
+            data[entry] = json.loads(given[entry]) if entry in ("fn", "box", "region") else given[entry]
     return data
 
 
 def _emit(report: dict, args) -> None:
     from .jsonio import jsonable
 
-    if getattr(args, "format", "json") == "table":
+    if args.format == "table":
         for key, value in report.items():
             print(f"{key}: {json.dumps(jsonable(value), allow_nan=False, sort_keys=True)}")
     else:
@@ -91,10 +106,9 @@ def _report_integral(rep, args) -> int:
 # -- subcommand handlers -------------------------------------------------
 
 
-def _cmd_algebra(args) -> int:
+def _cmd_algebra(data, args) -> int:
     from .jsonio import algebra_json, parse_algebra
 
-    data = _load(args)
     algebra = parse_algebra(data)
     _emit(
         {
@@ -107,19 +121,19 @@ def _cmd_algebra(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fam_check(args) -> int:
+def _cmd_fam_check(data, args) -> int:
     from .jsonio import fam_json, parse_fam
 
-    fam = parse_fam(_load(args))
+    fam = parse_fam(data)
     _emit({"fam": fam_json(fam), "total": fam.total}, args)
     return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(data, args) -> int:
     from .fam import classify, has_uap, uniformly_supported
     from .jsonio import parse_fam, set_json
 
-    fam = parse_fam(_load(args))
+    fam = parse_fam(data)
     flags = classify(fam)
     witness = uniformly_supported(fam) if fam.total > 0 else None
     _emit(
@@ -137,19 +151,18 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(data, args) -> int:
     from .approx import approx_uniform, approx_uniform_small
     from .boolalg import Partition
     from .jsonio import parse_fam, parse_partition, parse_rational, parse_set, set_json, set_key
 
-    data = _load(args)
     fam = parse_fam(data["fam"])
     partition = (
         parse_partition(data["partition"], fam.algebra)
         if "partition" in data
         else Partition.of_atoms(fam.algebra)
     )
-    epsilon = parse_rational(data.get("epsilon", args.eps or "1/8"))
+    epsilon = parse_rational(data.get("epsilon", "1/8"))
     avoid = parse_set(data["avoid"], fam.algebra.ground) if "avoid" in data else None
     if data.get("small"):
         result = approx_uniform_small(fam, partition, epsilon)
@@ -170,11 +183,10 @@ def _cmd_approx(args) -> int:
     return EXIT_OK
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(data, args) -> int:
     from .extend import PartialAssignment, extend_assignment, value_range
     from .jsonio import parse_ground, parse_rational, parse_set, set_json
 
-    data = _load(args)
     ground = parse_ground(data["ground"])
     pairs = [(parse_set(s, ground), parse_rational(v)) for s, v in data["pairs"]]
     assignment = PartialAssignment(ground, pairs)
@@ -189,32 +201,29 @@ def _cmd_extend(args) -> int:
     return STATUS_EXIT[result.status]
 
 
-def _cmd_compatible(args) -> int:
+def _cmd_compatible(data, args) -> int:
     from .extend import compatible
     from .jsonio import parse_fam
 
-    data = _load(args)
     fam0, fam1 = parse_fam(data["fam0"]), parse_fam(data["fam1"])
     ok, certificate = compatible(fam0, fam1)
     _emit({"compatible": ok, "certificate": certificate}, args)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _cmd_amalgamate(args) -> int:
+def _cmd_amalgamate(data, args) -> int:
     from .extend import amalgamate
     from .jsonio import parse_fam
 
-    data = _load(args)
     result = amalgamate(parse_fam(data["fam0"]), parse_fam(data["fam1"]))
     _emit({"result": result}, args)
     return STATUS_EXIT[result.status]
 
 
-def _cmd_extend_filter(args) -> int:
+def _cmd_extend_filter(data, args) -> int:
     from .extend import extend_with_filter
     from .jsonio import parse_fam, parse_set
 
-    data = _load(args)
     fam0 = parse_fam(data["fam0"])
     gens = [parse_set(s, fam0.algebra.ground) for s in data["generators"]]
     result = extend_with_filter(fam0, gens)
@@ -222,11 +231,10 @@ def _cmd_extend_filter(args) -> int:
     return STATUS_EXIT[result.status]
 
 
-def _cmd_three_way(args) -> int:
+def _cmd_three_way(data, args) -> int:
     from .extend import three_way_extend
     from .jsonio import parse_fam, parse_set
 
-    data = _load(args)
     fam0, fam1 = parse_fam(data["fam0"]), parse_fam(data["fam1"])
     gens = [parse_set(s, fam0.algebra.ground) for s in data["generators"]]
     result = three_way_extend(fam0, fam1, gens)
@@ -234,12 +242,11 @@ def _cmd_three_way(args) -> int:
     return STATUS_EXIT[result.status]
 
 
-def _cmd_constrain(args) -> int:
+def _cmd_constrain(data, args) -> int:
     from .extend import fam_with_constraints, fam_with_integral_constraints, ultrafilter_with_limits
     from .fam import as_table
     from .jsonio import parse_fam, parse_ground, parse_rational, parse_set, parse_table, parse_target
 
-    data = _load(args)
     targets = [parse_target(t) for t in data.get("targets", [])]
     if "ultra" in data:
         ultra = parse_fam(data["ultra"])
@@ -260,31 +267,24 @@ def _cmd_constrain(args) -> int:
     return STATUS_EXIT[result.status]
 
 
-def _box_fam(args, data):
+def _box_fam(data):
     from .boxes import VolumeFam, make_box
 
     box = data.get("box")
-    if args.box:
-        box = json.loads(args.box)
     if box is None:
         raise InputError("box backend needs --box or a box entry")
     return VolumeFam(make_box(box))
 
 
-def _cmd_integrate(args) -> int:
+def _cmd_integrate(data, args) -> int:
     from .integrate import DEFAULT_BUDGET, integrate, integrate_over
     from .jsonio import parse_fam, parse_fn, parse_set, parse_table
 
-    data = _load(args) if args.infile else {}
-    if args.fn or "fn" in data:
-        fn_spec = json.loads(args.fn) if args.fn else data["fn"]
-        fam = _box_fam(args, data)
-        fn = parse_fn(fn_spec, fam.dimension)
-        eps = args.eps or data.get("epsilon", "1e-6")
-        report = integrate(
-            fn, fam, epsilon=eps, budget=args.budget or DEFAULT_BUDGET,
-            strategy=data.get("strategy", "adaptive"),
-        )
+    if "fn" in data:
+        fam = _box_fam(data)
+        fn = parse_fn(data["fn"], fam.dimension)
+        report = integrate(fn, fam, data.get("epsilon", "1e-6"), args.budget or DEFAULT_BUDGET,
+                           data.get("strategy", "adaptive"))
         return _report_integral(report, args)
     fam = parse_fam(data["fam"])
     table = parse_table(data["table"], fam.algebra.ground)
@@ -297,15 +297,13 @@ def _cmd_integrate(args) -> int:
     return _report_integral(report, args)
 
 
-def _cmd_jordan(args) -> int:
+def _cmd_jordan(data, args) -> int:
     from .integrate import DEFAULT_BUDGET, is_jordan
     from .jsonio import parse_rational, parse_region
 
-    data = _load(args) if args.infile else {}
-    fam = _box_fam(args, data)
-    region_spec = json.loads(args.region) if args.region else data["region"]
-    region = parse_region(region_spec, fam.dimension)
-    eps = parse_rational(args.eps or data.get("epsilon", "1/1024"))
+    fam = _box_fam(data)
+    region = parse_region(data["region"], fam.dimension)
+    eps = parse_rational(data.get("epsilon", "1/1024"))
     report = is_jordan(region, fam, eps, budget=args.budget or DEFAULT_BUDGET)
     out = {
         "jordan": report.jordan,
@@ -321,37 +319,33 @@ def _cmd_jordan(args) -> int:
     return EXIT_NEGATIVE if report.jordan is False else EXIT_UNDECIDED
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(data, args) -> int:
     from .integrate import DEFAULT_BUDGET, inner_measure, measure_bracket, outer_measure
     from .jsonio import parse_fam, parse_rational, parse_region, parse_set
 
-    data = _load(args) if args.infile else {}
     if "fam" in data:
         fam = parse_fam(data["fam"])
         target = parse_set(data["set"], fam.algebra.ground)
         inner = inner_measure(target, fam)
         outer = outer_measure(target, fam)
     else:
-        fam = _box_fam(args, data)
-        region_spec = json.loads(args.region) if args.region else data["region"]
-        region = parse_region(region_spec, fam.dimension)
-        eps = parse_rational(args.eps or data.get("epsilon", "1/1024"))
+        fam = _box_fam(data)
+        region = parse_region(data["region"], fam.dimension)
+        eps = parse_rational(data.get("epsilon", "1/1024"))
         bracket = measure_bracket(region, fam, eps, budget=args.budget or DEFAULT_BUDGET)
         inner, outer = bracket.inner, bracket.outer
     _emit({"inner": inner, "outer": outer}, args)
     return EXIT_OK
 
 
-def _cmd_cantor(args) -> int:
+def _cmd_cantor(data, args) -> int:
     from .cantor import DEFAULT_DEPTH_BUDGET, cantor_integrate, lebesgue_vitali_check, oscillation_cover
     from .jsonio import parse_fn, parse_rational
 
-    data = _load(args) if args.infile else {}
-    fn_spec = json.loads(args.fn) if args.fn else data["fn"]
-    fn = parse_fn(fn_spec, 1)
-    op = args.op if args.op is not None else data.get("op", "integrate")
-    depth = args.depth if args.depth is not None else int(data.get("depth", DEFAULT_DEPTH_BUDGET))
-    eps = args.eps or data.get("epsilon", "1e-4")
+    fn = parse_fn(data["fn"], 1)
+    op = data.get("op", "integrate")
+    depth = int(data.get("depth", DEFAULT_DEPTH_BUDGET))
+    eps = data.get("epsilon", "1e-4")
     if op == "integrate":
         report = cantor_integrate(fn, depth_budget=depth, epsilon=eps)
         return _report_integral(report, args)
@@ -376,21 +370,33 @@ def _cmd_cantor(args) -> int:
     raise InputError(f"unknown cantor op {op!r}")
 
 
-HANDLERS = {
-    "algebra": _cmd_algebra,
-    "fam-check": _cmd_fam_check,
-    "classify": _cmd_classify,
-    "approx": _cmd_approx,
-    "extend": _cmd_extend,
-    "compatible": _cmd_compatible,
-    "amalgamate": _cmd_amalgamate,
-    "extend-filter": _cmd_extend_filter,
-    "three-way": _cmd_three_way,
-    "constrain": _cmd_constrain,
-    "integrate": _cmd_integrate,
-    "jordan": _cmd_jordan,
-    "measure": _cmd_measure,
-    "cantor": _cmd_cantor,
+#: Each subcommand's handler and the flags it reads besides ``--in`` and ``--format``.
+COMMANDS = {
+    "algebra": (_cmd_algebra, ()),
+    "fam-check": (_cmd_fam_check, ()),
+    "classify": (_cmd_classify, ()),
+    "approx": (_cmd_approx, ("--eps",)),
+    "extend": (_cmd_extend, ()),
+    "compatible": (_cmd_compatible, ()),
+    "amalgamate": (_cmd_amalgamate, ()),
+    "extend-filter": (_cmd_extend_filter, ()),
+    "three-way": (_cmd_three_way, ()),
+    "constrain": (_cmd_constrain, ()),
+    "integrate": (_cmd_integrate, ("--fn", "--box", "--eps", "--budget")),
+    "jordan": (_cmd_jordan, ("--region", "--box", "--eps", "--budget")),
+    "measure": (_cmd_measure, ("--region", "--box", "--eps", "--budget")),
+    "cantor": (_cmd_cantor, ("--fn", "--eps", "--depth", "--op")),
+}
+
+FLAGS = {
+    "--eps": dict(dest="epsilon", metavar="EPS", help="tolerance (rational or decimal string)"),
+    "--depth": dict(type=int, help="cylinder depth budget"),
+    # no default: the handlers fall back on integrate.DEFAULT_BUDGET, which only they import
+    "--budget": dict(type=_cell_budget, help="cell budget (at least 1)"),
+    "--fn": dict(help="function DSL (JSON)"),
+    "--box": dict(help="bounding box (JSON)"),
+    "--region": dict(help="region DSL (JSON)"),
+    "--op": dict(help="cantor operation: integrate|vitali|cover (default integrate)"),
 }
 
 
@@ -406,20 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="finitely additive measures: extension solvers, Darboux integration, Jordan measure",
     )
     sub = parser.add_subparsers(dest="command")
-    for name in HANDLERS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--in", dest="infile", default=None, help="problem file (JSON), - for stdin")
-        p.add_argument("--eps", default=None, help="tolerance (rational or decimal string)")
-        p.add_argument("--depth", type=int, default=None, help="cylinder depth budget")
-        # no default here: the handlers that take a budget fall back on
-        # integrate.DEFAULT_BUDGET, which only they may import
-        p.add_argument("--budget", type=_cell_budget, default=None, help="cell budget (at least 1)")
         p.add_argument("--format", choices=["json", "table"], default="json")
-        p.add_argument("--fn", default=None, help="function DSL (JSON)")
-        p.add_argument("--box", default=None, help="bounding box (JSON)")
-        p.add_argument("--region", default=None, help="region DSL (JSON)")
-        p.add_argument("--op", default=None,
-                       help="cantor operation: integrate|vitali|cover (default: the file's op, else integrate)")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -446,7 +444,8 @@ def _run(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
     try:
-        return HANDLERS[args.command](args)
+        handler, _ = COMMANDS[args.command]
+        return handler(_problem(args), args)
     except FamkitError as exc:
         print(f"famkit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -327,15 +327,16 @@ def box_infsum(fn, cells, fam: VolumeFam) -> float:
     return _box_sum(fn, cells, 0, "lower")
 
 
-def _refine_grid(range_fn, lo0, hi0, eps, max_cells, poly=None):
+def _refine_grid(range_fn, lo0, hi0, eps, max_cells, plan=None):
     """Uniform dyadic refinement: split every cell each round.
 
-    ``poly``, a polynomial's ``(exps, coeffs)``, runs the rounds over numpy
-    arrays in ``_refine.refine_grid``, with the same results; any other
-    oracle gets one ``range_fn`` call per cell, and numpy stays unloaded.
+    ``plan``, a polynomial's enclosure plan (``PolynomialFn.plan``), runs
+    the rounds over numpy arrays in ``_refine.refine_grid``, with the same
+    results; any other oracle gets one ``range_fn`` call per cell, and
+    numpy stays unloaded.
     """
-    if poly is not None:
-        return _refine.refine_grid(*poly, lo0, hi0, eps, max_cells)
+    if plan is not None:
+        return _refine.refine_grid(plan, lo0, hi0, eps, max_cells)
 
     def sums(cells):
         terms = [(range_fn(lo, hi), math.prod(h - l for l, h in zip(lo, hi))) for lo, hi in cells]
@@ -449,6 +450,9 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
     eps = _float_eps(epsilon)
     if budget < 1:
         raise InputError(f"the cell budget must be at least 1, got {budget}")
+    # checked here, since an oscillation floor decides without refine()
+    if strategy not in ("adaptive", "grid"):
+        raise InputError(f"unknown strategy {strategy!r}")
 
     def range_fn(lo, hi):
         return fn.range_on(tuple(zip(lo, hi)))
@@ -459,14 +463,12 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
         # the float cells start from the corners; an indicator's exact bracket never reads them
         lo0 = [finite(lo, "box corners") for lo, _ in fam.bounding]
         hi0 = [finite(hi, "box corners") for _, hi in fam.bounding]
-        if strategy == "adaptive":
-            if isinstance(fn, PolynomialFn):
-                return _refine.refine_poly(fn.exps, fn.coeffs, lo0, hi0, eps, budget)
-            return _refine_py.refine_generic(range_fn, lo0, hi0, eps, budget)
+        plan = fn.plan if isinstance(fn, PolynomialFn) else None
         if strategy == "grid":
-            poly = (fn.exps, fn.coeffs) if isinstance(fn, PolynomialFn) else None
-            return _refine_grid(range_fn, lo0, hi0, eps, budget, poly)
-        raise InputError(f"unknown strategy {strategy!r}")
+            return _refine_grid(range_fn, lo0, hi0, eps, budget, plan)
+        if plan is not None:
+            return _refine.refine_poly(plan, lo0, hi0, eps, budget)
+        return _refine_py.refine_generic(range_fn, lo0, hi0, eps, budget)
 
     return _darboux_report(fn, fam.bounding, fam.total, eps, refine, "box")
 

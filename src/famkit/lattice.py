@@ -23,6 +23,7 @@ from operator import mul
 from typing import Callable
 
 from .boxes import IN, OUT, STRADDLE, Box, BoxElem
+from .errors import InputError
 from .functions import (
     HalfPlaneRegion,
     RegionComplement,
@@ -149,14 +150,16 @@ def lattice_classifier(region, lattice: DyadicLattice) -> Verdicts:
 
     Half-planes and box unions are scaled to integers once; unions,
     intersections and complements combine the verdicts of their parts.  Any
-    other region (or one whose dimension differs from the lattice's) is
-    asked through its ``classify`` on the cell's rational box.
+    other region is asked through its ``classify`` on the cell's rational
+    box.  Raises ``InputError`` on a half-plane or a box union in another
+    dimension than the lattice's.
     """
     kind = type(region)
-    if kind is HalfPlaneRegion and len(region.normal) == lattice.dimension:
-        return _halfplane(region, lattice)
-    if kind is BoxElem and all(len(b) == lattice.dimension for b in region.boxes):
-        return _boxes(region, lattice)
+    if kind is HalfPlaneRegion or kind is BoxElem:
+        axes = {len(region.normal)} if kind is HalfPlaneRegion else {len(b) for b in region.boxes}
+        if axes - {lattice.dimension}:
+            raise InputError(f"region dimension mismatch: the box has {lattice.dimension} axes")
+        return (_halfplane if kind is HalfPlaneRegion else _boxes)(region, lattice)
     if kind is RegionComplement:
         return _complement(lattice_classifier(region.inner, lattice))
     if kind is RegionUnion:

@@ -59,6 +59,14 @@ def cylinder_ranges(g, depth):
     return [(lo, hi) for count, lo, hi in runs_at(g, depth) for _ in range(count)]
 
 
+#: The three Cantor entry points, each on an integrand ``g``.
+CANTOR_CALLS = pytest.mark.parametrize("call", [
+    lambda g: cantor_integrate(g, epsilon=1e-2),
+    lambda g: lebesgue_vitali_check(g),
+    lambda g: oscillation_cover(g, F(1, 4), 3),
+], ids=["integrate", "vitali", "cover"])
+
+
 class TestClopen:
     def test_whole_space(self):
         assert clopen_measure(Cylinder("")) == 1
@@ -367,11 +375,7 @@ class TestCylinderRanges:
         got = _depth_sums(g, runs_at(g, depth), depth)
         assert [x.hex() for x in got] == [(lower * scale).hex(), (upper * scale).hex()]
 
-    @pytest.mark.parametrize("call", [
-        lambda g: cantor_integrate(g, epsilon=1e-2),
-        lambda g: lebesgue_vitali_check(g),
-        lambda g: oscillation_cover(g, F(1, 4), 3),
-    ], ids=["integrate", "vitali", "cover"])
+    @CANTOR_CALLS
     def test_polynomials_in_two_variables_rejected(self, call):
         # a Cantor integrand is a function on [0, 1]: these ended in an
         # IndexError from the enclosure of the first cylinder image
@@ -395,12 +399,20 @@ class TestCylinderRanges:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
-    def test_pieces_of_another_dimension_keep_range_on(self):
-        # range_on reads only the first side of this 2-D piece, whose empty
-        # second side would make the lattice see no piece at all
-        g = PiecewiseConstantFn([(make_box([[0, F(1, 2)], [1, 1]]), 2.0)], default=-1.0)
-        want = [g.range_on((iota2_image(w),)) for w in TestCylinderImages.words(3)]
-        assert cylinder_ranges(g, 3) == want
+    @CANTOR_CALLS
+    def test_pieces_of_another_dimension_rejected(self, call):
+        # both were read on their first side: integrate answered [0.5, 0.5]
+        # for the second, and cover the empty cover
+        for pieces in ([(make_box([[0, F(1, 2)], [1, 1]]), 2.0)], [(make_box([[0, F(1, 2)], [0, 1]]), 1.0)]):
+            with pytest.raises(InputError, match="piece dimension mismatch"):
+                call(PiecewiseConstantFn(pieces, default=-1.0))
+
+    @CANTOR_CALLS
+    def test_indicators_of_another_dimension_rejected(self, call):
+        # the lattice of [0, 1] classified the half-plane on its first axis:
+        # integrate answered integrable [0.5, 0.5078125]
+        with pytest.raises(InputError, match="region dimension mismatch"):
+            call(IndicatorFn(HalfPlaneRegion((1, 1), F(1, 2))))
 
 
 def reference_vitali(g, eps, depth_budget, threshold_levels=8):

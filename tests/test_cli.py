@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -205,6 +206,13 @@ class TestIntegrateCLI:
         )
         assert code == 3
         assert json.loads(out)["status"] == "not_integrable"
+
+    @pytest.mark.parametrize("fn", [{"indicator": "dirichlet"}, {"poly": [0, 1]}])
+    def test_unknown_strategy_exits_2(self, tmp_path, capsys, fn):
+        path = write_json(tmp_path, "s.json", {"fn": fn, "box": [[0, 1]], "epsilon": "1e-3", "strategy": "bogus"})
+        code, out, err = run(capsys, ["integrate", "--in", path])
+        assert (code, out) == (2, "")
+        assert "unknown strategy 'bogus'" in err
 
     def test_repeated_terms_sum(self, capsys):
         # x + 2x on [0, 1]: the integral of 3x is 3/2
@@ -644,6 +652,89 @@ class TestParserReuse:
         code, out, _ = run(capsys, ["classify", "--in", path])
         assert code == 0
         assert json.loads(out)["d"] == 4
+
+
+# the flags each subcommand takes besides --in and --format
+_FLAGS_OF = {
+    "approx": {"--eps"},
+    "integrate": {"--fn", "--box", "--eps", "--budget"},
+    "jordan": {"--region", "--box", "--eps", "--budget"},
+    "measure": {"--region", "--box", "--eps", "--budget"},
+    "cantor": {"--fn", "--eps", "--depth", "--op"},
+}
+_APPROX = {"fam": {"algebra": {"ground": {"n": 10}, "generators": [[0, 1, 2, 3, 4]]},
+                   "weights": {"0,1,2,3,4": "1/2", "5,6,7,8,9": "1/2"}}, "epsilon": "1/2"}
+_SQUARE_BRACKET = {"region": "triangle-xy", "box": [[0, 1], [0, 1]], "epsilon": "1/64"}
+_HALFPLANE = {"halfplane": {"normal": [1, 2], "offset": "2/3"}}
+
+
+class TestFlagTable:
+    def test_each_subcommand_takes_only_its_flags(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        slots = 0
+        for name, sub in subparsers.items():
+            flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags == {"--in", "--format"} | _FLAGS_OF.get(name, set()), name
+            slots += len(flags)
+        assert len(subparsers) == 14
+        assert slots == 45
+
+    @pytest.mark.parametrize("argv", [
+        ["cantor", "--fn", '{"poly": [0, 1]}', "--box", "[[0, 2]]"],
+        ["extend", "--eps", "1/4"],
+        ["integrate", "--fn", '{"poly": [0, 1]}', "--box", "[[0, 1]]", "--depth", "3"],
+        ["measure", "--region", '"triangle-xy"', "--box", "[[0, 1], [0, 1]]", "--fn", '{"poly": [0, 1]}'],
+    ], ids=["cantor-box", "extend-eps", "integrate-depth", "measure-fn"])
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: " + argv[-2] in err
+
+    @pytest.mark.parametrize("command, problem, flag, value", [
+        ("approx", _APPROX, "--eps", "1/4"),
+        ("integrate", {"fn": {"poly": [0, 0, 1]}, "box": [[0, 1]], "epsilon": "1e-3"}, "--fn", '{"poly": [0, 1]}'),
+        ("integrate", {"fn": {"poly": [0, 0, 1]}, "box": [[0, 1]], "epsilon": "1e-3"}, "--box", "[[0, 2]]"),
+        ("integrate", {"fn": {"poly": [0, 0, 1]}, "box": [[0, 1]], "epsilon": "1e-3"}, "--eps", "1e-2"),
+        ("jordan", _SQUARE_BRACKET, "--region", json.dumps(_HALFPLANE)),
+        ("jordan", _SQUARE_BRACKET, "--box", "[[0, 2], [0, 1]]"),
+        ("jordan", _SQUARE_BRACKET, "--eps", "1/4"),
+        ("measure", _SQUARE_BRACKET, "--region", json.dumps(_HALFPLANE)),
+        ("measure", _SQUARE_BRACKET, "--box", "[[0, 2], [0, 1]]"),
+        ("measure", _SQUARE_BRACKET, "--eps", "1/4"),
+        ("cantor", {"fn": {"poly": [0, 1]}, "epsilon": "1e-3", "depth": 3}, "--fn", '{"poly": [1, 1]}'),
+        ("cantor", {"fn": {"poly": [0, 1]}, "epsilon": "1e-3", "depth": 3}, "--eps", "1/2"),
+        ("cantor", {"fn": {"poly": [0, 1]}, "epsilon": "1e-3", "depth": 3}, "--depth", "12"),
+        ("cantor", {"fn": {"poly": [0, 1]}, "epsilon": "1e-3", "op": "integrate"}, "--op", "vitali"),
+    ])
+    def test_a_flag_replaces_its_file_entry(self, tmp_path, capsys, command, problem, flag, value):
+        entry = {"--eps": "epsilon"}.get(flag, flag[2:])
+        given = value if flag in ("--eps", "--op") else json.loads(value)
+        path = write_json(tmp_path, "file.json", problem)
+        flagged = run(capsys, [command, "--in", path, flag, value])
+        # the flag's value in the file instead gives the same report
+        assert flagged == run(capsys, [command, "--in", write_json(tmp_path, "same.json", {**problem, entry: given})])
+        assert flagged[0] in (0, 3, 4) and json.loads(flagged[1])
+        assert flagged != run(capsys, [command, "--in", path])
+
+    def test_a_flag_given_empty_is_used(self, tmp_path, capsys):
+        path = write_json(tmp_path, "c.json", {"fn": {"poly": [0, 1]}, "epsilon": "1e-3"})
+        code, out, err = run(capsys, ["cantor", "--in", path, "--eps", ""])
+        assert (code, out) == (2, "")
+
+    def test_readme_examples_run(self, capsys):
+        # every line of the README's CLI block that reads no problem file
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line) for line in block.splitlines() if "--in" not in line]
+        assert len(lines) >= 3
+        for argv in lines:
+            assert argv[0] == "famkit"
+            code, out, _ = run(capsys, argv[1:])
+            assert code == 0, argv
+            assert isinstance(json.loads(out), dict)
 
 
 class TestBrokenPipe:

@@ -1018,6 +1018,14 @@ class TestToleranceAndBudget:
         with pytest.raises(InputError, match="at least 1"):
             measure_bracket(HalfPlaneRegion((1, 1), 1), SQUARE, F(1, 64), budget=budget)
 
+    @pytest.mark.parametrize("fn", [PolynomialFn([0, 1]), IndicatorFn(DenseCodenseRegion())],
+                             ids=["poly", "dirichlet"])
+    def test_unknown_strategy_rejected(self, fn):
+        # the oscillation floor of the Dirichlet indicator decided before
+        # the strategy was read, so it answered not_integrable
+        with pytest.raises(InputError, match="unknown strategy 'bogus'"):
+            integrate(fn, UNIT, 1e-3, strategy="bogus")
+
 
 class TestBoxJordan:
     def test_box_is_jordan(self):

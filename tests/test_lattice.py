@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from famkit._refine_py import refine_generic
 from famkit.boxes import IN, OUT, STRADDLE, BoxElem, VolumeFam, box_volume, make_box
+from famkit.errors import InputError
 from famkit.functions import (
     DenseCodenseRegion,
     HalfPlaneRegion,
@@ -214,6 +215,21 @@ class TestLatticeVerdicts:
         region = Disc()
         fam = VolumeFam([[0, F(4, 3)], [0, F(4, 3)]])
         assert measure_bracket(region, fam, F(1, 50)) == heap_bracket(region, fam, F(1, 50), 10**6)
+
+    @pytest.mark.parametrize("region", [HalfPlaneRegion((1, 1, 5), 1), HalfPlaneRegion((1,), F(1, 2)),
+                                        BoxElem([make_box([[0, F(1, 2)]])]),
+                                        RegionUnion(triangle_under_diagonal(), BoxElem([make_box([[0, 1]] * 3)]))],
+                             ids=["halfplane-3d", "halfplane-1d", "box-1d", "union-with-box-3d"])
+    @pytest.mark.parametrize("call", [
+        lambda r: measure_bracket(r, SQUARE, F(1, 64)),
+        lambda r: is_jordan(r, SQUARE, F(1, 64)),
+        lambda r: integrate(IndicatorFn(r), SQUARE, 1e-3),
+    ], ids=["measure_bracket", "is_jordan", "indicator"])
+    def test_regions_of_another_dimension_rejected(self, call, region):
+        # classify zipped the region's axes with the cell's: the 3-D
+        # half-plane had the bracket [127/256, 8383/16384] on the square
+        with pytest.raises(InputError, match="region dimension mismatch"):
+            call(region)
 
     def test_flat_box_has_no_volume(self):
         fam = VolumeFam([[0, 1], [F(1, 3), F(1, 3)]])

@@ -547,6 +547,14 @@ def _heap_refine(exps, coeffs, lo, hi, eps, max_cells):
     return refine_generic(lambda l, h: poly_range(plan, l, h), lo, hi, eps, max_cells)
 
 
+def _batched_refine(exps, coeffs, lo, hi, eps, max_cells):
+    """refine_poly, the heap in numpy rounds, on the polynomial's plan."""
+    from famkit._refine import refine_poly
+    from famkit._refine_py import _plan
+
+    return refine_poly(_plan(exps, coeffs), lo, hi, eps, max_cells)
+
+
 def _bits(result):
     """A refinement result with its floats as float.hex, so that equal
     results agree to the last bit and in the sign of a zero."""
@@ -650,18 +658,14 @@ class TestBatchedRefinement:
     def test_overflowing_zero_terms_match_the_heap(self):
         # 1 + 0x + 0x^2 on [1e200, 2e200]: x^2 overflows, and 0 * inf made
         # the scalar enclosure NaN, while the batch leaves zero terms out
-        from famkit._refine import refine_poly
-
         fixture = ([(0,), (1,), (2,)], [1.0, 0.0, 0.0], [1e200], [2e200], 1e-3)
-        batched = refine_poly(*fixture, 1000)
+        batched = _batched_refine(*fixture, 1000)
         assert _bits(batched) == _bits(_heap_refine(*fixture, 1000))
         assert batched[:4] == (1e200, 1e200, 1, True)
 
     def test_heavy_fixtures_match_the_heap(self):
-        from famkit._refine import refine_poly
-
         for fixture in self.HEAVY:
-            batched = refine_poly(*fixture, 2_000_000)
+            batched = _batched_refine(*fixture, 2_000_000)
             assert _bits(batched) == _bits(_heap_refine(*fixture, 2_000_000))
             assert batched[3]
 
@@ -670,10 +674,8 @@ class TestBatchedRefinement:
         # the root cell of 0.8e308 * x on [-1, 1] contributes inf; the heap's
         # running gap used to turn NaN at its first split and ran to the
         # budget, while the batch converged
-        from famkit._refine import refine_poly
-
         fixture = ([(1,)], [0.8e308], [-1.0], [1.0], eps)
-        batched = refine_poly(*fixture, 200_000)
+        batched = _batched_refine(*fixture, 200_000)
         assert _bits(batched) == _bits(_heap_refine(*fixture, 200_000))
         assert batched[2:4] == (cells, True)
         # the infinite root is counted apart from the running sum, so its
@@ -686,10 +688,8 @@ class TestBatchedRefinement:
         # the two halves of 0.9e308 * x on [-1, 1] contribute 0.9e308 each:
         # the heap's running sum overflowed by itself, never came back, and
         # the heap ran to the budget
-        from famkit._refine import refine_poly
-
         fixture = ([(1,)], [0.9e308], [-1.0], [1.0], eps)
-        batched = refine_poly(*fixture, 200_000)
+        batched = _batched_refine(*fixture, 200_000)
         assert _bits(batched) == _bits(_heap_refine(*fixture, 200_000))
         assert batched[2:4] == (cells, True)
         # the running sum overflows at 2 cells and still reads inf at 4,
@@ -701,14 +701,13 @@ class TestBatchedRefinement:
     @SETTINGS
     @given(dyadic_polynomials())
     def test_agrees_with_the_heap(self, case):
-        from famkit._refine import refine_poly
         from famkit._refine_py import _plan, poly_range
 
         exps, coeffs, lo, hi, tightness = case
         rlo, rhi = poly_range(_plan(exps, coeffs), lo, hi)
         gap0 = (rhi - rlo) * math.prod(h - l for l, h in zip(lo, hi))
         eps = gap0 * 10 ** (-tightness / len(lo)) if gap0 > 0 else 1e-3
-        result = refine_poly(exps, coeffs, lo, hi, eps, 200_000)
+        result = _batched_refine(exps, coeffs, lo, hi, eps, 200_000)
         assert _bits(result) == _bits(_heap_refine(exps, coeffs, lo, hi, eps, 200_000))
         lower, upper, cells, converged, trace = result
         assert converged and trace[-1][1] < eps
@@ -718,10 +717,8 @@ class TestBatchedRefinement:
     @given(dyadic_polynomials(), st.integers(1, 400))
     def test_budget_stops_agree_with_the_heap(self, case, budget):
         # a tolerance no run of 400 cells meets: every run stops at its budget
-        from famkit._refine import refine_poly
-
         exps, coeffs, lo, hi, _ = case
-        result = refine_poly(exps, coeffs, lo, hi, 1e-12, budget)
+        result = _batched_refine(exps, coeffs, lo, hi, 1e-12, budget)
         assert _bits(result) == _bits(_heap_refine(exps, coeffs, lo, hi, 1e-12, budget))
 
     @pytest.mark.parametrize("splits", [1, 3, 64])
@@ -735,7 +732,7 @@ class TestBatchedRefinement:
                                 (([(0,), (2,)], [1.0, 1.0], [0.0], [1.0], 1e-9), 777),
                                 (([(1,)], [0.8e308], [-1.0], [1.0], 1e306), 200_000),
                                 (([(1,)], [0.9e308], [-1.0], [1.0], 1e306), 200_000)]:
-            result = _refine.refine_poly(*fixture, budget)
+            result = _batched_refine(*fixture, budget)
             assert _bits(result) == _bits(_heap_refine(*fixture, budget)), (fixture, splits)
 
     def test_ties_pick_the_earliest_cells(self):
@@ -846,22 +843,18 @@ class TestBatchedRefinement:
         return lower.hex(), upper.hex(), cells, converged, digest
 
     def test_heavy_fixtures_pinned(self):
-        from famkit._refine import refine_poly
-
         for fixture, pinned in zip(self.HEAVY, self.PINS):
-            assert self._pin(refine_poly(*fixture, 2_000_000)) == pinned, fixture
+            assert self._pin(_batched_refine(*fixture, 2_000_000)) == pinned, fixture
         for args, pinned in self.BUDGET_PINS:
-            result = refine_poly(*args)
+            result = _batched_refine(*args)
             assert self._pin(result) == pinned, args
             assert _bits(result) == _bits(_heap_refine(*args)), args
 
     @pytest.mark.parametrize("case,pinned", QUARTIC_PINS)
     def test_quartics_pinned(self, case, pinned):
-        from famkit._refine import refine_poly
-
         coeffs, a, b, eps, budget = case
         args = ([(e,) for e in range(len(coeffs))], coeffs, [float(a)], [float(b)], eps, budget)
-        result = refine_poly(*args)
+        result = _batched_refine(*args)
         assert self._pin(result) == pinned
         assert _bits(result) == _bits(_heap_refine(*args))
 
@@ -884,14 +877,12 @@ class TestBatchedRefinement:
         gap0 = (rhi - rlo) * math.prod(h - l for l, h in zip(lo, hi))
         eps = gap0 * 10 ** (-tightness / len(lo)) if gap0 > 0 else 1e-3
         scalar = integrate_module._refine_grid(lambda l, h: poly_range(plan, l, h), lo, hi, eps, 4096)
-        batched = refine_grid(exps, coeffs, lo, hi, eps, 4096)
+        batched = refine_grid(plan, lo, hi, eps, 4096)
         assert _bits(batched) == _bits(scalar)
 
     def test_budget_stops_at_exactly_max_cells(self):
-        from famkit._refine import refine_poly
-
         for budget in (1, 2, 777, 1000):
-            lower, upper, cells, converged, trace = refine_poly(
+            lower, upper, cells, converged, trace = _batched_refine(
                 [(0,), (2,)], [1.0, 1.0], [0.0], [1.0], 1e-9, budget
             )
             assert (cells, converged) == (budget, False)
