@@ -10,6 +10,16 @@ shows what the witness boxes cost.  Cells are counted in a separate
 untimed run.  The exact brackets of these fixtures are pinned by
 ``tests/test_lattice.py``; this script only times them.
 
+The ``composite`` rows time ``measure_bracket`` on two regions shaped
+like the ``region2d`` problems of the regions benchmark, both at 1/256: a
+box union joined with an intersection of two half-planes, and the
+complement of a box union, with box corners on the 1/8 grid.  They
+print the verdicts asked (top-level verdicts, as counted for ``cells``)
+and microseconds per verdict, each timing the best of ``--repeat`` runs
+of ``LOOPS`` calls, since a call takes well under a millisecond.  The
+script exits 1 unless each bracket equals the one pinned in
+``COMPOSITES``.
+
 The ``integrate`` rows time the box integral of an indicator shaped like
 the ``box-indicator`` problems of the regions benchmark (half-planes with
 offsets of denominator 3, 5 or 7 on the unit square) through the public
@@ -37,8 +47,15 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from famkit import _refine_py, lattice
-from famkit.boxes import VolumeFam
-from famkit.functions import HalfPlaneRegion, IndicatorFn, RegionIntersection, triangle_under_diagonal
+from famkit.boxes import BoxElem, VolumeFam, make_box
+from famkit.functions import (
+    HalfPlaneRegion,
+    IndicatorFn,
+    RegionComplement,
+    RegionIntersection,
+    RegionUnion,
+    triangle_under_diagonal,
+)
 
 # the package rebinds the name ``famkit.integrate`` to the function
 integrate = importlib.import_module("famkit.integrate")
@@ -51,6 +68,17 @@ FIXTURES = {
     "halfplane-fine": (HalfPlaneRegion((1, 2), F(2, 3)), SQUARE, F(1, 3000)),
     "triangle-1e-4": (triangle_under_diagonal(), SQUARE, F(1, 10000)),
 }
+
+BOX_UNION = BoxElem([make_box([[F(1, 8), F(5, 8)], [F(2, 8), F(7, 8)]]),
+                    make_box([[F(3, 8), F(7, 8)], [0, F(3, 8)]])])
+#: region, epsilon and the exact (inner, outer) bracket
+COMPOSITES = {
+    "union-box-cap": (RegionUnion(BOX_UNION, RegionIntersection(HalfPlaneRegion((2, -1), 1),
+                                                                HalfPlaneRegion((-1, 1), F(-1, 3)))),
+                      F(1, 256), (F(15, 32), F(967, 2048))),
+    "complement-box": (RegionComplement(BOX_UNION), F(1, 256), (F(17, 32), F(17, 32))),
+}
+LOOPS = 200
 
 INDICATORS = {
     "box-indicator-1": (HalfPlaneRegion((2, -1), F(4, 7)), 3.2e-3),
@@ -118,6 +146,13 @@ def best_time(fn, repeat):
     return best, result
 
 
+def looped(fn):
+    """``fn()`` called ``LOOPS`` times; the last result."""
+    for _ in range(LOOPS):
+        result = fn()
+    return result
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="also time acceptance criterion 7")
@@ -139,6 +174,16 @@ def main(argv=None):
         for call, seconds in rows:
             print(f"{name:15} {call:>17} {cells:>8} {seconds / cells * 1e6:>8.2f} {seconds:>8.4f}"
                   f"  [{bracket.inner}, {bracket.outer}]")
+    changed = []
+    for name, (region, eps, pinned) in COMPOSITES.items():
+        verdicts = classified_cells(region, SQUARE, eps)
+        seconds, bracket = best_time(lambda: looped(lambda: integrate.measure_bracket(region, SQUARE, eps)),
+                                     args.repeat)
+        seconds /= LOOPS
+        print(f"{name:15} {'composite':>17} {verdicts:>8} {seconds / verdicts * 1e6:>8.2f} {seconds:>8.6f}"
+              f"  [{bracket.inner}, {bracket.outer}]")
+        if (bracket.inner, bracket.outer) != pinned:
+            changed.append(name)
     uncertified = []
     for name, (region, eps) in INDICATORS.items():
         fn = IndicatorFn(region)
@@ -158,10 +203,11 @@ def main(argv=None):
         subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
                        cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
         print(f"\ncriterion 7: {time.perf_counter() - started:.2f} s (one pytest run)")
+    if changed:
+        print(f"\nthe bracket differs from the pinned one on {', '.join(changed)}", file=sys.stderr)
     if uncertified:
         print(f"\nthe integral misses its exact bracket on {', '.join(uncertified)}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if changed or uncertified else 0
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ def _problem(args) -> dict:
     the subcommands that take ``--fn`` or ``--region``: their flags can
     state the whole problem."""
     given = vars(args)
-    if not args.infile and {"fn", "region"} & given.keys():
+    if args.infile is None and {"fn", "region"} & given.keys():
         text = "{}"
     elif args.infile in (None, "-"):
         text = sys.stdin.read()

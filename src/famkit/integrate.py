@@ -433,8 +433,8 @@ def _indicator_sums(fn: IndicatorFn, fam: VolumeFam, epsilon, budget: int):
     if budget > 1:
         bracket = measure_bracket(fn.region, fam, tolerance, budget - 1)
         inner, outer, splits = bracket.inner, bracket.outer, bracket.splits
-    else:  # the root alone
-        verdict = fn.region.classify(fam.bounding)
+    else:  # the root alone, on the lattice, which checks the region's dimension
+        verdict = lattice_classifier(fn.region, DyadicLattice(fam.bounding))(0)((0,) * fam.dimension)
         inner, outer, splits = total if verdict == IN else 0, 0 if verdict == OUT else total, 0
     lo, hi = (inner, outer) if v > 0 else (outer, inner)
     lower = _scaled_outward(v, lo, -math.inf)
@@ -458,8 +458,12 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
         return fn.range_on(tuple(zip(lo, hi)))
 
     def refine():
-        if strategy == "adaptive" and type(fn) is IndicatorFn:
-            return _indicator_sums(fn, fam, epsilon, budget)
+        if type(fn) is IndicatorFn:
+            if strategy == "adaptive":
+                return _indicator_sums(fn, fam, epsilon, budget)
+            # the float cells ask the region's classify, which does not check
+            # its dimension: the lattice does
+            lattice_classifier(fn.region, DyadicLattice(fam.bounding))
         # the float cells start from the corners; an indicator's exact bracket never reads them
         lo0 = [finite(lo, "box corners") for lo, _ in fam.bounding]
         hi0 = [finite(hi, "box corners") for _, hi in fam.bounding]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from famkit.boxes import BoxElem
-from famkit.cli import build_parser, main
+from famkit.cli import COMMANDS, build_parser, main
 from famkit.lattice import DyadicLattice
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -618,6 +618,18 @@ class TestErrorPaths:
     def test_missing_file(self, capsys):
         code = main(["classify", "--in", "/nonexistent/really.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_empty_file_name_is_unreadable(self, capsys, command):
+        # an empty name once meant "no file" where --fn or --region is taken,
+        # even with the flags stating the whole problem
+        argv = [command, "--in", ""]
+        for flag, value in (("--fn", '{"poly": [0, 1]}'), ("--region", '"triangle-xy"'), ("--box", "[[0, 1]]")):
+            if flag in _FLAGS_OF.get(command, ()):
+                argv += [flag, value]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "cannot read problem file" in err
 
     def test_table_format(self, tmp_path, capsys):
         path = write_json(tmp_path, "fam.json", UNIFORM4)

@@ -101,9 +101,10 @@ def rationals():
 
 
 @st.composite
-def bounding_boxes(draw):
-    # four axes take the generic half-space verdict, fewer the unrolled ones
-    dim = draw(st.integers(1, 4))
+def bounding_boxes(draw, dim=None):
+    # four axes take the generic verdicts, fewer the unrolled ones
+    if dim is None:
+        dim = draw(st.integers(1, 4))
     widths = st.builds(F, st.integers(1, 12), st.sampled_from([3, 5, 7, 1]))
     # widths a power of two apart tie at some depth: the lower axis splits first
     base = draw(widths)
@@ -154,23 +155,30 @@ def regions(draw, bounds, depth=2):
 
 
 @st.composite
-def problems(draw):
-    bounds = draw(bounding_boxes())
+def problems(draw, dim=None):
+    bounds = draw(bounding_boxes(dim))
     return bounds, draw(regions(bounds))
 
 
 class TestLatticeVerdicts:
+    # each dimension gets its own draws: half-planes of one to three axes
+    # and box unions of one and two take the unrolled verdicts, the rest
+    # the generic ones
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @SETTINGS
-    @given(problems(), st.data())
-    def test_verdict_equals_classify_on_the_box(self, problem, data):
-        bounds, region = problem
+    @given(data=st.data())
+    def test_verdict_equals_classify_on_the_box(self, dim, data):
+        bounds, region = data.draw(problems(dim))
+        other = data.draw(regions(bounds, depth=1))
         fam = VolumeFam(bounds)
         lattice = DyadicLattice(fam.bounding)
-        verdicts = lattice_classifier(region, lattice)
-        for depth in range(0, 9, 2):
+        # a union and an intersection of two parts take the two-part folds
+        cases = [region, RegionUnion(region, other), RegionIntersection(region, other)]
+        classifiers = [lattice_classifier(r, lattice) for r in cases]
+        for depth in sorted(data.draw(st.sets(st.integers(0, 12), min_size=1, max_size=4))):
             lattice.axis(depth)
             levels = lattice.levels[depth]
-            classify = verdicts(depth)
+            verdicts = [at(depth) for at in classifiers]
             for _ in range(6):
                 cell = tuple(data.draw(st.integers(0, 2 ** level - 1)) for level in levels)
                 [box] = lattice.boxes(depth, [cell])
@@ -179,7 +187,8 @@ class TestLatticeVerdicts:
                     for (lo, hi), level, i in zip(fam.bounding, levels, cell)
                 )
                 assert box == expected
-                assert classify(cell) == region.classify(box)
+                for r, verdict in zip(cases, verdicts):
+                    assert verdict(cell) == r.classify(box)
 
     @SETTINGS
     @given(problems(), st.sampled_from([F(1, 8), F(1, 40)]), st.integers(1, 60))
@@ -224,10 +233,13 @@ class TestLatticeVerdicts:
         lambda r: measure_bracket(r, SQUARE, F(1, 64)),
         lambda r: is_jordan(r, SQUARE, F(1, 64)),
         lambda r: integrate(IndicatorFn(r), SQUARE, 1e-3),
-    ], ids=["measure_bracket", "is_jordan", "indicator"])
+        lambda r: integrate(IndicatorFn(r), SQUARE, 1e-3, budget=1),
+        lambda r: integrate(IndicatorFn(r), SQUARE, 1e-3, strategy="grid"),
+    ], ids=["measure_bracket", "is_jordan", "indicator", "indicator-root", "indicator-grid"])
     def test_regions_of_another_dimension_rejected(self, call, region):
         # classify zipped the region's axes with the cell's: the 3-D
-        # half-plane had the bracket [127/256, 8383/16384] on the square
+        # half-plane had the bracket [127/256, 8383/16384] on the square;
+        # the grid and the root-only integral build no lattice of their own
         with pytest.raises(InputError, match="region dimension mismatch"):
             call(region)
 
