@@ -96,6 +96,8 @@ class BoxElem:
     def __init__(self, boxes: Iterable[Box]):
         disjoint: list[Box] = []
         for b in boxes:
+            if disjoint and len(b) != len(disjoint[0]):  # disjoint[0] is the first box, whole
+                raise InputError(f"a box union mixes boxes of {len(disjoint[0])} and {len(b)} axes")
             frags = [b]
             for existing in disjoint:
                 frags = [piece for frag in frags for piece in box_subtract(frag, existing)]

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 from ._refine_py import refine_uniform
 from .boxes import IN, OUT, STRADDLE, BoxElem
 from .errors import CapExceededError, InputError
-from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn, finite
+from .functions import IndicatorFn, PiecewiseConstantFn, PolynomialFn, check_axes, finite
 from .integrate import (INTEGRABLE, NOT_INTEGRABLE, UNDECIDED, IntegralReport, _darboux_report, _exact_eps,
                         _float_eps)
 from .lattice import DyadicLattice, lattice_classifier
@@ -136,12 +136,6 @@ def _check_depth(depth: int) -> None:
         raise InputError(f"cylinder depth must be non-negative, got {depth}")
     if depth > MAX_DEPTH:
         raise CapExceededError(f"cylinder depth {depth} is above the cap of {MAX_DEPTH}")
-
-
-def _is_swept_poly(g) -> bool:
-    """Polynomials in one variable, whose ranges :func:`_poly_blocks`
-    encloses in float blocks."""
-    return type(g) is PolynomialFn and g.dimension <= 1
 
 
 def _poly_blocks(g, depth: int) -> Iterator[tuple[list[float], list[float]]]:
@@ -275,7 +269,7 @@ def _oracle_runs(g, depth: int) -> Iterator[tuple[int, float, float]]:
     polynomials are enclosed a block of cylinders at a time by
     :func:`_poly_blocks`, and any other oracle is asked on each image's
     box."""
-    if _is_swept_poly(g):
+    if type(g) is PolynomialFn:
         for lows, highs in _poly_blocks(g, depth):
             yield from zip(repeat(1), lows, highs)
     else:
@@ -294,14 +288,10 @@ def _run_depths(g) -> Iterator[Iterator[tuple[int, float, float]]]:
     (:func:`_lattice_runs`), and each run is one lattice cell: its count is
     a power of two that divides the index of its first cylinder.  Other
     oracles give runs of one cylinder (:func:`_oracle_runs`).  Raises
-    ``InputError`` on a polynomial in more than one variable and on a step
-    function with a piece that is not in one; the lattice raises it on an
-    indicator of a half-plane or box union in more than one.
+    ``InputError`` where ``g`` has a part with other than one axis
+    (``functions.check_axes``).
     """
-    if isinstance(g, PolynomialFn) and g.dimension > 1:
-        raise InputError("polynomial dimension mismatch: a Cantor integrand takes one variable")
-    if isinstance(g, PiecewiseConstantFn) and any(len(box) != 1 for box, _ in g.pieces):
-        raise InputError("piece dimension mismatch: a Cantor integrand takes one variable")
+    check_axes(g, 1)
     return _lattice_runs(g) or (_oracle_runs(g, depth) for depth in itertools.count())
 
 
@@ -350,7 +340,7 @@ def _depth_sums(g, runs, depth: int) -> tuple[float, float]:
     scale = 0.5 ** depth
     lower = 0.0
     upper = 0.0
-    if _is_swept_poly(g):
+    if type(g) is PolynomialFn:
         for lows, highs in _poly_blocks(g, depth):
             lower = reduce(add, lows, lower)
             upper = reduce(add, highs, upper)

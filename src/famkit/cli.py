@@ -268,12 +268,12 @@ def _cmd_constrain(data, args) -> int:
 
 
 def _box_fam(data):
-    from .boxes import VolumeFam, make_box
+    from .boxes import VolumeFam
 
     box = data.get("box")
     if box is None:
         raise InputError("box backend needs --box or a box entry")
-    return VolumeFam(make_box(box))
+    return VolumeFam(box)
 
 
 def _cmd_integrate(data, args) -> int:
@@ -302,7 +302,7 @@ def _cmd_jordan(data, args) -> int:
     from .jsonio import parse_rational, parse_region
 
     fam = _box_fam(data)
-    region = parse_region(data["region"], fam.dimension)
+    region = parse_region(data["region"])
     eps = parse_rational(data.get("epsilon", "1/1024"))
     report = is_jordan(region, fam, eps, budget=args.budget or DEFAULT_BUDGET)
     out = {
@@ -330,7 +330,7 @@ def _cmd_measure(data, args) -> int:
         outer = outer_measure(target, fam)
     else:
         fam = _box_fam(data)
-        region = parse_region(data["region"], fam.dimension)
+        region = parse_region(data["region"])
         eps = parse_rational(data.get("epsilon", "1/1024"))
         bracket = measure_bracket(region, fam, eps, budget=args.budget or DEFAULT_BUDGET)
         inner, outer = bracket.inner, bracket.outer

@@ -377,8 +377,33 @@ class RestrictedFn:
         return (min(lo, 0.0), max(hi, 0.0))
 
 
-def triangle_under_diagonal(dimension: int = 2) -> HalfPlaneRegion:
+def check_axes(obj, n: int) -> None:
+    """Raise ``InputError`` at the first part of ``obj``, a function or a
+    region, reached through indicators, restrictions, complements, unions and
+    intersections, whose axis count is not ``n``; the dense fixture, constant
+    polynomials and any other oracle or region fit every ``n``."""
+    if isinstance(obj, RestrictedFn):
+        check_axes(obj.fn, n)
+    if isinstance(obj, (IndicatorFn, RestrictedFn)):
+        return check_axes(obj.region, n)
+    if isinstance(obj, RegionComplement):
+        return check_axes(obj.inner, n)
+    if isinstance(obj, (RegionUnion, RegionIntersection)):
+        for part in obj.parts:
+            check_axes(part, n)
+    if isinstance(obj, PolynomialFn):
+        kind, what, axes = "polynomial", "the polynomial", [obj.dimension] if obj.dimension else []
+    elif isinstance(obj, PiecewiseConstantFn):
+        kind, what, axes = "piece", "a piecewise box", [len(box) for box, _ in obj.pieces]
+    else:  # the axes of a half-plane's normal, a point or a box union's boxes; no others
+        kind, what, axes = "region", "a region", [len(x) for x in (
+            obj.boxes if isinstance(obj, BoxElem) else [obj.normal] if isinstance(obj, HalfPlaneRegion)
+            else [obj.point] if isinstance(obj, PointRegion) else [])]
+    for d in axes:
+        if d != n:
+            raise InputError(f"{kind} dimension mismatch: {what} has {d} axes, the problem has {n}")
+
+
+def triangle_under_diagonal() -> HalfPlaneRegion:
     """The region ``{y <= x}`` in the plane (Jordan, measure 1/2 in the unit square)."""
-    if dimension != 2:
-        raise InputError("the diagonal triangle fixture is two-dimensional")
     return HalfPlaneRegion((-1, 1), 0)

@@ -26,7 +26,7 @@ from .boolalg import Algebra, Partition, SetElem
 from .boxes import IN, OUT, STRADDLE, Box, BoxElem, VolumeFam, box_intersect, box_volume
 from .errors import InputError
 from .fam import Fam, as_fraction, as_table, pushforward
-from .functions import IndicatorFn, PolynomialFn, RestrictedFn, _to_float, finite, region_of
+from .functions import IndicatorFn, PolynomialFn, RestrictedFn, _to_float, check_axes, finite, region_of
 from .lattice import DyadicLattice, lattice_classifier
 
 DEFAULT_BUDGET = 2_000_000
@@ -433,8 +433,8 @@ def _indicator_sums(fn: IndicatorFn, fam: VolumeFam, epsilon, budget: int):
     if budget > 1:
         bracket = measure_bracket(fn.region, fam, tolerance, budget - 1)
         inner, outer, splits = bracket.inner, bracket.outer, bracket.splits
-    else:  # the root alone, on the lattice, which checks the region's dimension
-        verdict = lattice_classifier(fn.region, DyadicLattice(fam.bounding))(0)((0,) * fam.dimension)
+    else:  # the root alone
+        verdict = fn.region.classify(fam.bounding)
         inner, outer, splits = total if verdict == IN else 0, 0 if verdict == OUT else total, 0
     lo, hi = (inner, outer) if v > 0 else (outer, inner)
     lower = _scaled_outward(v, lo, -math.inf)
@@ -447,6 +447,7 @@ def _indicator_sums(fn: IndicatorFn, fam: VolumeFam, epsilon, budget: int):
 
 def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> IntegralReport:
     _require_oracle(fn)
+    check_axes(fn, fam.dimension)
     eps = _float_eps(epsilon)
     if budget < 1:
         raise InputError(f"the cell budget must be at least 1, got {budget}")
@@ -458,12 +459,8 @@ def _integrate_box(fn, fam: VolumeFam, epsilon, budget: int, strategy: str) -> I
         return fn.range_on(tuple(zip(lo, hi)))
 
     def refine():
-        if type(fn) is IndicatorFn:
-            if strategy == "adaptive":
-                return _indicator_sums(fn, fam, epsilon, budget)
-            # the float cells ask the region's classify, which does not check
-            # its dimension: the lattice does
-            lattice_classifier(fn.region, DyadicLattice(fam.bounding))
+        if type(fn) is IndicatorFn and strategy == "adaptive":
+            return _indicator_sums(fn, fam, epsilon, budget)
         # the float cells start from the corners; an indicator's exact bracket never reads them
         lo0 = [finite(lo, "box corners") for lo, _ in fam.bounding]
         hi0 = [finite(hi, "box corners") for _, hi in fam.bounding]
@@ -598,6 +595,7 @@ def measure_bracket(E, fam: VolumeFam, epsilon, budget: int = DEFAULT_BUDGET) ->
     are the FIFO's, bit for bit.
     """
     region = region_of(E)
+    check_axes(region, fam.dimension)
     eps = _exact_eps(epsilon)
     if budget < 1:
         raise InputError(f"the cell budget must be at least 1, got {budget}")

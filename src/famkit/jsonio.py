@@ -206,7 +206,7 @@ def _form(data: dict, forms: tuple[str, ...], what: str):
     raise InputError(f"{what} object needs exactly one key, one of {', '.join(forms)}; got {list(data)}")
 
 
-def parse_region(data, dimension: int):
+def parse_region(data):
     from .boxes import BoxElem, make_box
     from .functions import (
         DenseCodenseRegion,
@@ -221,27 +221,20 @@ def parse_region(data, dimension: int):
         if data == "dirichlet":
             return DenseCodenseRegion()
         if data == "triangle-xy":
-            return triangle_under_diagonal(dimension)
+            return triangle_under_diagonal()
         raise InputError(f"unknown named region {data!r}")
     if not isinstance(data, dict):
         raise InputError("region must be a name or an object")
     form, spec = _form(data, ("halfplane", "boxes", "union", "intersection", "complement"), "region")
     if form == "halfplane":
-        normal = [parse_rational(c) for c in spec["normal"]]
-        if len(normal) != dimension:
-            raise InputError(f"half-plane normal has {len(normal)} axes, the problem has {dimension}")
-        return HalfPlaneRegion(normal, parse_rational(spec["offset"]))
+        return HalfPlaneRegion([parse_rational(c) for c in spec["normal"]], parse_rational(spec["offset"]))
     if form == "boxes":
-        boxes = [make_box(b) for b in spec]
-        for box in boxes:
-            if len(box) != dimension:
-                raise InputError(f"region box has {len(box)} axes, the problem has {dimension}")
-        return BoxElem(boxes)
+        return BoxElem([make_box(b) for b in spec])
     if form == "union":
-        return RegionUnion(*(parse_region(r, dimension) for r in spec))
+        return RegionUnion(*(parse_region(r) for r in spec))
     if form == "intersection":
-        return RegionIntersection(*(parse_region(r, dimension) for r in spec))
-    return RegionComplement(parse_region(spec, dimension))
+        return RegionIntersection(*(parse_region(r) for r in spec))
+    return RegionComplement(parse_region(spec))
 
 
 def parse_fn(data, dimension: int):
@@ -261,11 +254,8 @@ def parse_fn(data, dimension: int):
         return PolynomialFn(spec, dimension=dimension)
     if form == "piecewise":
         pieces = [(make_box(p["box"]), p["value"]) for p in spec.get("pieces", [])]
-        for box, _ in pieces:
-            if len(box) != dimension:
-                raise InputError(f"piecewise box has {len(box)} axes, the problem has {dimension}")
         return PiecewiseConstantFn(pieces, default=spec.get("default", 0.0))
-    return IndicatorFn(parse_region(spec, dimension))
+    return IndicatorFn(parse_region(spec))
 
 
 def parse_table(data, ground: GroundSet):

@@ -36,7 +36,6 @@ from operator import mul
 from typing import Callable
 
 from .boxes import IN, OUT, STRADDLE, Box, BoxElem
-from .errors import InputError
 from .functions import (
     HalfPlaneRegion,
     RegionComplement,
@@ -85,10 +84,8 @@ class DyadicLattice:
     def halves(self, depth: int) -> Callable[[list[Cell]], list[Cell]]:
         """``cells -> [left, right, left, right, ...]``: the two halves of
         each cell of ``depth`` on its split axis, in the cells' order, left
-        first; unrolled for one to three axes."""
+        first; unrolled for two and three axes."""
         axis = self.axis(depth)
-        if self.dimension == 1:
-            return lambda cells: _interleave([(2 * i,) for i, in cells], [(2 * i + 1,) for i, in cells])
         if self.dimension == 2:
             if axis == 0:
                 return lambda cells: _interleave([(2 * i, j) for i, j in cells],
@@ -165,15 +162,11 @@ def lattice_classifier(region, lattice: DyadicLattice) -> Verdicts:
     take verdicts unrolled for one to three axes (half-planes) or one and
     two axes (box unions); unions, intersections and complements combine
     the verdicts of their parts, two parts without a loop.  Any other
-    region is asked through its ``classify`` on the cell's rational box.  Raises ``InputError`` on
-    a half-plane or a box union in another dimension than the lattice's,
-    anywhere in ``region``.
+    region is asked through its ``classify`` on the cell's rational box.
+    The region must have the lattice's axis count (``functions.check_axes``).
     """
     kind = type(region)
     if kind is HalfPlaneRegion or kind is BoxElem:
-        axes = {len(region.normal)} if kind is HalfPlaneRegion else {len(b) for b in region.boxes}
-        if axes - {lattice.dimension}:
-            raise InputError(f"region dimension mismatch: the box has {lattice.dimension} axes")
         return (_halfplane if kind is HalfPlaneRegion else _boxes)(region, lattice)
     if kind is RegionComplement:
         return _complement(lattice_classifier(region.inner, lattice))

@@ -486,6 +486,16 @@ class TestJordanMeasureCLI:
         assert out == ""
         assert "the problem has 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["jordan", "--region", '"triangle-xy"', "--box", "[[0, 1]]"],
+        ["cantor", "--fn", '{"indicator": "triangle-xy"}'],
+    ])
+    def test_triangle_fixture_of_another_dimension_rejected(self, capsys, argv):
+        # the fixture raised its own error; the engines now check it as any half-plane
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "region dimension mismatch: a region has 2 axes, the problem has 1" in err
+
     @pytest.mark.parametrize("region", [
         {"halfplane": {"normal": [1, 0], "offset": "1/2"}, "boxes": [[[0, 1], [0, 1]]]},
         {"union": ["triangle-xy"], "extra": 1},

@@ -321,6 +321,37 @@ class TestBoxIntegrate:
         assert report.status == "integrable"
         assert report.value == pytest.approx(0.25, abs=1e-3)
 
+    @pytest.mark.parametrize("call", [
+        # each answered as if the part had the box's axes: [0.5, 0.5078125],
+        # [0.0, 0.0078125], [0.5, 0.5] (both strategies), [0.5, 0.5] and
+        # [0.0, 0.0078125]; the polynomial raised IndexError
+        lambda: integrate_over(PolynomialFn([1.0]), HalfPlaneRegion((1, 1), F(1, 2)), UNIT, 1e-2),
+        lambda: integrate_over(PolynomialFn([1.0]), PointRegion((F(1, 2), F(1, 2))), UNIT, 1e-2),
+        lambda: integrate(PiecewiseConstantFn([(make_box([[0, F(1, 2)], [0, 1]]), 1.0)]), UNIT, 1e-2),
+        lambda: integrate(PiecewiseConstantFn([(make_box([[0, F(1, 2)], [0, 1]]), 1.0)]), UNIT, 1e-2,
+                          strategy="grid"),
+        lambda: integrate(PiecewiseConstantFn([(make_box([[0, F(1, 2)]]), 1.0)]), SQUARE, 1e-2),
+        lambda: integrate(IndicatorFn(PointRegion((0.5, 0.5))), UNIT, 1e-2),
+        lambda: integrate(PolynomialFn({(1, 1): 1.0}), UNIT, 1e-2),
+    ], ids=["over-halfplane-2d", "over-point-2d", "pieces-2d", "pieces-2d-grid", "piece-1d", "indicator-point-2d",
+            "polynomial-2d"])
+    def test_parts_of_another_dimension_rejected(self, call):
+        with pytest.raises(InputError, match="dimension mismatch: .* has [0-9]+ axes, the problem has"):
+            call()
+
+    def test_constants_dense_fixture_and_foreign_oracles_fit_any_box(self):
+        cube = VolumeFam([[0, 1]] * 3)
+        for fam in (UNIT, SQUARE, cube):
+            assert integrate(PolynomialFn({(): 2.0}), fam, 1e-3).value == 2.0
+            assert integrate(LipschitzFn(lambda p: 1.0, 0.0), fam, 1e-3).value == 1.0
+            assert integrate(IndicatorFn(DenseCodenseRegion()), fam, 1e-3).status == "not_integrable"
+            assert is_jordan(DenseCodenseRegion(), fam, F(1, 8)).jordan is False
+
+    def test_box_union_of_mixed_dimensions_rejected(self):
+        # the 1-D box used to subtract the 2-D one away on their shared axis
+        with pytest.raises(InputError, match="mixes boxes of 1 and 2 axes"):
+            BoxElem([make_box([[0, 1]]), make_box([[0, 1], [0, 1]])])
+
     def test_piecewise_constant(self):
         fn = PiecewiseConstantFn([(make_box([[0, F(1, 2)]]), 1.0)], default=3.0)
         report = integrate(fn, UNIT, epsilon=1e-6)

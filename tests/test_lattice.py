@@ -27,6 +27,7 @@ from famkit.functions import (
     HalfPlaneRegion,
     IndicatorFn,
     PointRegion,
+    PolynomialFn,
     RegionComplement,
     RegionIntersection,
     RegionUnion,
@@ -38,6 +39,7 @@ from famkit.integrate import (
     MeasureBracket,
     inner_measure,
     integrate,
+    integrate_over,
     integrate_simple,
     is_jordan,
     measure_bracket,
@@ -227,19 +229,25 @@ class TestLatticeVerdicts:
 
     @pytest.mark.parametrize("region", [HalfPlaneRegion((1, 1, 5), 1), HalfPlaneRegion((1,), F(1, 2)),
                                         BoxElem([make_box([[0, F(1, 2)]])]),
-                                        RegionUnion(triangle_under_diagonal(), BoxElem([make_box([[0, 1]] * 3)]))],
-                             ids=["halfplane-3d", "halfplane-1d", "box-1d", "union-with-box-3d"])
+                                        RegionUnion(triangle_under_diagonal(), BoxElem([make_box([[0, 1]] * 3)])),
+                                        PointRegion((F(1, 2),)),
+                                        RegionUnion(PointRegion((0, 0, 0)), triangle_under_diagonal())],
+                             ids=["halfplane-3d", "halfplane-1d", "box-1d", "union-with-box-3d", "point-1d",
+                                  "union-with-point-3d"])
     @pytest.mark.parametrize("call", [
         lambda r: measure_bracket(r, SQUARE, F(1, 64)),
         lambda r: is_jordan(r, SQUARE, F(1, 64)),
         lambda r: integrate(IndicatorFn(r), SQUARE, 1e-3),
         lambda r: integrate(IndicatorFn(r), SQUARE, 1e-3, budget=1),
         lambda r: integrate(IndicatorFn(r), SQUARE, 1e-3, strategy="grid"),
-    ], ids=["measure_bracket", "is_jordan", "indicator", "indicator-root", "indicator-grid"])
+        lambda r: integrate_over(PolynomialFn({(0, 0): 1.0}), r, SQUARE, 1e-2),
+    ], ids=["measure_bracket", "is_jordan", "indicator", "indicator-root", "indicator-grid", "integrate_over"])
     def test_regions_of_another_dimension_rejected(self, call, region):
         # classify zipped the region's axes with the cell's: the 3-D
         # half-plane had the bracket [127/256, 8383/16384] on the square;
-        # the grid and the root-only integral build no lattice of their own
+        # the grid and the root-only integral build no lattice of their own,
+        # and integrate_over and the points were never checked: is_jordan
+        # answered jordan True on both points
         with pytest.raises(InputError, match="region dimension mismatch"):
             call(region)
 
