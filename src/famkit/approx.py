@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .boolalg import Partition, SetElem
 from .errors import BlockedCellError, CapExceededError, DegenerateFamError, InputError
-from .fam import Fam, RationalLike, as_fraction, uniformly_supported
+from .fam import Fam, RationalLike, as_fraction, as_table, uniformly_supported
 
 #: Candidate cap for the exhaustive uap witness search.
 SEARCH_CAP = 5_000_000
@@ -53,6 +53,17 @@ def _recurse_rounding(masses: Sequence[Fraction], c: int) -> list[int]:
     return ks
 
 
+def _positive(fam: Fam, epsilon: RationalLike, what: str) -> tuple[Fraction, Fraction]:
+    """The fam's total and ``epsilon`` as a rational, each checked positive."""
+    delta = fam.total
+    if delta <= 0:
+        raise DegenerateFamError(f"{what} needs positive total measure")
+    epsilon = as_fraction(epsilon)
+    if epsilon <= 0:
+        raise InputError("epsilon must be positive")
+    return delta, epsilon
+
+
 def approx_uniform(
     fam: Fam,
     partition: Partition,
@@ -67,12 +78,7 @@ def approx_uniform(
     remainder below ``delta/c``).  Zero-measure cells receive no points,
     and ``|u| <= c``.
     """
-    delta = fam.total
-    if delta <= 0:
-        raise DegenerateFamError("approximation needs positive total measure")
-    epsilon = as_fraction(epsilon)
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    delta, epsilon = _positive(fam, epsilon, "approximation")
     if partition.algebra != fam.algebra:
         raise InputError("partition must live on the fam's algebra")
     if avoid is None:
@@ -123,12 +129,7 @@ def approx_uniform_small(fam: Fam, partition: Partition, epsilon: RationalLike) 
     When the partition is the smaller bound, one point per positive-measure
     cell carries the exact cell mass.
     """
-    delta = fam.total
-    if delta <= 0:
-        raise DegenerateFamError("approximation needs positive total measure")
-    epsilon = as_fraction(epsilon)
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    delta, epsilon = _positive(fam, epsilon, "approximation")
     if math.ceil(delta / epsilon) <= len(partition.cells):
         return approx_uniform(fam, partition, epsilon)
     mu: dict[int, Fraction] = {}
@@ -162,12 +163,7 @@ def uap_witness(fam: Fam, partition: Partition, epsilon: RationalLike) -> SetEle
     size ``ceil(delta/epsilon)`` and None means none exists below that
     bound.
     """
-    delta = fam.total
-    if delta <= 0:
-        raise DegenerateFamError("uap witness needs positive total measure")
-    epsilon = as_fraction(epsilon)
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    delta, epsilon = _positive(fam, epsilon, "uap witness")
     witness = uniformly_supported(fam)
     if witness is not None:
         bits = 0
@@ -204,13 +200,7 @@ def approx_with_integrals(
     epsilon = as_fraction(epsilon)
     if not fns:
         return approx_uniform_small(fam, partition, epsilon)
-    n = fam.algebra.ground.size
-    tables = []
-    for fn in fns:
-        table = tuple(as_fraction(v) for v in fn)
-        if len(table) != n:
-            raise InputError("function table must cover the ground set")
-        tables.append(table)
+    tables = [as_table(fn, fam.algebra.ground) for fn in fns]
     bound = max((abs(v) for t in tables for v in t), default=Fraction(0))
     atoms = Partition.of_atoms(fam.algebra)
     shrink = len(atoms.cells) * max(Fraction(1), bound)

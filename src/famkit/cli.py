@@ -244,19 +244,16 @@ def _cmd_three_way(data, args) -> int:
 
 def _cmd_constrain(data, args) -> int:
     from .extend import fam_with_constraints, fam_with_integral_constraints, ultrafilter_with_limits
-    from .fam import as_table
     from .jsonio import parse_fam, parse_ground, parse_rational, parse_set, parse_table, parse_target
 
     targets = [parse_target(t) for t in data.get("targets", [])]
     if "ultra" in data:
         ultra = parse_fam(data["ultra"])
         tables = [parse_table(fn, ultra.algebra.ground) for fn in data.get("fns", [])]
-        tables = [as_table(t, ultra.algebra.ground) for t in tables]
         result = ultrafilter_with_limits(ultra, tables, targets)
     elif "fam0" in data:
         fam0 = parse_fam(data["fam0"])
         tables = [parse_table(fn, fam0.algebra.ground) for fn in data.get("fns", [])]
-        tables = [as_table(t, fam0.algebra.ground) for t in tables]
         result = fam_with_integral_constraints(fam0, tables, targets)
     else:
         ground = parse_ground(data["ground"])

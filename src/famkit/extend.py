@@ -27,7 +27,7 @@ from .errors import (
     GroundMismatchError,
     InputError,
 )
-from .fam import Fam, RationalLike, as_fraction, point_mass
+from .fam import Fam, RationalLike, as_fraction, as_table, point_mass
 from .simplex import FeasibilitySystem, optimize, solve_feasibility
 
 #: Cap on branch fan-out when targets are finite sets of values.
@@ -89,14 +89,16 @@ class ExtensionResult:
         return self.status == "feasible"
 
 
+def _row(algebra: Algebra, s: SetElem) -> tuple[Fraction, ...]:
+    """The coefficients of the measure of ``s`` in the atom weights of ``algebra``."""
+    return tuple(Fraction(1) if a.bits & s.bits else Fraction(0) for a in algebra.atoms)
+
+
 def _assignment_system(assignment: PartialAssignment, extra_sets: Sequence[SetElem] = ()) -> tuple[Algebra, FeasibilitySystem]:
     algebra = generate_algebra(
         assignment.ground, [s for s, _ in assignment.pairs] + list(extra_sets)
     )
-    eqs = tuple(
-        (tuple(Fraction(1) if a.bits & s.bits else Fraction(0) for a in algebra.atoms), v)
-        for s, v in assignment.pairs
-    )
+    eqs = tuple((_row(algebra, s), v) for s, v in assignment.pairs)
     return algebra, FeasibilitySystem(n_vars=algebra.atom_count, equalities=eqs)
 
 
@@ -141,6 +143,14 @@ def extend_assignment(assignment: PartialAssignment) -> ExtensionResult:
     )
 
 
+def _violating(a: SetElem, a_prime: SetElem, value_a: Fraction, value_a_prime: Fraction) -> Certificate:
+    """The compatibility certificate: ``a <= a'`` with ``value_a > value_a_prime``."""
+    return Certificate(
+        "violating_pair",
+        {"a": a, "a_prime": a_prime, "value_a": value_a, "value_a_prime": value_a_prime},
+    )
+
+
 def _merged_assignment(fam0: Fam, fam1: Fam) -> tuple[PartialAssignment | None, Certificate | None]:
     # atom-level values determine each fam, so they suffice for the merge
     ground = fam0.algebra.ground
@@ -151,15 +161,7 @@ def _merged_assignment(fam0: Fam, fam1: Fam) -> tuple[PartialAssignment | None, 
             if a.bits in seen:
                 if seen[a.bits] != w:
                     # the two fams disagree on a shared element
-                    return None, Certificate(
-                        "violating_pair",
-                        {
-                            "a": a,
-                            "a_prime": a,
-                            "value_a": max(seen[a.bits], w),
-                            "value_a_prime": min(seen[a.bits], w),
-                        },
-                    )
+                    return None, _violating(a, a, max(seen[a.bits], w), min(seen[a.bits], w))
                 continue
             seen[a.bits] = w
             pairs.append((a, w))
@@ -175,15 +177,7 @@ def _violating_pair(fam0: Fam, fam1: Fam) -> Certificate:
         for a_prime in upper.algebra.elements():
             a = lower.algebra.floor(a_prime)
             if lower(a) > upper(a_prime):
-                return Certificate(
-                    "violating_pair",
-                    {
-                        "a": a,
-                        "a_prime": a_prime,
-                        "value_a": lower(a),
-                        "value_a_prime": upper(a_prime),
-                    },
-                )
+                return _violating(a, a_prime, lower(a), upper(a_prime))
     raise FamkitError("internal: infeasible merge without a violating pair")
 
 
@@ -195,15 +189,7 @@ def amalgamate(fam0: Fam, fam1: Fam) -> ExtensionResult:
         full = SetElem.full(fam0.algebra.ground)
         return ExtensionResult(
             "infeasible",
-            certificate=Certificate(
-                "violating_pair",
-                {
-                    "a": full,
-                    "a_prime": full,
-                    "value_a": max(fam0.total, fam1.total),
-                    "value_a_prime": min(fam0.total, fam1.total),
-                },
-            ),
+            certificate=_violating(full, full, max(fam0.total, fam1.total), min(fam0.total, fam1.total)),
         )
     merged, conflict = _merged_assignment(fam0, fam1)
     if conflict is not None:
@@ -236,12 +222,19 @@ def value_range(assignment: PartialAssignment, b: SetElem) -> tuple[Fraction, Fr
     domain together with ``b``, from one shared phase 1.
     """
     algebra, system = _assignment_system(assignment, extra_sets=[b])
-    inside = [Fraction(1) if a.bits & b.bits else Fraction(0) for a in algebra.atoms]
+    inside = _row(algebra, b)
     optima = optimize(system, [inside, [-c for c in inside]])
     if optima is None:
         return None
     (low, _), (negated_high, _) = optima
     return low, -negated_high
+
+
+def _refined(fam: Fam, sets: Sequence[SetElem], weights: dict[int, Fraction]) -> Fam:
+    """The fam on the algebra generated by ``fam``'s atoms and ``sets``, with
+    atom weights keyed by bits (an atom missing from ``weights`` weighs 0)."""
+    algebra = generate_algebra(fam.algebra.ground, list(fam.algebra.atoms) + list(sets))
+    return Fam(algebra, tuple(weights.get(a.bits, Fraction(0)) for a in algebra.atoms))
 
 
 def extend_one(fam: Fam, b: SetElem, z: RationalLike) -> Fam:
@@ -254,23 +247,20 @@ def extend_one(fam: Fam, b: SetElem, z: RationalLike) -> Fam:
     lo, hi = extension_bounds(fam, b)
     if not lo <= z <= hi:
         raise BoundsError(f"target {z} outside extension bounds [{lo}, {hi}]")
-    algebra = generate_algebra(fam.algebra.ground, list(fam.algebra.atoms) + [b])
     need = z - fam(fam.algebra.floor(b))
     weights: dict[int, Fraction] = {}
     for a, w in zip(fam.algebra.atoms, fam.weights):
         inside = a.bits & b.bits
         outside = a.bits & ~b.bits
-        if not outside:
-            weights[a.bits] = w
-        elif not inside:
-            weights[a.bits] = w
-        else:
+        if inside and outside:
             take = min(w, need)
             need -= take
             weights[inside] = take
             weights[outside] = w - take
+        else:
+            weights[a.bits] = w
     assert need == 0
-    return Fam(algebra, tuple(weights.get(a.bits, Fraction(0)) for a in algebra.atoms))
+    return _refined(fam, [b], weights)
 
 
 def extend_preserving_range(fam: Fam, b: SetElem, K: Sequence[RationalLike]) -> Fam:
@@ -289,7 +279,6 @@ def extend_preserving_range(fam: Fam, b: SetElem, K: Sequence[RationalLike]) -> 
         bad = sums - kset
         if bad:
             raise InputError(f"fam value {min(bad)} is outside K")
-    algebra = generate_algebra(fam.algebra.ground, list(fam.algebra.atoms) + [b])
     weights: dict[int, Fraction] = {}
     for a, w in zip(fam.algebra.atoms, fam.weights):
         inside = a.bits & b.bits
@@ -299,7 +288,7 @@ def extend_preserving_range(fam: Fam, b: SetElem, K: Sequence[RationalLike]) -> 
             weights[outside] = Fraction(0)
         else:
             weights[a.bits] = w
-    return Fam(algebra, tuple(weights.get(a.bits, Fraction(0)) for a in algebra.atoms))
+    return _refined(fam, [b], weights)
 
 
 def extend_with_filter(fam0: Fam, filter_gens: Sequence[SetElem]) -> ExtensionResult:
@@ -327,24 +316,22 @@ def extend_with_filter(fam0: Fam, filter_gens: Sequence[SetElem]) -> ExtensionRe
                     {"b": a, "value": w, "generators": list(filter_gens)},
                 ),
             )
-    algebra = generate_algebra(ground, list(fam0.algebra.atoms) + list(filter_gens))
     weights: dict[int, Fraction] = {}
     for a, w in zip(fam0.algebra.atoms, fam0.weights):
         slice_bits = a.bits & core_bits
         if slice_bits:
             weights[slice_bits] = w
         # w == 0 is guaranteed when the slice is empty
-    witness = Fam(algebra, tuple(weights.get(a.bits, Fraction(0)) for a in algebra.atoms))
-    return ExtensionResult("feasible", witness=witness)
+    return ExtensionResult("feasible", witness=_refined(fam0, filter_gens, weights))
 
 
 def three_way_extend(fam0: Fam, fam1: Fam, filter_gens: Sequence[SetElem]) -> ExtensionResult:
     """Simultaneous extension of two fams and a filter (full measure on generators).
 
-    Checks the two bullet conditions on the finite algebra (the full
-    generator meet dominates every finite sub-meet, so quantifying over it
-    is complete), then mirrors the constructive proof: filter-extend each
-    fam and amalgamate the results.
+    Mirrors the constructive proof: filter-extend each fam, whose hypothesis
+    is bullet 1, check bullet 2 on the finite algebra (the full generator
+    meet dominates every finite sub-meet, so quantifying over it is
+    complete), and amalgamate the two extensions.
     """
     ground = fam0.algebra.ground
     if fam1.algebra.ground != ground:
@@ -353,21 +340,20 @@ def three_way_extend(fam0: Fam, fam1: Fam, filter_gens: Sequence[SetElem]) -> Ex
         raise InputError("both fams must have the same total measure")
     if fam0.total <= 0:
         raise DegenerateFamError("three-way extension needs positive total measure")
+
+    # bullet 1 is the filter extension's hypothesis, for each fam
+    lifted = []
+    for side, fam in enumerate((fam0, fam1)):
+        result = extend_with_filter(fam, filter_gens)
+        if not result.feasible:
+            return ExtensionResult(
+                "infeasible",
+                certificate=Certificate("bullet1", {"side": side, **result.certificate.payload}),
+            )
+        lifted.append(result.witness)
     core_bits = ground.full_mask
     for g in filter_gens:
         core_bits &= g.bits
-
-    # bullet 1: positive elements meet the generator core
-    for e, fam in ((0, fam0), (1, fam1)):
-        for a, w in zip(fam.algebra.atoms, fam.weights):
-            if w > 0 and not a.bits & core_bits:
-                return ExtensionResult(
-                    "infeasible",
-                    certificate=Certificate(
-                        "bullet1",
-                        {"side": e, "b": a, "value": w, "generators": list(filter_gens)},
-                    ),
-                )
 
     # bullet 2: if a and b agree inside the core ordering, values must compare
     if fam0.algebra.atom_count + fam1.algebra.atom_count > 24:
@@ -388,10 +374,7 @@ def three_way_extend(fam0: Fam, fam1: Fam, filter_gens: Sequence[SetElem]) -> Ex
                     ),
                 )
 
-    lifted0 = extend_with_filter(fam0, filter_gens)
-    lifted1 = extend_with_filter(fam1, filter_gens)
-    assert lifted0.feasible and lifted1.feasible
-    result = amalgamate(lifted0.witness, lifted1.witness)
+    result = amalgamate(*lifted)
     if not result.feasible:
         raise FamkitError("internal: bullet conditions passed but amalgamation failed")
     return result
@@ -417,13 +400,13 @@ def _normalize_target(target) -> list[tuple[Fraction, Fraction]]:
 
 
 def _solve_with_targets(
-    n_vars: int,
+    algebra: Algebra,
     equalities: Sequence[tuple[tuple[Fraction, ...], Fraction]],
     rows: Sequence[tuple[Fraction, ...]],
     targets: Sequence,
-) -> tuple[Fraction, ...] | None:
-    """Feasibility with each row constrained to its target; finite-set targets
-    branch into one solve per combination."""
+) -> ExtensionResult:
+    """A fam on ``algebra`` meeting the equalities with each row constrained
+    to its target; finite-set targets branch into one solve per combination."""
     if len(rows) != len(targets):
         raise InputError("need exactly one target per constrained row")
     options = [_normalize_target(t) for t in targets]
@@ -434,14 +417,14 @@ def _solve_with_targets(
             raise CapExceededError("too many finite-set target combinations")
     for combo in itertools.product(*options) if options else [()]:
         system = FeasibilitySystem(
-            n_vars=n_vars,
+            n_vars=algebra.atom_count,
             equalities=tuple(equalities),
             intervals=tuple((row, lo, hi) for row, (lo, hi) in zip(rows, combo)),
         )
         outcome = solve_feasibility(system)
         if outcome.feasible:
-            return outcome.solution
-    return None
+            return ExtensionResult("feasible", witness=Fam(algebra, outcome.solution))
+    return ExtensionResult("infeasible", certificate=Certificate("no_branch_feasible", {}))
 
 
 def fam_with_constraints(
@@ -459,17 +442,8 @@ def fam_with_constraints(
             if lo < 0 or hi > delta:
                 raise InputError(f"target [{lo}, {hi}] outside [0, {delta}]")
     algebra = generate_algebra(ground, list(sets))
-    full_row = tuple(Fraction(1) for _ in algebra.atoms)
-    rows = [
-        tuple(Fraction(1) if a.bits & s.bits else Fraction(0) for a in algebra.atoms)
-        for s in sets
-    ]
-    solution = _solve_with_targets(
-        algebra.atom_count, [(full_row, delta)], rows, targets
-    )
-    if solution is None:
-        return ExtensionResult("infeasible", certificate=Certificate("no_branch_feasible", {}))
-    return ExtensionResult("feasible", witness=Fam(algebra, solution))
+    rows = [_row(algebra, s) for s in sets]
+    return _solve_with_targets(algebra, [(_row(algebra, SetElem.full(ground)), delta)], rows, targets)
 
 
 def fam_with_integral_constraints(
@@ -485,24 +459,10 @@ def fam_with_integral_constraints(
     caller via :func:`famkit.fam.has_uap` on the witness.)
     """
     ground = fam0.algebra.ground
-    tables = [tuple(as_fraction(v) for v in fn) for fn in fns]
-    for t in tables:
-        if len(t) != ground.size:
-            raise InputError("function table must cover the ground set")
-    equalities = [
-        (
-            tuple(Fraction(1) if x in a else Fraction(0) for x in range(ground.size)),
-            w,
-        )
-        for a, w in zip(fam0.algebra.atoms, fam0.weights)
-    ]
-    rows = [t for t in tables]
-    solution = _solve_with_targets(ground.size, equalities, rows, targets)
-    if solution is None:
-        return ExtensionResult("infeasible", certificate=Certificate("no_branch_feasible", {}))
-    return ExtensionResult(
-        "feasible", witness=Fam(Algebra.power_set(ground), solution)
-    )
+    tables = [as_table(fn, ground) for fn in fns]
+    power = Algebra.power_set(ground)
+    equalities = [(_row(power, a), w) for a, w in zip(fam0.algebra.atoms, fam0.weights)]
+    return _solve_with_targets(power, equalities, tables, targets)
 
 
 def ultrafilter_with_limits(
@@ -518,10 +478,10 @@ def ultrafilter_with_limits(
     function is then its value at that point).
     """
     ground = ultra0.algebra.ground
+    tables = [as_table(fn, ground) for fn in fns]
     if ultra0.total != 1 or any(w not in (0, 1) for w in ultra0.weights):
         raise InputError("ultra0 must be a 0/1-valued probability fam")
     core = next(a for a, w in zip(ultra0.algebra.atoms, ultra0.weights) if w == 1)
-    tables = [tuple(as_fraction(v) for v in fn) for fn in fns]
     options = [_normalize_target(t) for t in targets]
     if len(tables) != len(options):
         raise InputError("need exactly one target per function")

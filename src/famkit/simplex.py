@@ -1,14 +1,15 @@
 """Exact rational linear feasibility and optimization.
 
 A two-phase simplex over ``Fraction`` entries with Bland's pivoting rule
-(guaranteed termination, deterministic output).  A pivot updates only the
-columns where the normalised pivot row is nonzero, and only the rows with a
-nonzero in the pivot column.  The artificial block is implicit: no
-artificial column ever enters, so none is stored, and the Farkas vector of
-an infeasible system comes from one exact solve of ``y B = c_B`` for the
-final phase-1 basis.  The independent
-Fourier-Motzkin verifier lives in :mod:`famkit.oracle` and shares no
-pivoting code with this module.
+(guaranteed termination, deterministic output).  The tableau holds the
+equality rows first, then one ``<=`` row per interval end, each with its
+own slack column.  A pivot updates only the columns where the normalised
+pivot row is nonzero, and only the rows with a nonzero in the pivot column.
+The artificial block is implicit: no artificial column ever enters, so none
+is stored, and the Farkas vector of an infeasible system, one multiplier per
+row, comes from one exact solve of ``y B = c_B`` for the final phase-1
+basis.  The independent Fourier-Motzkin verifier lives in
+:mod:`famkit.oracle` and shares no pivoting code with this module.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class FeasibilitySystem:
 class SimplexOutcome:
     feasible: bool
     solution: tuple[Fraction, ...] | None = None
-    #: Farkas certificate: one multiplier per equality row, such that the
+    #: Farkas certificate: one multiplier per row, such that the
     #: nonnegative combination sum(y_r * row_r) has all coefficients <= 0
     #: but a positive right-hand side.  Only produced for pure-equality
     #: systems.
@@ -73,24 +74,21 @@ class _Tableau:
         rows: list[list[Fraction]] = []
         rhs: list[Fraction] = []
         signs: list[int] = []  # +1 if the row kept its orientation
-        kinds: list[int] = []  # index into system.equalities, or -1 for slack rows
 
-        for r, (coeffs, b) in enumerate(system.equalities):
+        for coeffs, b in system.equalities:
             rows.append(list(coeffs))
             rhs.append(Fraction(b))
-            kinds.append(r)
         for coeffs, lo, hi in system.intervals:
             if lo is not None:
                 rows.append([-c for c in coeffs])
                 rhs.append(-Fraction(lo))
-                kinds.append(-1)
             if hi is not None:
                 rows.append(list(coeffs))
                 rhs.append(Fraction(hi))
-                kinds.append(-1)
 
         self.m = len(rows)
-        self.n_slacks = sum(1 for k in kinds if k == -1)
+        first = len(system.equalities)
+        self.n_slacks = self.m - first
         self.art0 = self.n + self.n_slacks
         self.width = self.art0 + 1
         # the cap counts the artificial block as well, as if it were stored
@@ -98,12 +96,10 @@ class _Tableau:
             raise CapExceededError("feasibility system exceeds the solver size cap")
 
         # interval rows arrive as inequalities c.w <= rhs; add slack columns
-        slack_at = 0
-        for i, k in enumerate(kinds):
+        for i in range(self.m):
             rows[i].extend([Fraction(0)] * self.n_slacks)
-            if k == -1:
-                rows[i][self.n + slack_at] = Fraction(1)
-                slack_at += 1
+            if i >= first:
+                rows[i][self.n + i - first] = Fraction(1)
             rows[i].append(rhs[i])
 
         # normalize b >= 0, remembering orientation for the certificate
@@ -120,7 +116,6 @@ class _Tableau:
         self.start = list(rows)
         self.basis = [self.art0 + i for i in range(self.m)]
         self.signs = signs
-        self.kinds = kinds
 
     def _pivot(self, row: int, col: int, obj: list[Fraction]) -> None:
         rows = self.rows
@@ -188,12 +183,7 @@ class _Tableau:
                 eq = [row[j] for row in self.start] + [Fraction(0)]
             eqs.append(eq)
         raw = _solve(eqs)
-        per_row = [self.signs[i] * raw[i] for i in range(self.m)]
-        out = []
-        for i, k in enumerate(self.kinds):
-            if k >= 0:
-                out.append(per_row[i])
-        return tuple(out)
+        return tuple(self.signs[i] * raw[i] for i in range(self.m))
 
     def drive_out_artificials(self) -> None:
         for i in range(self.m):

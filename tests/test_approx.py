@@ -165,6 +165,23 @@ class TestUapWitness:
         assert w == elem(g, 3)
 
 
+class TestPreconditions:
+    @pytest.mark.parametrize("approx, what", [
+        (approx_uniform, "approximation"),
+        (approx_uniform_small, "approximation"),
+        (uap_witness, "uap witness"),
+    ])
+    def test_total_then_epsilon(self, approx, what):
+        g = GroundSet.of_size(3)
+        empty = Fam(Algebra.trivial(g), [0])
+        # the total is checked first, even when epsilon is bad as well
+        with pytest.raises(DegenerateFamError, match=f"^{what} needs positive total measure$"):
+            approx(empty, Partition.of_atoms(empty.algebra), 0)
+        fam = Fam(Algebra.trivial(g), [1])
+        with pytest.raises(InputError, match="^epsilon must be positive$"):
+            approx(fam, Partition.of_atoms(fam.algebra), "-1/2")
+
+
 class TestApproxWithIntegrals:
     def test_empty_fns_matches_small_contract(self):
         g = GroundSet.of_size(4)

@@ -167,6 +167,137 @@ class TestExtend:
         assert json.loads(out)["result"]["certificate"]["kind"] == "h_vector"
 
 
+def fam_on(n, weights, generators=None):
+    """A fam problem entry on ``n`` points: weights keyed by atom, on the
+    algebra the generators span (the trivial algebra without them)."""
+    algebra = {"ground": {"n": n}}
+    if generators is not None:
+        algebra["generators"] = generators
+    return {"algebra": algebra, "weights": weights}
+
+
+def report_of(tmp_path, capsys, command, payload):
+    code, out, err = run(capsys, [command, "--in", write_json(tmp_path, "p.json", payload)])
+    assert err == ""
+    return code, json.loads(out)
+
+
+EVENS = fam_on(6, {"0,2,4": "2/3", "1,3,5": "1/3"}, [[0, 2, 4]])
+# half the mass outside the generator {0, 1}, which fails bullet 1 of the
+# three-way theorem, and all of it inside, which passes
+HALF_OUTSIDE = fam_on(4, {"0,1": "1/2", "2,3": "1/2"}, [[0, 1]])
+ALL_INSIDE = fam_on(4, {"0,1": "1", "2,3": "0"}, [[0, 1]])
+
+
+class TestCompatible:
+    def test_compatible_pair(self, tmp_path, capsys):
+        assert report_of(tmp_path, capsys, "compatible", CROSS_SECTION) == (
+            0, {"compatible": True, "certificate": None})
+
+    @pytest.mark.parametrize("fam0, fam1, payload", [
+        # totals differ: the pair (X, X)
+        (fam_on(2, {"0": "1", "1": "0"}, [[0]]), fam_on(2, {"0": "1", "1": "1"}, [[0]]),
+         {"a": ["0", "1"], "a_prime": ["0", "1"], "value_a": "2", "value_a_prime": "1"}),
+        # a shared atom valued differently
+        (fam_on(2, {"0": "1", "1": "0"}, [[0]]), fam_on(2, {"0": "0", "1": "1"}, [[0]]),
+         {"a": ["0"], "a_prime": ["0"], "value_a": "1", "value_a_prime": "0"}),
+        # no common extension: {0} inside {0, 1} and heavier
+        (fam_on(3, {"0": "1/2", "1,2": "1/2"}, [[0]]), fam_on(3, {"0,1": "1/4", "2": "3/4"}, [[0, 1]]),
+         {"a": ["0"], "a_prime": ["0", "1"], "value_a": "1/2", "value_a_prime": "1/4"}),
+    ])
+    def test_violating_pair(self, tmp_path, capsys, fam0, fam1, payload):
+        code, report = report_of(tmp_path, capsys, "compatible", {"fam0": fam0, "fam1": fam1})
+        assert code == 3
+        assert report == {"compatible": False, "certificate": {"kind": "violating_pair", "payload": payload}}
+
+
+class TestExtendFilter:
+    def test_feasible(self, tmp_path, capsys):
+        code, report = report_of(tmp_path, capsys, "extend-filter", {"fam0": EVENS, "generators": [[0, 1]]})
+        assert code == 0
+        assert report["result"]["status"] == "feasible"
+        assert report["result"]["witness"]["weights"] == {"0": "2/3", "1": "1/3", "2,4": "0", "3,5": "0"}
+
+    def test_filter_hypothesis(self, tmp_path, capsys):
+        uniform = fam_on(4, {"0": "1/4", "1": "1/4", "2": "1/4", "3": "1/4"}, [[0], [1], [2], [3]])
+        code, report = report_of(tmp_path, capsys, "extend-filter", {"fam0": uniform, "generators": [[0, 1]]})
+        assert code == 3
+        assert report["result"] == {"status": "infeasible", "certificate": {
+            "kind": "filter_hypothesis", "payload": {"b": ["2"], "value": "1/4", "generators": [["0", "1"]]}}}
+
+
+class TestThreeWayCLI:
+    def test_feasible(self, tmp_path, capsys):
+        fam1 = fam_on(6, {"0,3": "2/3", "1,2,4,5": "1/3"}, [[0, 3]])
+        code, report = report_of(tmp_path, capsys, "three-way", {"fam0": EVENS, "fam1": fam1, "generators": [[0, 1]]})
+        assert code == 0
+        assert report["result"]["status"] == "feasible"
+        assert report["result"]["witness"]["weights"] == {"0": "2/3", "1": "1/3", "3": "0", "2,4": "0", "5": "0"}
+
+    def test_bullet2(self, tmp_path, capsys):
+        payload = {
+            "fam0": fam_on(4, {"0": "3/4", "1,2,3": "1/4"}, [[0]]),
+            "fam1": fam_on(4, {"0": "1/2", "1,2,3": "1/2"}, [[0]]),
+            "generators": [[0, 1]],
+        }
+        code, report = report_of(tmp_path, capsys, "three-way", payload)
+        assert code == 3
+        assert report["result"] == {"status": "infeasible", "certificate": {"kind": "bullet2", "payload": {
+            "a": ["0"], "b": ["0"], "value_a": "3/4", "value_b": "1/2", "generators": [["0", "1"]]}}}
+
+    @pytest.mark.parametrize("fam0, fam1, side", [(HALF_OUTSIDE, ALL_INSIDE, 0), (ALL_INSIDE, HALF_OUTSIDE, 1)])
+    def test_bullet1(self, tmp_path, capsys, fam0, fam1, side):
+        code, report = report_of(tmp_path, capsys, "three-way", {"fam0": fam0, "fam1": fam1, "generators": [[0, 1]]})
+        assert code == 3
+        assert report["result"] == {"status": "infeasible", "certificate": {"kind": "bullet1", "payload": {
+            "side": side, "b": ["2", "3"], "value": "1/2", "generators": [["0", "1"]]}}}
+
+
+NO_BRANCH = {"status": "infeasible", "certificate": {"kind": "no_branch_feasible", "payload": {}}}
+
+
+class TestConstrainCLI:
+    @pytest.mark.parametrize("form, weights", [
+        (lambda lo, hi: {"interval": [lo, hi]}, {"0": "1/2", "1": "1/4", "2,3": "1/4"}),
+        (lambda lo, hi: {"set": [lo, hi]}, {"0": "1/4", "1": "1/4", "2,3": "1/2"}),
+        (lambda lo, hi: {"point": lo}, {"0": "1/4", "1": "1/4", "2,3": "1/2"}),
+        (lambda lo, hi: [lo, hi], {"0": "1/2", "1": "1/4", "2,3": "1/4"}),
+        (lambda lo, hi: lo, {"0": "1/4", "1": "1/4", "2,3": "1/2"}),
+    ], ids=["interval", "set", "point", "pair", "scalar"])
+    def test_set_targets(self, tmp_path, capsys, form, weights):
+        # {0} lies inside {0, 1}: feasible while its target stays below the other's
+        problem = {"ground": {"n": 4}, "sets": [[0, 1], [0]], "delta": "1"}
+        problem["targets"] = [form("1/2", "3/4"), form("1/4", "1/2")]
+        code, report = report_of(tmp_path, capsys, "constrain", problem)
+        assert code == 0
+        assert report["result"]["status"] == "feasible"
+        assert report["result"]["witness"]["weights"] == weights
+        problem["targets"] = [form("1/8", "1/4"), form("1/2", "3/4")]
+        assert report_of(tmp_path, capsys, "constrain", problem) == (3, {"result": NO_BRANCH})
+
+    def test_integral_targets(self, tmp_path, capsys):
+        # mean 1 and mass 1/2 on {0, 2}, the second table keyed by label
+        problem = {"fam0": fam_on(3, {"0,1,2": "1"}), "fns": [[0, 1, 2], {"table": {"0": "1", "2": "1"}}],
+                   "targets": [["1", "1"], {"point": "1/2"}]}
+        code, report = report_of(tmp_path, capsys, "constrain", problem)
+        assert code == 0
+        assert report["result"]["status"] == "feasible"
+        assert report["result"]["witness"]["weights"] == {"0": "1/4", "1": "1/2", "2": "1/4"}
+        problem = {"fam0": fam_on(3, {"0,1,2": "1"}), "fns": [[0, 1, 2]], "targets": [["3", "4"]]}
+        assert report_of(tmp_path, capsys, "constrain", problem) == (3, {"result": NO_BRANCH})
+
+    def test_ultrafilter_limits(self, tmp_path, capsys):
+        problem = {"ultra": fam_on(6, {"2,3": "1", "0,1,4,5": "0"}, [[2, 3]]),
+                   "fns": [[0, 1, 2, 3, 4, 5], {"3": "7"}], "targets": [{"set": ["3", "5"]}, "7"]}
+        code, report = report_of(tmp_path, capsys, "constrain", problem)
+        assert code == 0
+        assert report["result"]["status"] == "feasible"
+        assert report["result"]["witness"]["weights"] == {"0": "0", "1": "0", "2": "0", "3": "1", "4": "0", "5": "0"}
+        problem = {"ultra": ALL_INSIDE, "fns": [[0, 1, 2, 3]], "targets": [["2", "3"]]}
+        assert report_of(tmp_path, capsys, "constrain", problem) == (3, {"result": {
+            "status": "infeasible", "certificate": {"kind": "no_point", "payload": {"core": ["0", "1"]}}}})
+
+
 class TestIntegrateCLI:
     def test_poly_flag_form(self, capsys):
         code, out, _ = run(

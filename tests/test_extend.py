@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from famkit.boolalg import Algebra, GroundSet, SetElem, generate_algebra
-from famkit.errors import BoundsError, InputError
+from famkit.approx import approx_with_integrals
+from famkit.boolalg import Algebra, GroundSet, Partition, SetElem, generate_algebra
+from famkit.errors import BoundsError, GroundMismatchError, InputError
 from famkit.extend import (
     PartialAssignment,
     amalgamate,
@@ -331,6 +332,12 @@ class TestThreeWay:
         assert not result.feasible
         assert result.certificate.kind == "bullet2"
 
+    def test_generator_over_another_ground_set_rejected(self):
+        g = GroundSet.of_size(4)
+        fam0 = uniform_fam(g, SetElem.full(g))
+        with pytest.raises(GroundMismatchError):
+            three_way_extend(fam0, fam0, [elem(GroundSet.of_size(3), 0)])
+
 
 class TestConstrained:
     def test_single_set_full_interval(self):
@@ -419,3 +426,15 @@ class TestUltrafilterLimits:
         result = ultrafilter_with_limits(ultra, [[0, 1, 2, 3]], [(2, 3)])
         assert not result.feasible
         assert result.certificate.kind == "no_point"
+
+
+@pytest.mark.parametrize("table", [["1"], ["1", "2", "3", "4"]], ids=["short", "long"])
+@pytest.mark.parametrize("call", [
+    lambda fam, fns: ultrafilter_with_limits(fam, fns, [1]),
+    lambda fam, fns: fam_with_integral_constraints(fam, fns, [1]),
+    lambda fam, fns: approx_with_integrals(fam, Partition.of_atoms(fam.algebra), F(1, 4), fns),
+], ids=["ultrafilter", "integral", "approx"])
+def test_tables_cover_the_ground_set_exactly(call, table):
+    g = GroundSet.of_size(3)
+    with pytest.raises(InputError, match="^table must have one value per ground element$"):
+        call(point_mass(g, 2), [table])
